@@ -22,6 +22,7 @@ from .shapes import (
     congruent,
     depth,
     flatten,
+    format_nested,
     length,
     prefix_products,
     profile,
@@ -32,43 +33,15 @@ from .shapes import (
     substitute,
     unflatten,
 )
-from .flat import (
-    FlatLayout,
-    coalesce_flat,
-    column_major,
-    complement_flat,
-    concat_flat,
-    flat_divide,
-    flat_product,
-    is_compact,
-    is_complementable,
-    is_n_complementable,
-    is_tractable_flat,
-)
-from .layout import (
-    Layout,
-    coalesce,
-    coalesce_relative,
-    column_major_layout,
-    complement,
-    compose,
-    concat_layouts,
-    is_tractable,
-    logical_divide,
-    logical_product,
-    substitute_profile,
-)
+from .flat import FlatLayout, column_major, concat_flat
 from .tuplecat import (
     TupleMorphism,
     coalesce_m,
     complement_m,
     compose_morphisms,
     concat_morphisms,
-    flat_divide_m,
-    flat_product_m,
     identity,
     layout_of,
-    morphism_into,
     realize,
     sort_m,
     squeeze_m,
@@ -82,11 +55,9 @@ from .nestcat import (
     coalesce_nm,
     complement_nm,
     compose_nest,
-    compose_tractable,
     concat_nm,
     divides,
     is_admissible_for_composition,
-    layout_of_nested,
     logical_divide_m,
     logical_product_m,
     make_composable,
@@ -94,7 +65,15 @@ from .nestcat import (
     nest_morphism,
     pullback,
     pushforward,
+)
+from .layout import (
+    Layout,
+    column_major_layout,
+    compose_tractable,
+    concat_layouts,
+    layout_of_nested,
     standard_representation_nested,
+    substitute_profile,
 )
 from .oracle import (
     FunctionTable,
@@ -107,7 +86,6 @@ from .oracle import (
 from .notation import (
     format_layout,
     format_morphism,
-    format_nested,
     parse_layout,
     parse_morphism,
     parse_nested,

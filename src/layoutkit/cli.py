@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .errors import LayoutError, NotationError
-from .layout import Layout
+from .layout import Layout, layout_of_nested, standard_representation_nested
 from .nestcat import (
     NestMorphism,
     coalesce_nm,
@@ -23,8 +23,6 @@ from .nestcat import (
     logical_product_m,
     mutual_refinement,
     nest_morphism,
-    standard_representation_nested,
-    layout_of_nested,
 )
 from .notation import (
     format_layout,
@@ -90,14 +88,12 @@ def _render_grid(l: Layout, flatten_to: Optional[int]) -> List[List[int]]:
     flat = l.flat()
     if flat.rank > 2 and flatten_to is None:
         raise LayoutError(f"rank {flat.rank} is not renderable; pass --flatten-to 2")
-    if flat.rank == 0:
-        return [[0]]
-    if flat.rank == 1 or flatten_to == 1:
-        return [[flat(x)] for x in range(flat.size())]
+    values = table_of(flat).values
+    if flat.rank <= 1 or flatten_to == 1:
+        return [[v] for v in values]
     # rows = first mode's coordinate, columns = the rest (colex order)
     nrows = flat.shape[0]
-    ncols = flat.size() // nrows
-    return [[flat(i + nrows * j) for j in range(ncols)] for i in range(nrows)]
+    return [list(values[i::nrows]) for i in range(nrows)]
 
 
 def _format_grid(cells: List[List[int]], tikz: bool) -> str:
@@ -146,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verb("mutual-refine", help="mutual refinement of two nested tuples")
     p = verb("render", help="grid of layout function values")
-    p.add_argument("--flatten-to", type=int, default=None)
+    p.add_argument("--flatten-to", type=int, choices=(1, 2), default=None)
     p.add_argument("--tikz", action="store_true")
     verb("eval", help="evaluate a layout at a linear index")
     verb("check", help="re-verify an engine result against the oracle")
@@ -290,6 +286,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (ValueError, IndexError) as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("parse-error: nesting too deep", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError
-from .shapes import checked_add, checked_mul, colex_inv, prefix_products
+from .shapes import checked_add, checked_mul, colex_inv, format_nested, prefix_products
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,7 @@ class FlatLayout:
     # -- misc --------------------------------------------------------------
 
     def __str__(self) -> str:
-        from .notation import format_flat_layout
-
-        return format_flat_layout(self)
+        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
 
 
 def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
@@ -203,74 +201,3 @@ def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
 
 def column_major(shape: Sequence[int]) -> FlatLayout:
     return FlatLayout(tuple(shape), prefix_products(shape)[:-1])
-
-
-# functional spellings of the method suite
-def eval_coord(l: FlatLayout, coord: Sequence[int]) -> int:
-    return l.eval_coord(coord)
-
-
-def eval_flat(l: FlatLayout, x: int) -> int:
-    return l(x)
-
-
-def restrict(l: FlatLayout, idx: Sequence[int]) -> FlatLayout:
-    return l.restrict(idx)
-
-
-def squeeze(l: FlatLayout) -> FlatLayout:
-    return l.squeeze()
-
-
-def filter_zeros(l: FlatLayout) -> FlatLayout:
-    return l.filter_zeros()
-
-
-def sort_flat(l: FlatLayout) -> FlatLayout:
-    return l.sort()
-
-
-def permute(l: FlatLayout, sigma: Sequence[int]) -> FlatLayout:
-    return l.permute(sigma)
-
-
-def coalesce_flat(l: FlatLayout) -> FlatLayout:
-    return l.coalesce()
-
-
-def is_compact(l: FlatLayout) -> bool:
-    return l.is_compact()
-
-
-def is_tractable_flat(l: FlatLayout) -> bool:
-    return l.is_tractable()
-
-
-def is_complementable(l: FlatLayout) -> bool:
-    return l.is_complementable()
-
-
-def is_n_complementable(l: FlatLayout, n: int) -> bool:
-    return l.is_n_complementable(n)
-
-
-def complement_flat(a: FlatLayout, n: Optional[int] = None) -> FlatLayout:
-    return a.complement(n)
-
-
-def flat_divide(a: FlatLayout, b: FlatLayout) -> FlatLayout:
-    """a ∘ (b ⋆ complement(b)), computed through the morphism engine; ``b``
-    must be representable over the shape of ``a``."""
-    from .tuplecat import flat_divide_m, layout_of, morphism_into, standard_representation
-
-    f = standard_representation(a)
-    return layout_of(flat_divide_m(f, morphism_into(b, f.domain)))
-
-
-def flat_product(a: FlatLayout, b: FlatLayout) -> FlatLayout:
-    """(a ⋆ complement(a) ∘ b), computed through the morphism engine; ``b``
-    must be representable over the missed part of ``a``'s codomain."""
-    from .tuplecat import complement_m, flat_product_m, layout_of, morphism_into, standard_representation
-
-    f = standard_representation(a)
-    return layout_of(flat_product_m(f, morphism_into(b, complement_m(f).domain)))

@@ -3,22 +3,32 @@
 A :class:`Layout` pairs a nested shape tuple with a congruent nested stride
 tuple.  Its function ignores the nesting — it is the function of the
 flattened layout — but the nesting determines how operations such as
-composition, division, and product group their results.
+composition, division, and product group their results.  Composition
+reaches the morphism engine through the conversions at the end of this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .errors import LayoutError
+from .errors import LayoutError, NotComposableError
 from .flat import FlatLayout
+from .nestcat import (
+    NestMorphism,
+    compose_nest,
+    make_composable,
+    mutual_refinement,
+)
 from .shapes import (
     Nested,
     congruent,
     depth,
     flatten,
+    format_nested,
     length,
+    prefix_products,
     profile,
     rank,
     relative_modes,
@@ -26,6 +36,7 @@ from .shapes import (
     substitute,
     unflatten,
 )
+from .tuplecat import layout_of, standard_representation
 
 
 @dataclass(frozen=True)
@@ -143,10 +154,9 @@ class Layout:
     # -- algebra (delegating to the morphism engine) -----------------------
 
     def compose(self, other: "Layout") -> "Layout":
-        """The layout of ``Φ_other ∘ Φ_self``."""
-        from .nestcat import compose_layouts
-
-        return compose_layouts(self, other)
+        """The layout of ``Φ_other ∘ Φ_self``: the weak composite coalesced
+        relative to the shape of ``self``."""
+        return compose_tractable(self, other).coalesce_relative(self.shape)
 
     def logical_divide(self, tiler: "Layout") -> "Layout":
         return concat_layouts(
@@ -158,9 +168,7 @@ class Layout:
         return concat_layouts([self, other.compose(comp)])
 
     def __str__(self) -> str:
-        from .notation import format_layout
-
-        return format_layout(self)
+        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
@@ -181,39 +189,43 @@ def substitute_profile(layout: Layout, prof) -> Layout:
     )
 
 
-# functional spellings of the method suite
-def coalesce(l: Layout) -> Layout:
-    return l.coalesce()
-
-
-def coalesce_relative(l: Layout, shape_bar: Nested) -> Layout:
-    return l.coalesce_relative(shape_bar)
-
-
-def complement(a: Layout, n: Optional[int] = None) -> Layout:
-    return a.complement(n)
-
-
-def compose(a: Layout, b: Layout) -> Layout:
-    """The layout of ``Φ_b ∘ Φ_a`` (``a`` applied first)."""
-    return a.compose(b)
-
-
-def logical_divide(a: Layout, b: Layout) -> Layout:
-    return a.logical_divide(b)
-
-
-def logical_product(a: Layout, b: Layout) -> Layout:
-    return a.logical_product(b)
-
-
-def is_tractable(l: Layout) -> bool:
-    return l.is_tractable()
-
-
 def column_major_layout(shape: Nested) -> Layout:
     """The compact layout with the given shape, first entry fastest."""
-    from .shapes import prefix_products
-
     entries = flatten(shape)
     return Layout(shape, unflatten(prefix_products(entries)[:-1], profile(shape)))
+
+
+# -- conversion to and from nest morphisms ----------------------------------
+
+
+def layout_of_nested(f: NestMorphism) -> Layout:
+    """The layout encoded by ``f``, nested like its domain."""
+    flat = layout_of(f.fmap)
+    return Layout(f.domain, unflatten(flat.stride, profile(f.domain)))
+
+
+def standard_representation_nested(layout: Layout) -> NestMorphism:
+    """Standard representation with the layout's shape tree as domain and a
+    flat codomain."""
+    fmap = standard_representation(layout.flat())
+    return NestMorphism(layout.shape, fmap.codomain, fmap)
+
+
+def compose_tractable(a: Layout, b: Layout) -> Layout:
+    """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
+    refines shape(a), before any coalescing."""
+    if a.cosize() > b.size():
+        raise NotComposableError(
+            f"cosize {a.cosize()} of the first layout exceeds size {b.size()} "
+            f"of the second"
+        )
+    f = standard_representation_nested(a)
+    g = standard_representation_nested(b.coalesce())
+
+    mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
+    if mr is None:
+        raise NotComposableError(
+            f"no mutual refinement of {f.fmap.codomain} and {g.domain}"
+        )
+    f_fine, g_fine = make_composable(f, g, mr)
+    return layout_of_nested(compose_nest(f_fine, g_fine))

@@ -14,19 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import LayoutError, NotComposableError, NotRefinementError
+from .errors import LayoutError, NotRefinementError
 from .flat import FlatLayout
-from .layout import Layout
 from .shapes import (
     Nested,
+    depth,
     flatten,
+    format_nested,
     length,
     profile,
     refines,
     relative_modes,
-    size,
     substitute,
-    unflatten,
 )
 from .tuplecat import (
     TupleMorphism,
@@ -34,8 +33,7 @@ from .tuplecat import (
     complement_m,
     compose_morphisms,
     concat_morphisms,
-    layout_of,
-    standard_representation,
+    realize,
 )
 
 
@@ -56,22 +54,17 @@ class NestMorphism:
             )
 
     def is_standard_form(self) -> bool:
-        from .shapes import depth
-
         return self.fmap.is_standard_form() and depth(self.codomain) <= 1
 
     def is_non_degenerate(self) -> bool:
         return self.fmap.is_non_degenerate()
 
     def realize(self) -> List[int]:
-        from .tuplecat import realize
-
         return realize(self.fmap)
 
     def __str__(self) -> str:
-        from .notation import format_morphism
-
-        return format_morphism(self)
+        amap = "(" + ",".join(str(a) for a in self.fmap.amap) + ")"
+        return f"{format_nested(self.domain)}--{amap}-->{format_nested(self.codomain)}"
 
 
 @dataclass(frozen=True)
@@ -108,19 +101,6 @@ def nest_morphism(domain: Nested, codomain: Nested, amap: Sequence[int]) -> Nest
 def compose_nest(f: NestMorphism, g: NestMorphism) -> NestMorphism:
     """g ∘ f (flattened codomain of f must equal flattened domain of g)."""
     return NestMorphism(f.domain, g.codomain, compose_morphisms(f.fmap, g.fmap))
-
-
-def layout_of_nested(f: NestMorphism) -> Layout:
-    """The layout encoded by ``f``, nested like its domain."""
-    flat = layout_of(f.fmap)
-    return Layout(f.domain, unflatten(flat.stride, profile(f.domain)))
-
-
-def standard_representation_nested(layout: Layout) -> NestMorphism:
-    """Standard representation with the layout's shape tree as domain and a
-    flat codomain."""
-    fmap = standard_representation(layout.flat())
-    return NestMorphism(layout.shape, fmap.codomain, fmap)
 
 
 # -- refinement transport --------------------------------------------------
@@ -278,32 +258,6 @@ def make_composable(
     nt = length(mr.t_ref.fine)
     inclusion = nest_morphism(mr.t_ref.fine, mr.u_ref.fine, range(1, nt + 1))
     return compose_nest(f_fine, inclusion), g_fine
-
-
-def compose_tractable(a: Layout, b: Layout) -> Layout:
-    """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
-    refines shape(a), before any coalescing."""
-    if a.cosize() > b.size():
-        raise NotComposableError(
-            f"cosize {a.cosize()} of the first layout exceeds size {b.size()} "
-            f"of the second"
-        )
-    f = standard_representation_nested(a)
-    g = standard_representation_nested(b.coalesce())
-
-    mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
-    if mr is None:
-        raise NotComposableError(
-            f"no mutual refinement of {f.fmap.codomain} and {g.domain}"
-        )
-    f_fine, g_fine = make_composable(f, g, mr)
-    return layout_of_nested(compose_nest(f_fine, g_fine))
-
-
-def compose_layouts(a: Layout, b: Layout) -> Layout:
-    """The layout of ``Φ_b ∘ Φ_a``: the weak composite coalesced relative to
-    the shape of ``a``."""
-    return compose_tractable(a, b).coalesce_relative(a.shape)
 
 
 # -- morphism-level operations ---------------------------------------------

@@ -18,34 +18,26 @@ from .errors import NotationError
 from .flat import FlatLayout
 from .layout import Layout
 from .nestcat import NestMorphism, nest_morphism
-from .shapes import Nested
+from .shapes import Nested, format_nested
 from .tuplecat import TupleMorphism
 
-# -- formatting ------------------------------------------------------------
-
-
-def format_nested(x: Nested) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return "(" + ",".join(format_nested(c) for c in x) + ")"
+# -- formatting: each type's ``str`` is its canonical text ----------------
 
 
 def format_layout(layout: Layout) -> str:
-    return f"{format_nested(layout.shape)}:{format_nested(layout.stride)}"
+    return str(layout)
 
 
 def format_flat_layout(flat: FlatLayout) -> str:
-    return f"{format_nested(flat.shape)}:{format_nested(flat.stride)}"
+    return str(flat)
 
 
 def format_morphism_flat(f: TupleMorphism) -> str:
-    amap = "(" + ",".join(str(a) for a in f.amap) + ")"
-    return f"{format_nested(f.domain)}--{amap}-->{format_nested(f.codomain)}"
+    return str(f)
 
 
 def format_morphism(f: NestMorphism) -> str:
-    amap = "(" + ",".join(str(a) for a in f.fmap.amap) + ")"
-    return f"{format_nested(f.domain)}--{amap}-->{format_nested(f.codomain)}"
+    return str(f)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -38,10 +38,6 @@ def checked_add(a: int, b: int) -> int:
     return r
 
 
-def is_int(x: Nested) -> bool:
-    return isinstance(x, int)
-
-
 def _leaves(x: Nested) -> Iterator[int]:
     if isinstance(x, int):
         yield x
@@ -90,9 +86,11 @@ def size(x: Nested) -> int:
     return total
 
 
-def entry(x: Nested, i: int) -> int:
-    """The ``i``-th entry (0-based, in flattening order)."""
-    return flatten(x)[i]
+def format_nested(x: Nested) -> str:
+    """Canonical text of a nested tuple: ``4`` or ``(2,(3,4))``."""
+    if isinstance(x, int):
+        return str(x)
+    return "(" + ",".join(format_nested(c) for c in x) + ")"
 
 
 def unflatten(entries: Sequence[int], prof: Profile) -> Nested:

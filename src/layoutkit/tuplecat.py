@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import LayoutError, NotTractableError
 from .flat import FlatLayout
-from .shapes import colex, colex_inv, prefix_products
+from .shapes import colex, colex_inv, format_nested, prefix_products
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ class TupleMorphism:
         return all(a != 0 for a in self.amap)
 
     def __str__(self) -> str:
-        from .notation import format_morphism_flat
-
-        return format_morphism_flat(self)
+        amap = "(" + ",".join(str(a) for a in self.amap) + ")"
+        return f"{format_nested(self.domain)}--{amap}-->{format_nested(self.codomain)}"
 
 
 def identity(shape: Sequence[int]) -> TupleMorphism:
@@ -150,28 +149,6 @@ def standard_representation(layout: FlatLayout) -> TupleMorphism:
         0 if sigma_inv[i] < k else shape_pos[sigma_inv[i] - k] for i in range(m)
     )
     return TupleMorphism(layout.shape, tuple(entries), amap)
-
-
-def morphism_into(layout: FlatLayout, codomain: Sequence[int]) -> TupleMorphism:
-    """The morphism with the given codomain encoding ``layout``, if one
-    exists: each nonzero stride must be a prefix product of ``codomain`` at a
-    position carrying the mode's shape entry."""
-    cod = tuple(codomain)
-    pre = prefix_products(cod)
-    amap: List[int] = []
-    for s, d in zip(layout.shape, layout.stride):
-        if d == 0:
-            amap.append(0)
-            continue
-        for j in range(len(cod)):
-            if pre[j] == d and cod[j] == s and (j + 1) not in amap:
-                amap.append(j + 1)
-                break
-        else:
-            raise NotTractableError(
-                f"{layout} has no representation with codomain {cod}"
-            )
-    return TupleMorphism(layout.shape, cod, tuple(amap))
 
 
 # -- operation suite -------------------------------------------------------
@@ -283,26 +260,6 @@ def complement_m(f: TupleMorphism) -> TupleMorphism:
     return TupleMorphism(
         tuple(f.codomain[j - 1] for j in missed), f.codomain, tuple(missed)
     )
-
-
-def flat_divide_m(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
-    """f ∘ (g ⋆ complement(g)); requires codomain(g) == domain(f)."""
-    if g.codomain != f.domain:
-        raise LayoutError(
-            f"division needs codomain {g.codomain} of g to equal domain {f.domain} of f"
-        )
-    return compose_morphisms(concat_morphisms([g, complement_m(g)]), f)
-
-
-def flat_product_m(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
-    """f ⋆ (complement(f) ∘ g); requires codomain(g) == domain(complement(f))."""
-    fc = complement_m(f)
-    if g.codomain != fc.domain:
-        raise LayoutError(
-            f"product needs codomain {g.codomain} of g to equal the complement "
-            f"domain {fc.domain}"
-        )
-    return concat_morphisms([f, compose_morphisms(g, fc)])
 
 
 def _product(xs: Iterable[int]) -> int:

@@ -150,6 +150,18 @@ class TestRender:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_flatten_to_only_one_or_two(self, capsys, n):
+        code, _, err = run(capsys, "render", "(2,2,2):(1,2,4)", "--flatten-to", n)
+        assert code == 2
+        assert "invalid choice" in err
+
+    def test_over_cap_refused(self, capsys):
+        # 1,001,000 cells: over the oracle's cap, refused before tabulating
+        code, out, err = run(capsys, "render", "(1001,1000):(1,1001)")
+        assert (code, out) == (1, "")
+        assert err.startswith("cap-exceeded:")
+
     def test_tikz(self, capsys):
         code, out, _ = run(capsys, "render", "(2,2):(1,2)", "--tikz")
         assert code == 0
@@ -218,3 +230,9 @@ class TestCheckAndExitCodes:
 
     def test_unknown_verb_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_deep_nesting_exit_2(self, capsys):
+        deep = "(" * 3000 + "2" + ")" * 3000
+        code, _, err = run(capsys, "tractable", deep + ":" + deep.replace("2", "1"))
+        assert code == 2
+        assert err.startswith("parse-error:")

@@ -9,6 +9,7 @@ from layoutkit import (
     NotComposableError,
     check_complement,
     check_compose,
+    column_major_layout,
     concat_layouts,
     substitute_profile,
     table_of,
@@ -46,6 +47,12 @@ class TestConstruction:
         assert substitute_profile(
             Layout((8, 8, 8), (1, 8, 64)), (STAR, (STAR, STAR))
         ) == Layout((8, (8, 8)), (1, (8, 64)))
+
+    def test_column_major(self):
+        l = column_major_layout(((2, 3), (4, 5)))
+        assert l == Layout(((2, 3), (4, 5)), ((1, 2), (6, 24)))
+        assert l.is_compact()
+        assert column_major_layout(7) == Layout(7, 1)
 
     def test_flatten(self):
         l = Layout(((2, 2, 2, (2, 2)),), ((1, 0, 8, (0, 16)),))

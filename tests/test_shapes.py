@@ -23,7 +23,7 @@ from layoutkit import (
     substitute,
     unflatten,
 )
-from layoutkit.shapes import checked_add, checked_mul, entry
+from layoutkit.shapes import checked_add, checked_mul
 
 from generators import nested_tuples, random_tree, seeds
 
@@ -58,9 +58,6 @@ class TestBasics:
         assert size((3, 128, 128)) == 49152
         assert size(()) == 1
         assert size(((2, 2), (5, 5))) == 100
-
-    def test_entry(self):
-        assert entry(((2, 3), 4), 1) == 3
 
     def test_unflatten(self):
         prof = (STAR, (STAR, STAR))

@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 from layoutkit import (
     FlatLayout,
     LayoutError,
+    NestMorphism,
     NotTractableError,
     TupleMorphism,
     coalesce_m,
     complement_m,
     compose_morphisms,
     concat_morphisms,
-    flat_product_m,
     identity,
     layout_of,
-    morphism_into,
+    logical_product_m,
     realize,
     sort_m,
     squeeze_m,
@@ -93,20 +93,6 @@ class TestStandardRepresentation:
     @given(standard_morphisms())
     def test_round_trip_from_morphism(self, f):
         assert standard_representation(layout_of(f)) == f
-
-
-class TestMorphismInto:
-    def test_finds_representation(self):
-        f = morphism_into(FlatLayout((2, 5), (5, 1)), (5, 2))
-        assert f.amap == (2, 1)
-
-    def test_rejects_unrepresentable(self):
-        with pytest.raises(NotTractableError):
-            morphism_into(FlatLayout((2,), (3,)), (2, 2))
-
-    @given(standard_morphisms())
-    def test_recovers_over_own_codomain(self, f):
-        assert morphism_into(layout_of(f), f.codomain).amap == f.amap
 
 
 class TestRealize:
@@ -190,7 +176,7 @@ class TestOperations:
     def test_product_identity_example(self):
         f = TupleMorphism((8, 8), (8, 8, 16, 16), (1, 2))
         g = identity((16, 16))
-        assert flat_product_m(f, g) == identity((8, 8, 16, 16))
+        assert logical_product_m(_flat_nm(f), _flat_nm(g)).fmap == identity((8, 8, 16, 16))
 
     @given(standard_morphisms(), seeds())
     def test_product_complement_distributes(self, f, rng):
@@ -199,7 +185,7 @@ class TestOperations:
             return
         fc = complement_m(f)
         g = _random_subinclusion(rng, fc.domain)
-        p = flat_product_m(f, g)
+        p = logical_product_m(_flat_nm(f), _flat_nm(g)).fmap
         assert complement_m(p) == compose_morphisms(complement_m(g), fc)
 
     @given(composable_pairs(), seeds())
@@ -216,6 +202,11 @@ class TestOperations:
             [compose_morphisms(f1, g), compose_morphisms(f2, g)]
         )
         assert lhs == rhs
+
+
+def _flat_nm(f):
+    """``f`` as a nest morphism whose domain and codomain trees are flat."""
+    return NestMorphism(f.domain, f.codomain, f)
 
 
 def _random_subinclusion(rng, codomain):
