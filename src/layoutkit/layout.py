@@ -119,37 +119,31 @@ class Layout:
 
     def coalesce(self) -> "Layout":
         """The minimal-complexity layout with the same function."""
-        c = self.flat().coalesce()
-        if c.rank == 0:
-            return Layout(1, 0)
-        return Layout.of_flat(c)
+        return Layout.of_flat(self.flat().coalesce())
 
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
         rel = relative_modes(self.shape, shape_bar)
-        flat_stride = flatten(self.stride)
+        flat = self.flat()
         shapes: List[Nested] = []
         strides: List[Nested] = []
         pos = 0
         for sub in rel:
-            n = length(sub)
-            piece = Layout(
-                sub, unflatten(flat_stride[pos : pos + n], profile(sub))
-            ).coalesce()
+            end = pos + length(sub)
+            piece = Layout.of_flat(
+                FlatLayout(flat.shape[pos:end], flat.stride[pos:end]).coalesce()
+            )
             shapes.append(piece.shape)
             strides.append(piece.stride)
-            pos += n
+            pos = end
         prof = profile(shape_bar)
         return Layout(substitute(shapes, prof), substitute(strides, prof))
 
     # -- complement --------------------------------------------------------
 
     def complement(self, n: Optional[int] = None) -> "Layout":
-        c = self.flat().complement(n)
-        if c.rank == 0:
-            return Layout(1, 0)
-        return Layout.of_flat(c)
+        return Layout.of_flat(self.flat().complement(n))
 
     # -- algebra (delegating to the morphism engine) -----------------------
 
@@ -183,10 +177,8 @@ def concat_layouts(layouts: Sequence[Layout]) -> Layout:
 def substitute_profile(layout: Layout, prof) -> Layout:
     """Re-nest the entries of ``layout`` under a new profile of the same
     length."""
-    return Layout(
-        unflatten(flatten(layout.shape), prof),
-        unflatten(flatten(layout.stride), prof),
-    )
+    flat = layout.flat()
+    return Layout(unflatten(flat.shape, prof), unflatten(flat.stride, prof))
 
 
 def column_major_layout(shape: Nested) -> Layout:

@@ -20,7 +20,6 @@ from .shapes import (
     Nested,
     depth,
     flatten,
-    format_nested,
     length,
     profile,
     refines,
@@ -29,6 +28,7 @@ from .shapes import (
 )
 from .tuplecat import (
     TupleMorphism,
+    _format_arrow,
     coalesce_m,
     complement_m,
     compose_morphisms,
@@ -63,8 +63,7 @@ class NestMorphism:
         return realize(self.fmap)
 
     def __str__(self) -> str:
-        amap = "(" + ",".join(str(a) for a in self.fmap.amap) + ")"
-        return f"{format_nested(self.domain)}--{amap}-->{format_nested(self.codomain)}"
+        return _format_arrow(self.domain, self.fmap.amap, self.codomain)
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,6 @@ class Refinement:
     def __post_init__(self) -> None:
         if not refines(self.fine, self.coarse):
             raise NotRefinementError(f"{self.fine} does not refine {self.coarse}")
-
-    def is_identity(self) -> bool:
-        return self.fine == self.coarse
 
 
 @dataclass(frozen=True)

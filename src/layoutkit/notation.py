@@ -15,25 +15,15 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import NotationError
-from .flat import FlatLayout
 from .layout import Layout
 from .nestcat import NestMorphism, nest_morphism
 from .shapes import Nested, format_nested
-from .tuplecat import TupleMorphism
 
 # -- formatting: each type's ``str`` is its canonical text ----------------
 
 
 def format_layout(layout: Layout) -> str:
     return str(layout)
-
-
-def format_flat_layout(flat: FlatLayout) -> str:
-    return str(flat)
-
-
-def format_morphism_flat(f: TupleMorphism) -> str:
-    return str(f)
 
 
 def format_morphism(f: NestMorphism) -> str:
@@ -128,4 +118,7 @@ def parse_morphism(text: str) -> NestMorphism:
 def nested_to_json(x: Nested):
     if isinstance(x, int):
         return x
-    return [nested_to_json(c) for c in x]
+    out = []
+    for c in x:
+        out.append(nested_to_json(c))
+    return out

@@ -54,7 +54,10 @@ def flatten(x: Nested) -> Tuple[int, ...]:
 def profile(x: Nested) -> Profile:
     if isinstance(x, int):
         return STAR
-    return tuple(profile(c) for c in x)
+    out = []
+    for c in x:
+        out.append(profile(c))
+    return tuple(out)
 
 
 def congruent(a: Nested, b: Nested) -> bool:
@@ -63,9 +66,7 @@ def congruent(a: Nested, b: Nested) -> bool:
 
 def length(x: Nested) -> int:
     """Number of entries (leaves)."""
-    if isinstance(x, int):
-        return 1
-    return sum(length(c) for c in x)
+    return len(flatten(x))
 
 
 def rank(x: Nested) -> int:
@@ -73,10 +74,13 @@ def rank(x: Nested) -> int:
 
 
 def depth(x: Nested) -> int:
-    # max over the empty set is pinned to -1, so depth(()) == 0
     if isinstance(x, int):
         return 0
-    return 1 + max((depth(c) for c in x), default=-1)
+    # the deepest child starts at -1, so depth(()) == 0
+    d = -1
+    for c in x:
+        d = max(d, depth(c))
+    return 1 + d
 
 
 def size(x: Nested) -> int:
@@ -90,33 +94,24 @@ def format_nested(x: Nested) -> str:
     """Canonical text of a nested tuple: ``4`` or ``(2,(3,4))``."""
     if isinstance(x, int):
         return str(x)
-    return "(" + ",".join(format_nested(c) for c in x) + ")"
+    parts = []
+    for c in x:
+        parts.append(format_nested(c))
+    return "(" + ",".join(parts) + ")"
 
 
 def unflatten(entries: Sequence[int], prof: Profile) -> Nested:
     """Rebuild the nested tuple with the given entries and profile."""
-    it = iter(entries)
-
-    def build(p: Profile) -> Nested:
-        if p == STAR:
-            try:
-                return next(it)
-            except StopIteration:
-                raise LayoutError("entry count does not match profile length") from None
-        return tuple(build(c) for c in p)
-
-    out = build(prof)
-    try:
-        next(it)
-    except StopIteration:
-        return out
-    raise LayoutError("entry count does not match profile length")
+    return substitute(entries, prof)
 
 
 def profile_length(p: Profile) -> int:
     if p == STAR:
         return 1
-    return sum(profile_length(c) for c in p)
+    n = 0
+    for c in p:
+        n += profile_length(c)
+    return n
 
 
 def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
@@ -125,14 +120,16 @@ def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
         raise LayoutError(
             f"substitution needs {profile_length(prof)} parts, got {len(parts)}"
         )
-    it = iter(parts)
+    return _substitute(prof, iter(parts))
 
-    def build(p: Profile) -> Nested:
-        if p == STAR:
-            return next(it)
-        return tuple(build(c) for c in p)
 
-    return build(prof)
+def _substitute(p: Profile, parts: Iterator[Nested]) -> Nested:
+    if p == STAR:
+        return next(parts)
+    out = []
+    for c in p:
+        out.append(_substitute(c, parts))
+    return tuple(out)
 
 
 def refines(fine: Nested, coarse: Nested) -> bool:
@@ -142,7 +139,10 @@ def refines(fine: Nested, coarse: Nested) -> bool:
         return size(fine) == coarse
     if isinstance(fine, int) or len(fine) != len(coarse):
         return False
-    return all(refines(f, c) for f, c in zip(fine, coarse))
+    for f, c in zip(fine, coarse):
+        if not refines(f, c):
+            return False
+    return True
 
 
 def relative_modes(fine: Nested, coarse: Nested) -> list:
@@ -155,16 +155,16 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
         raise NotRefinementError(f"{fine} does not refine {coarse}")
 
     out: list = []
-
-    def walk(f: Nested, c: Nested) -> None:
-        if isinstance(c, int):
-            out.append(f)
-        else:
-            for fc, cc in zip(f, c):
-                walk(fc, cc)
-
-    walk(fine, coarse)
+    _relative_modes(fine, coarse, out)
     return out
+
+
+def _relative_modes(fine: Nested, coarse: Nested, out: list) -> None:
+    if isinstance(coarse, int):
+        out.append(fine)
+    else:
+        for f, c in zip(fine, coarse):
+            _relative_modes(f, c, out)
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:

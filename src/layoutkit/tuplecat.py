@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import LayoutError, NotTractableError
 from .flat import FlatLayout
-from .shapes import colex, colex_inv, format_nested, prefix_products
+from .shapes import Nested, colex, colex_inv, format_nested, prefix_products
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,13 @@ class TupleMorphism:
         return all(a != 0 for a in self.amap)
 
     def __str__(self) -> str:
-        amap = "(" + ",".join(str(a) for a in self.amap) + ")"
-        return f"{format_nested(self.domain)}--{amap}-->{format_nested(self.codomain)}"
+        return _format_arrow(self.domain, self.amap, self.codomain)
+
+
+def _format_arrow(domain: Nested, amap: Sequence[int], codomain: Nested) -> str:
+    """Arrow text ``domain--(a_1,...)-->codomain``, shared with nest morphisms."""
+    text = "(" + ",".join(str(a) for a in amap) + ")"
+    return f"{format_nested(domain)}--{text}-->{format_nested(codomain)}"
 
 
 def identity(shape: Sequence[int]) -> TupleMorphism:

@@ -236,3 +236,15 @@ class TestCheckAndExitCodes:
         code, _, err = run(capsys, "tractable", deep + ":" + deep.replace("2", "1"))
         assert code == 2
         assert err.startswith("parse-error:")
+
+    # well-formed layouts nested below the recursion limit are computed,
+    # not refused as too deep
+    def test_deep_nesting_tractable(self, capsys):
+        deep = "(" * 900 + "4" + ")" * 900
+        code, out, _ = run(capsys, "tractable", deep + ":" + deep.replace("4", "1"))
+        assert (code, out) == (0, "true")
+
+    def test_deep_nesting_compose(self, capsys):
+        deep = "(" * 400 + "4" + ")" * 400
+        code, _, _ = run(capsys, "compose", deep + ":" + deep.replace("4", "1"), "4:1")
+        assert code == 0

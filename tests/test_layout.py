@@ -1,5 +1,7 @@
 """Nested layouts: coalescing, complements, composition, division, product."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -176,3 +178,27 @@ class TestDivideProduct:
         except (NotComposableError, LayoutError):
             return
         assert table_of(q).values == table_of(a).values
+
+
+class TestNoReferenceCycles:
+    # operations leave nothing for the cyclic collector: their garbage is
+    # freed by reference counting as soon as it is dropped
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: Layout(((4, 4), 4), ((16, 1), 4)).compose(Layout((8, 64), (64, 1))),
+            lambda: Layout((64, 32), (32, 1)).logical_divide(Layout((4, 4), (1, 64))),
+            lambda: Layout((2, 2), (1, 2)).logical_product(Layout((5, 5), (5, 1))),
+            lambda: Layout(((4, 4), 4), ((16, 1), 4)).coalesce_relative((16, 4)),
+        ],
+        ids=["compose", "divide", "product", "coalesce_relative"],
+    )
+    def test_no_cyclic_garbage(self, op):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                op()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,19 +1,71 @@
 """Package structure: every import sits at module level, so the import
-graph of ``layoutkit`` is visible and acyclic."""
+graph of ``layoutkit`` is visible and acyclic; recursion runs one frame per
+level and leaves no reference cycles; every export is tested."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import layoutkit
 
+# scopes that run in a frame of their own (comprehensions too, before 3.12)
+_NESTED_SCOPES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+    ast.GeneratorExp,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+)
+
+
+def _source_trees():
+    for path in sorted(Path(layoutkit.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
 
 def test_no_imports_inside_functions():
     offenders = []
-    for path in sorted(Path(layoutkit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _source_trees():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         offenders.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert offenders == []
+
+
+def test_no_recursion_through_nested_scopes():
+    # A recursive inner function is a closure that refers to itself, a
+    # reference cycle only the cyclic collector frees; recursing through a
+    # comprehension or generator expression costs two frames per level.
+    offenders = []
+    for path, tree in _source_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for scope in ast.walk(fn):
+                if scope is fn or not isinstance(scope, _NESTED_SCOPES):
+                    continue
+                names = {fn.name, getattr(scope, "name", fn.name)}
+                for call in ast.walk(scope):
+                    if isinstance(call, ast.Call):
+                        func = call.func
+                        if getattr(func, "id", getattr(func, "attr", None)) in names:
+                            offenders.append(f"{path.name}:{call.lineno} in {fn.name}")
+    assert offenders == []
+
+
+def test_every_export_is_named_in_a_test():
+    tests = Path(__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(tests.glob("test_*.py")))
+    untested = [
+        name
+        for name, obj in vars(layoutkit).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and not re.search(rf"\b{name}\b", text)
+    ]
+    assert untested == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from layoutkit import (
     Layout,
     LayoutError,
+    MutualRefinement,
     NotComposableError,
     NotRefinementError,
     Refinement,
@@ -132,6 +133,14 @@ class TestMutualRefinement:
 
     def test_failure_example(self):
         assert mutual_refinement((8, 8), (3, 8, 8)) is None
+
+    def test_constructor_requires_flat_prefix(self):
+        mr = mutual_refinement((6, 6), (12, 3, 6))
+        assert MutualRefinement(mr.t_ref, mr.u_ref) == mr
+        with pytest.raises(LayoutError):
+            MutualRefinement(
+                Refinement((6, 6), (6, 6)), Refinement((12, 3, 6), (12, 3, 6))
+            )
 
     def test_trailing_entries_survive(self):
         mr = mutual_refinement((4,), (4, 7))

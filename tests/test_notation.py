@@ -14,7 +14,6 @@ from layoutkit import (
     parse_morphism,
     parse_nested,
 )
-from layoutkit.notation import format_flat_layout, format_morphism_flat
 
 from generators import nested_tuples, standard_morphisms, tractable_layouts
 
@@ -83,13 +82,13 @@ class TestRoundTrip:
 
     @given(standard_morphisms())
     def test_morphism(self, f):
-        parsed = parse_morphism(format_morphism_flat(f))
+        parsed = parse_morphism(str(f))
         assert parsed.fmap == f
 
     @given(tractable_layouts())
     def test_flat_layout(self, l):
         flat = l.flat()
-        assert format_flat_layout(flat) == format_layout(
+        assert str(flat) == format_layout(
             Layout(flat.shape, flat.stride)
         )
 

@@ -70,6 +70,8 @@ class TestBasics:
     def test_substitute(self):
         assert substitute([64, (16, 4)], (STAR, STAR)) == (64, (16, 4))
         assert substitute([(2, 2)], STAR) == (2, 2)
+        with pytest.raises(LayoutError):
+            substitute([64], (STAR, STAR))
 
 
 class TestRefinement:
