@@ -255,19 +255,28 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the operands each ``check`` target takes: (fewest, most, description)
+_CHECK_ARITY = {
+    "compose": (2, 2, "two layouts"),
+    "complement": (1, 2, "a layout and an optional size"),
+    "coalesce": (1, 1, "one layout"),
+}
+
+
 def _check(argv: Sequence[str]) -> bool:
-    what = argv[0]
+    what, rest = argv[0], argv[1:]
+    if what not in _CHECK_ARITY:
+        raise NotationError(f"unknown check target {what!r}")
+    low, high, wanted = _CHECK_ARITY[what]
+    if not low <= len(rest) <= high:
+        raise NotationError(f"check {what} takes {wanted}, got {len(rest)}")
     if what == "compose":
-        a, b = parse_layout(argv[1]), parse_layout(argv[2])
-        return check_compose(a, b)
+        return check_compose(parse_layout(rest[0]), parse_layout(rest[1]))
     if what == "complement":
-        a = parse_layout(argv[1])
-        n = int(argv[2]) if len(argv) > 2 else None
-        return check_complement(a, n=n)
-    if what == "coalesce":
-        a = parse_layout(argv[1])
-        return table_of(a.coalesce()) == table_of(a)
-    raise NotationError(f"unknown check target {what!r}")
+        n = int(rest[1]) if len(rest) > 1 else None
+        return check_complement(parse_layout(rest[0]), n=n)
+    a = parse_layout(rest[0])
+    return table_of(a.coalesce()) == table_of(a)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -179,10 +179,14 @@ def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
     None when the greedy entry-splitting strategy finds no such pair.
 
     Works through the flat entries with two pointers, splitting the larger
-    current entry by the smaller whenever one divides the other.
+    current entry by the smaller whenever one divides the other. Raises
+    :class:`LayoutError` when either tuple has an entry below 1.
     """
     x = list(flatten(t))
     y = list(flatten(u))
+    for entries, tup in ((x, t), (y, u)):
+        if any(e < 1 for e in entries):
+            raise LayoutError(f"non-positive entry in {tup}")
     i = j = 0
     x_mode: List[int] = []
     y_mode: List[int] = []

@@ -121,6 +121,12 @@ class TestMorphismVerbs:
         assert code == 1
         assert "not-composable" in err
 
+    def test_mutual_refine_zero_entry_exit_1(self, capsys):
+        for t, u in (("(0,4)", "(4)"), ("(4)", "(0,4)")):
+            code, out, err = run(capsys, "mutual-refine", t, u)
+            assert (code, out) == (1, "")
+            assert err.startswith("domain-error:")
+
 
 class TestRender:
     def test_grid(self, capsys):
@@ -209,6 +215,17 @@ class TestCheckAndExitCodes:
 
     def test_check_coalesce(self, capsys):
         assert run(capsys, "check", "coalesce", "(2,2):(1,2)")[0] == 0
+
+    def test_check_arity_exit_2(self, capsys):
+        for argv, wanted in (
+            (("compose", "8:1"), "check compose takes two layouts, got 1"),
+            (("compose", "8:1", "16:1", "4:1"), "check compose takes two layouts, got 3"),
+            (("complement",), "check complement takes a layout and an optional size, got 0"),
+            (("complement", "4:1", "8", "9"), "check complement takes a layout and an optional size, got 3"),
+            (("coalesce", "(2,2):(1,2)", "extra"), "check coalesce takes one layout, got 2"),
+        ):
+            code, out, err = run(capsys, "check", *argv)
+            assert (code, out, err) == (2, "", "parse-error: " + wanted)
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "compose", "64:1", "(3,3):(3,1)")

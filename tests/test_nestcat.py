@@ -134,6 +134,11 @@ class TestMutualRefinement:
     def test_failure_example(self):
         assert mutual_refinement((8, 8), (3, 8, 8)) is None
 
+    def test_non_positive_entry_refused(self):
+        for t, u in (((0, 4), (4,)), ((4,), (0, 4)), ((4, (2, -1)), (8,))):
+            with pytest.raises(LayoutError, match="non-positive entry"):
+                mutual_refinement(t, u)
+
     def test_constructor_requires_flat_prefix(self):
         mr = mutual_refinement((6, 6), (12, 3, 6))
         assert MutualRefinement(mr.t_ref, mr.u_ref) == mr

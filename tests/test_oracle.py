@@ -1,12 +1,17 @@
 """The exhaustive-evaluation ground truth itself."""
 
+import math
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from layoutkit import (
+    ArithmeticOverflowError,
     FlatLayout,
     FunctionTable,
     Layout,
+    LayoutError,
     OracleCapError,
     check_complement,
     check_compose,
@@ -35,6 +40,17 @@ class TestFunctionTable:
         with pytest.raises(OracleCapError):
             table_of(FlatLayout((4096,), (1,)), cap=100)
 
+    def test_huge_layout_refused_before_tabulating(self):
+        with pytest.raises(OracleCapError):
+            table_of(FlatLayout((2**20, 2**20), (1, 2**20)))
+
+    def test_rank_zero(self):
+        assert table_of(FlatLayout((), ())).values == (0,)
+
+    def test_unit_and_broadcast_modes(self):
+        l = FlatLayout((1, 3, 2, 1), (5, 0, 3, 7))
+        assert table_of(l).values == (0, 0, 0, 3, 3, 3)
+
     @given(tractable_flats())
     def test_odometer_agrees_with_delinearization(self, l):
         assert table_of(l).values == tuple(l(x) for x in range(l.size()))
@@ -61,6 +77,70 @@ class TestChecks:
         assert check_complement(a, FlatLayout((2, 2), (1, 4)))
         assert not check_complement(a, FlatLayout((2, 2), (1, 2)))
         assert not check_complement(a, FlatLayout((2, 2), (1, 4)), n=64)
+
+
+def _flat(shape, stride):
+    return FlatLayout(tuple(shape), tuple(stride))
+
+
+@st.composite
+def compose_triples(draw):
+    """Flat ``a`` and ``b`` with cosize(a) <= size(b), and a flat ``c`` of
+    size(a): the engine's composite when there is one, else random."""
+    shapes = st.lists(st.integers(1, 4), max_size=4)
+
+    def strides(n):
+        return draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+
+    a_shape = draw(shapes)
+    a = _flat(a_shape, strides(len(a_shape)))
+    b_shape = draw(shapes)
+    size_b = math.prod(b_shape)
+    if size_b < a.cosize():
+        b_shape.append(-(-a.cosize() // size_b))
+    b = _flat(b_shape, strides(len(b_shape)))
+    c = _flat(a_shape, strides(len(a_shape)))
+    if draw(st.booleans()):
+        try:
+            c = Layout.of_flat(a).compose(Layout.of_flat(b)).flat()
+        except LayoutError:
+            pass
+    return a, b, c
+
+
+class TestCheckCompose:
+    @given(compose_triples())
+    def test_agrees_with_pointwise_evaluation(self, abc):
+        a, b, c = abc
+        want = all(c(x) == b(a(x)) for x in range(a.size()))
+        assert check_compose(a, b, c) == want
+
+    def test_wrong_composite_of_right_size(self):
+        a = Layout(((4, 4), 4), ((16, 1), 4))
+        b = Layout((8, 64), (64, 1))
+        right = a.compose(b).flat()
+        wrong = FlatLayout(right.shape, right.stride[:-1] + (right.stride[-1] + 1,))
+        assert check_compose(a, b, right)
+        assert not check_compose(a, b, wrong)
+
+    def test_point_outside_second_domain(self):
+        a, b = FlatLayout((4,), (2,)), FlatLayout((4,), (1,))
+        # a(2) = 4 is the first point outside b's domain
+        with pytest.raises(LayoutError, match=r"index 4 out of range for shape \(4,\)"):
+            check_compose(a, b, FlatLayout((4,), (2,)))
+        # an earlier point that differs decides first, as pointwise
+        assert not check_compose(a, b, FlatLayout((4,), (1,)))
+
+    def test_overflow(self):
+        a, b = FlatLayout((2,), (2**63,)), FlatLayout((2,), (1,))
+        with pytest.raises(ArithmeticOverflowError):
+            check_compose(a, b, FlatLayout((2,), (0,)))
+
+    def test_cap_counts_the_first_layout(self):
+        a = FlatLayout((4096,), (1,))
+        with pytest.raises(OracleCapError):
+            check_compose(a, a, a, cap=100)
+        assert check_compose(FlatLayout((64,), (1,)), FlatLayout((4096,), (1,)), None, cap=100)
 
 
 class TestExhaustiveSearch:
