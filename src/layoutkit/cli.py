@@ -25,6 +25,7 @@ from .nestcat import (
     nest_morphism,
 )
 from .notation import (
+    _int,
     format_layout,
     format_morphism,
     format_nested,
@@ -75,7 +76,7 @@ def _morphism_arg(args: argparse.Namespace) -> NestMorphism:
     if args.map is not None:
         if len(args.args) != 2:
             raise NotationError("--map needs exactly two tuple arguments")
-        amap = tuple(int(tok) for tok in args.map.split(",")) if args.map else ()
+        amap = tuple(_int(tok) for tok in args.map.split(",")) if args.map else ()
         return nest_morphism(
             parse_nested(args.args[0]), parse_nested(args.args[1]), amap
         )
@@ -149,16 +150,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the operands each verb (without ``--map``) and each ``check`` target
+#: takes: (fewest, most, description)
+_ARITY = {
+    "coalesce": (1, 1, "a layout or a morphism"),
+    "coalesce-rel": (2, 2, "a layout and a shape"),
+    "complement": (1, 2, "a layout and an optional size, or a morphism"),
+    "compose": (2, 2, "two layouts or two morphisms"),
+    "divide": (2, 2, "two layouts or two morphisms"),
+    "product": (2, 2, "two layouts or two morphisms"),
+    "tractable": (1, 1, "one layout"),
+    "morphism": (1, 1, "one layout"),
+    "layout-of": (1, 1, "a morphism"),
+    "mutual-refine": (2, 2, "two tuples"),
+    "render": (1, 1, "one layout"),
+    "eval": (2, 2, "a layout and an index"),
+    "check compose": (2, 2, "two layouts"),
+    "check complement": (1, 2, "a layout and an optional size"),
+    "check coalesce": (1, 1, "one layout"),
+}
+
+
+def _check_arity(name: str, operands: Sequence[str]) -> None:
+    low, high, wanted = _ARITY[name]
+    if not low <= len(operands) <= high:
+        raise NotationError(f"{name} takes {wanted}, got {len(operands)}")
+
+
+#: the layout operation and the morphism operation of each two-operand verb
+_BINARY = {
+    "compose": (Layout.compose, compose_nest),
+    "divide": (Layout.logical_divide, logical_divide_m),
+    "product": (Layout.logical_product, logical_product_m),
+}
+
+
 def _run(args: argparse.Namespace) -> int:
     verb = args.verb
     as_json = args.json
+    if verb in _ARITY and getattr(args, "map", None) is None:
+        _check_arity(verb, args.args)
 
     if verb == "coalesce":
         if getattr(args, "map", None) is not None or _is_morphism_text(args.args[0]):
             _emit_morphism(coalesce_nm(_morphism_arg(args)), as_json)
         else:
-            (text,) = args.args
-            _emit_layout(parse_layout(text).coalesce(), as_json)
+            _emit_layout(parse_layout(args.args[0]).coalesce(), as_json)
     elif verb == "coalesce-rel":
         text, shape_text = args.args
         _emit_layout(
@@ -168,46 +205,21 @@ def _run(args: argparse.Namespace) -> int:
         if getattr(args, "map", None) is not None or _is_morphism_text(args.args[0]):
             _emit_morphism(complement_nm(_morphism_arg(args)), as_json)
         else:
-            text = args.args[0]
-            n = int(args.args[1]) if len(args.args) > 1 else None
-            _emit_layout(parse_layout(text).complement(n), as_json)
-    elif verb == "compose":
+            n = _int(args.args[1]) if len(args.args) > 1 else None
+            _emit_layout(parse_layout(args.args[0]).complement(n), as_json)
+    elif verb in _BINARY:
         a_text, b_text = args.args
+        on_layouts, on_morphisms = _BINARY[verb]
         if _is_morphism_text(a_text):
-            _emit_morphism(
-                compose_nest(parse_morphism(a_text), parse_morphism(b_text)), as_json
-            )
+            f, g = parse_morphism(a_text), parse_morphism(b_text)
+            _emit_morphism(on_morphisms(f, g), as_json)
         else:
-            _emit_layout(parse_layout(a_text).compose(parse_layout(b_text)), as_json)
-    elif verb == "divide":
-        a_text, b_text = args.args
-        if _is_morphism_text(a_text):
-            _emit_morphism(
-                logical_divide_m(parse_morphism(a_text), parse_morphism(b_text)),
-                as_json,
-            )
-        else:
-            _emit_layout(
-                parse_layout(a_text).logical_divide(parse_layout(b_text)), as_json
-            )
-    elif verb == "product":
-        a_text, b_text = args.args
-        if _is_morphism_text(a_text):
-            _emit_morphism(
-                logical_product_m(parse_morphism(a_text), parse_morphism(b_text)),
-                as_json,
-            )
-        else:
-            _emit_layout(
-                parse_layout(a_text).logical_product(parse_layout(b_text)), as_json
-            )
+            _emit_layout(on_layouts(parse_layout(a_text), parse_layout(b_text)), as_json)
     elif verb == "tractable":
-        (text,) = args.args
-        result = parse_layout(text).is_tractable()
+        result = parse_layout(args.args[0]).is_tractable()
         print(json.dumps({"tractable": result}) if as_json else str(result).lower())
     elif verb == "morphism":
-        (text,) = args.args
-        _emit_morphism(standard_representation_nested(parse_layout(text)), as_json)
+        _emit_morphism(standard_representation_nested(parse_layout(args.args[0])), as_json)
     elif verb == "layout-of":
         _emit_layout(layout_of_nested(_morphism_arg(args)), as_json)
     elif verb == "mutual-refine":
@@ -229,8 +241,7 @@ def _run(args: argparse.Namespace) -> int:
             print(format_nested(mr.t_ref.fine))
             print(format_nested(mr.u_ref.fine))
     elif verb == "render":
-        (text,) = args.args
-        cells = _render_grid(parse_layout(text), args.flatten_to)
+        cells = _render_grid(parse_layout(args.args[0]), args.flatten_to)
         if as_json:
             print(
                 json.dumps(
@@ -241,7 +252,7 @@ def _run(args: argparse.Namespace) -> int:
             print(_format_grid(cells, args.tikz))
     elif verb == "eval":
         text, x_text = args.args
-        value = parse_layout(text)(int(x_text))
+        value = parse_layout(text)(_int(x_text))
         print(json.dumps({"value": value}) if as_json else str(value))
     elif verb == "check":
         ok = _check(args.args)
@@ -255,25 +266,15 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the operands each ``check`` target takes: (fewest, most, description)
-_CHECK_ARITY = {
-    "compose": (2, 2, "two layouts"),
-    "complement": (1, 2, "a layout and an optional size"),
-    "coalesce": (1, 1, "one layout"),
-}
-
-
 def _check(argv: Sequence[str]) -> bool:
     what, rest = argv[0], argv[1:]
-    if what not in _CHECK_ARITY:
+    if f"check {what}" not in _ARITY:
         raise NotationError(f"unknown check target {what!r}")
-    low, high, wanted = _CHECK_ARITY[what]
-    if not low <= len(rest) <= high:
-        raise NotationError(f"check {what} takes {wanted}, got {len(rest)}")
+    _check_arity(f"check {what}", rest)
     if what == "compose":
         return check_compose(parse_layout(rest[0]), parse_layout(rest[1]))
     if what == "complement":
-        n = int(rest[1]) if len(rest) > 1 else None
+        n = _int(rest[1]) if len(rest) > 1 else None
         return check_complement(parse_layout(rest[0]), n=n)
     a = parse_layout(rest[0])
     return table_of(a.coalesce()) == table_of(a)
@@ -293,9 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LayoutError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError) as exc:
-        print(f"parse-error: {exc}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("parse-error: nesting too deep", file=sys.stderr)
         return 2

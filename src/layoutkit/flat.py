@@ -1,4 +1,5 @@
-"""Flat (depth-1) layouts and their operation suite."""
+"""Flat (depth-1) layouts and their operation suite.  The constructors
+validate; what the engine derives from valid values skips it (:func:`_unchecked`)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError
 from .shapes import checked_add, checked_mul, colex_inv, format_nested, prefix_products
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` with these field values, skipping its
+    ``__post_init__``: only for values the engine derives from valid ones."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -69,9 +79,8 @@ class FlatLayout:
         for i in idx:
             if not 0 <= i < self.rank:
                 raise LayoutError(f"mode index {i} out of range for rank {self.rank}")
-        return FlatLayout(
-            tuple(self.shape[i] for i in idx), tuple(self.stride[i] for i in idx)
-        )
+        shape = tuple(self.shape[i] for i in idx)
+        return _unchecked(FlatLayout, shape, tuple(self.stride[i] for i in idx))
 
     def squeeze(self) -> "FlatLayout":
         return self.restrict([i for i, s in enumerate(self.shape) if s != 1])
@@ -107,15 +116,7 @@ class FlatLayout:
     def coalesce(self) -> "FlatLayout":
         """The unique minimal-rank flat layout with the same layout function:
         drop unit modes, then merge adjacent modes with s_i*d_i == d_{i+1}."""
-        modes: list = []
-        for s, d in zip(self.shape, self.stride):
-            if s == 1:
-                continue
-            if modes and modes[-1][0] * modes[-1][1] == d:
-                modes[-1] = (modes[-1][0] * s, modes[-1][1])
-            else:
-                modes.append((s, d))
-        return FlatLayout(tuple(s for s, _ in modes), tuple(d for _, d in modes))
+        return _unchecked(FlatLayout, *_coalesce_modes(self.shape, self.stride))
 
     # -- predicates --------------------------------------------------------
 
@@ -182,12 +183,25 @@ class FlatLayout:
                 )
             shape.append(n // prev)
             stride.append(prev)
-        return FlatLayout(tuple(shape), tuple(stride)).coalesce()
+        return _unchecked(FlatLayout, *_coalesce_modes(shape, stride))
 
     # -- misc --------------------------------------------------------------
 
     def __str__(self) -> str:
         return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
+
+
+def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple, tuple]:
+    """Shape and stride of the coalesce of the flat layout ``shape:stride``."""
+    modes: list = []
+    for s, d in zip(shape, stride):
+        if s == 1:
+            continue
+        if modes and modes[-1][0] * modes[-1][1] == d:
+            modes[-1] = (modes[-1][0] * s, modes[-1][1])
+        else:
+            modes.append((s, d))
+    return tuple(s for s, _ in modes), tuple(d for _, d in modes)
 
 
 def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
@@ -196,7 +210,7 @@ def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
     for l in layouts:
         shape += l.shape
         stride += l.stride
-    return FlatLayout(shape, stride)
+    return _unchecked(FlatLayout, shape, stride)
 
 
 def column_major(shape: Sequence[int]) -> FlatLayout:

@@ -5,16 +5,16 @@ tuple.  Its function ignores the nesting — it is the function of the
 flattened layout — but the nesting determines how operations such as
 composition, division, and product group their results.  Composition
 reaches the morphism engine through the conversions at the end of this
-module.
+module.  Only the public constructor validates: engine-built layouts skip it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComposableError
-from .flat import FlatLayout
+from .flat import FlatLayout, _coalesce_modes, _unchecked
 from .nestcat import (
     NestMorphism,
     compose_nest,
@@ -23,6 +23,7 @@ from .nestcat import (
 )
 from .shapes import (
     Nested,
+    _relative_modes,
     congruent,
     depth,
     flatten,
@@ -49,22 +50,18 @@ class Layout:
             raise LayoutError(
                 f"shape {self.shape} and stride {self.stride} are not congruent"
             )
-        # delegate range checks to the flat representation
-        self.flat()
+        # range checks by the validating flat constructor, not by flat()
+        FlatLayout(flatten(self.shape), flatten(self.stride))
 
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout: rank 0 becomes 1:0, rank 1 becomes depth 0."""
-        if flat.rank == 0:
-            return Layout(1, 0)
-        if flat.rank == 1:
-            return Layout(flat.shape[0], flat.stride[0])
-        return Layout(flat.shape, flat.stride)
+        return _unchecked(Layout, *_unflat(flat.shape, flat.stride))
 
     # -- attributes --------------------------------------------------------
 
     def flat(self) -> FlatLayout:
-        return FlatLayout(flatten(self.shape), flatten(self.stride))
+        return _unchecked(FlatLayout, flatten(self.shape), flatten(self.stride))
 
     def length(self) -> int:
         return length(self.shape)
@@ -124,21 +121,13 @@ class Layout:
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
-        rel = relative_modes(self.shape, shape_bar)
-        flat = self.flat()
-        shapes: List[Nested] = []
+        shapes = relative_modes(self.shape, shape_bar)
         strides: List[Nested] = []
-        pos = 0
-        for sub in rel:
-            end = pos + length(sub)
-            piece = Layout.of_flat(
-                FlatLayout(flat.shape[pos:end], flat.stride[pos:end]).coalesce()
-            )
-            shapes.append(piece.shape)
-            strides.append(piece.stride)
-            pos = end
+        _relative_modes(self.stride, shape_bar, strides)
+        for i, (s, d) in enumerate(zip(shapes, strides)):
+            shapes[i], strides[i] = _unflat(*_coalesce_modes(flatten(s), flatten(d)))
         prof = profile(shape_bar)
-        return Layout(substitute(shapes, prof), substitute(strides, prof))
+        return _unchecked(Layout, substitute(shapes, prof), substitute(strides, prof))
 
     # -- complement --------------------------------------------------------
 
@@ -165,12 +154,17 @@ class Layout:
         return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
 
 
+def _unflat(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[Nested, Nested]:
+    """Shape and stride of :meth:`Layout.of_flat`."""
+    if len(shape) > 1:
+        return shape, stride
+    return (shape[0], stride[0]) if shape else (1, 0)
+
+
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
     """(A, B, ...) as one layout with one mode per operand."""
-    if not layouts:
-        return Layout((), ())
-    return Layout(
-        tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
+    return _unchecked(
+        Layout, tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
     )
 
 
@@ -193,14 +187,14 @@ def column_major_layout(shape: Nested) -> Layout:
 def layout_of_nested(f: NestMorphism) -> Layout:
     """The layout encoded by ``f``, nested like its domain."""
     flat = layout_of(f.fmap)
-    return Layout(f.domain, unflatten(flat.stride, profile(f.domain)))
+    return _unchecked(Layout, f.domain, unflatten(flat.stride, profile(f.domain)))
 
 
 def standard_representation_nested(layout: Layout) -> NestMorphism:
     """Standard representation with the layout's shape tree as domain and a
     flat codomain."""
     fmap = standard_representation(layout.flat())
-    return NestMorphism(layout.shape, fmap.codomain, fmap)
+    return _unchecked(NestMorphism, layout.shape, fmap.codomain, fmap)
 
 
 def compose_tractable(a: Layout, b: Layout) -> Layout:

@@ -6,7 +6,8 @@ refinement of its tree induces a new morphism with the same realized
 function (pullback along a codomain refinement, pushforward along a domain
 refinement).  Composition of layouts is computed by refining the middle
 trees of two standard representations until one is a flat prefix of the
-other.
+other.  Derived morphisms skip validation; a :class:`Refinement` never does,
+because its check is where entries beyond the 64-bit range are reported.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotRefinementError
-from .flat import FlatLayout
+from .flat import FlatLayout, _unchecked
 from .shapes import (
     Nested,
+    _relative_modes,
     depth,
     flatten,
     length,
     profile,
     refines,
-    relative_modes,
     substitute,
 )
 from .tuplecat import (
@@ -94,9 +95,16 @@ def nest_morphism(domain: Nested, codomain: Nested, amap: Sequence[int]) -> Nest
     )
 
 
+def _derived(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorphism:
+    """:func:`nest_morphism` without validation, for morphisms the engine
+    derives from valid ones."""
+    fmap = _unchecked(TupleMorphism, flatten(domain), flatten(codomain), tuple(amap))
+    return _unchecked(NestMorphism, domain, codomain, fmap)
+
+
 def compose_nest(f: NestMorphism, g: NestMorphism) -> NestMorphism:
     """g ∘ f (flattened codomain of f must equal flattened domain of g)."""
-    return NestMorphism(f.domain, g.codomain, compose_morphisms(f.fmap, g.fmap))
+    return _unchecked(NestMorphism, f.domain, g.codomain, compose_morphisms(f.fmap, g.fmap))
 
 
 # -- refinement transport --------------------------------------------------
@@ -107,7 +115,8 @@ def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinemen
     the flat block it now covers; the layout function is unchanged."""
     if tref.coarse != f.codomain:
         raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
-    rel = relative_modes(tref.fine, f.codomain)
+    rel: List[Nested] = []
+    _relative_modes(tref.fine, f.codomain, rel)
     offs: List[int] = []
     pos = 0
     for sub in rel:
@@ -127,7 +136,7 @@ def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinemen
             amap.extend(range(base + 1, base + 1 + length(sub)))
     dom_fine = substitute(parts, profile(f.domain))
     return (
-        nest_morphism(dom_fine, tref.fine, amap),
+        _derived(dom_fine, tref.fine, amap),
         Refinement(dom_fine, f.domain),
     )
 
@@ -137,7 +146,8 @@ def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refine
     by the refining sub-tree; the layout function is unchanged."""
     if sref.coarse != f.domain:
         raise LayoutError(f"{sref.coarse} is not the domain of {f}")
-    rel = relative_modes(sref.fine, f.domain)
+    rel: List[Nested] = []
+    _relative_modes(sref.fine, f.domain, rel)
     cod_parts: List[Nested] = list(f.fmap.codomain)
     for a, sub in zip(f.fmap.amap, rel):
         if a != 0:
@@ -159,7 +169,7 @@ def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refine
             base = offs[a - 1]
             amap.extend(range(base + 1, base + 1 + n))
     return (
-        nest_morphism(sref.fine, cod_fine, amap),
+        _derived(sref.fine, cod_fine, amap),
         Refinement(cod_fine, f.codomain),
     )
 
@@ -230,7 +240,8 @@ def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
         y_parts.append(y[j])
         j += 1
 
-    return MutualRefinement(
+    return _unchecked(
+        MutualRefinement,
         Refinement(substitute(x_parts, profile(t)), t),
         Refinement(substitute(y_parts, profile(u)), u),
     )
@@ -256,7 +267,7 @@ def make_composable(
     f_fine, _ = pullback(f, mr.t_ref)
     g_fine, _ = pushforward(g, mr.u_ref)
     nt = length(mr.t_ref.fine)
-    inclusion = nest_morphism(mr.t_ref.fine, mr.u_ref.fine, range(1, nt + 1))
+    inclusion = _derived(mr.t_ref.fine, mr.u_ref.fine, range(1, nt + 1))
     return compose_nest(f_fine, inclusion), g_fine
 
 
@@ -271,7 +282,8 @@ def concat_nm(fs: Sequence[NestMorphism]) -> NestMorphism:
     for f in fs[1:]:
         if f.codomain != fs[0].codomain:
             raise LayoutError("concatenation requires a common codomain")
-    return NestMorphism(
+    return _unchecked(
+        NestMorphism,
         tuple(f.domain for f in fs),
         fs[0].codomain,
         concat_morphisms([f.fmap for f in fs]),
@@ -281,14 +293,14 @@ def concat_nm(fs: Sequence[NestMorphism]) -> NestMorphism:
 def complement_nm(f: NestMorphism) -> NestMorphism:
     """The inclusion of the codomain entries missed by an injective ``f``."""
     fc = complement_m(f.fmap)
-    return NestMorphism(_as_tree(fc.domain), f.codomain, fc)
+    return _unchecked(NestMorphism, _as_tree(fc.domain), f.codomain, fc)
 
 
 def coalesce_nm(f: NestMorphism) -> NestMorphism:
     """Merge adjacent modes mapping consecutively; encodes the coalesce of
     the encoded layout."""
     c = coalesce_m(f.fmap)
-    return NestMorphism(_as_tree(c.domain), _as_tree(c.codomain), c)
+    return _unchecked(NestMorphism, _as_tree(c.domain), _as_tree(c.codomain), c)
 
 
 def logical_divide_m(f: NestMorphism, g: NestMorphism) -> NestMorphism:

@@ -33,6 +33,14 @@ def format_morphism(f: NestMorphism) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """A decimal integer; anything ``int`` refuses is malformed text."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise NotationError(f"not an integer: {exc}") from None
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = "".join(text.split())
@@ -56,13 +64,13 @@ class _Scanner:
 
     def integer(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             raise NotationError(
                 f"expected an integer at position {start} in {self.text!r}"
             )
-        return int(self.text[start : self.pos])
+        return _int(self.text[start : self.pos])
 
     def nested(self) -> Nested:
         if not self.tries("("):

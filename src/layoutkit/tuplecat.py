@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import LayoutError, NotTractableError
-from .flat import FlatLayout
+from .flat import FlatLayout, _unchecked
 from .shapes import Nested, colex, colex_inv, format_nested, prefix_products
 
 
@@ -90,11 +90,12 @@ def compose_morphisms(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
             f"codomain {f.codomain} of f does not match domain {g.domain} of g"
         )
     amap = tuple(0 if a == 0 else g.amap[a - 1] for a in f.amap)
-    return TupleMorphism(f.domain, g.codomain, amap)
+    return _unchecked(TupleMorphism, f.domain, g.codomain, amap)
 
 
 def layout_of(f: TupleMorphism) -> FlatLayout:
-    """The flat layout encoded by ``f``."""
+    """The flat layout encoded by ``f``, validated: a morphism's entries
+    may be below 1, a layout's may not."""
     pre = prefix_products(f.codomain)
     stride = tuple(0 if a == 0 else pre[a - 1] for a in f.amap)
     return FlatLayout(f.domain, stride)
@@ -126,7 +127,7 @@ def standard_representation(layout: FlatLayout) -> TupleMorphism:
     if not layout.is_tractable():
         raise NotTractableError(f"{layout} is not tractable")
     stride = tuple(0 if s == 1 else d for s, d in zip(layout.shape, layout.stride))
-    layout = FlatLayout(layout.shape, stride)
+    layout = _unchecked(FlatLayout, layout.shape, stride)
 
     m = layout.rank
     sigma = layout.sort_permutation()
@@ -153,7 +154,7 @@ def standard_representation(layout: FlatLayout) -> TupleMorphism:
     amap = tuple(
         0 if sigma_inv[i] < k else shape_pos[sigma_inv[i] - k] for i in range(m)
     )
-    return TupleMorphism(layout.shape, tuple(entries), amap)
+    return _unchecked(TupleMorphism, layout.shape, tuple(entries), amap)
 
 
 # -- operation suite -------------------------------------------------------
@@ -163,7 +164,7 @@ def sum_morphisms(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
     """Disjoint union: domains and codomains concatenate, g's map shifts."""
     n = len(f.codomain)
     amap = f.amap + tuple(0 if a == 0 else a + n for a in g.amap)
-    return TupleMorphism(f.domain + g.domain, f.codomain + g.codomain, amap)
+    return _unchecked(TupleMorphism, f.domain + g.domain, f.codomain + g.codomain, amap)
 
 
 def concat_morphisms(fs: Sequence[TupleMorphism]) -> TupleMorphism:
@@ -182,7 +183,7 @@ def concat_morphisms(fs: Sequence[TupleMorphism]) -> TupleMorphism:
         seen |= set(f.image)
         domain += f.domain
         amap += f.amap
-    return TupleMorphism(domain, cod, amap)
+    return _unchecked(TupleMorphism, domain, cod, amap)
 
 
 def squeeze_m(f: TupleMorphism) -> TupleMorphism:
@@ -197,7 +198,8 @@ def squeeze_m(f: TupleMorphism) -> TupleMorphism:
             continue
         domain.append(s)
         amap.append(0 if a == 0 else reindex[a])
-    return TupleMorphism(tuple(domain), tuple(f.codomain[j] for j in keep_cod), tuple(amap))
+    codomain = tuple(f.codomain[j] for j in keep_cod)
+    return _unchecked(TupleMorphism, tuple(domain), codomain, tuple(amap))
 
 
 def sort_m(f: TupleMorphism) -> TupleMorphism:
@@ -208,9 +210,8 @@ def sort_m(f: TupleMorphism) -> TupleMorphism:
     )
     hits = sorted((i for i, a in enumerate(f.amap) if a != 0), key=lambda i: f.amap[i])
     order = stars + hits
-    return TupleMorphism(
-        tuple(f.domain[i] for i in order), f.codomain, tuple(f.amap[i] for i in order)
-    )
+    domain = tuple(f.domain[i] for i in order)
+    return _unchecked(TupleMorphism, domain, f.codomain, tuple(f.amap[i] for i in order))
 
 
 def coalesce_m(f: TupleMorphism) -> TupleMorphism:
@@ -253,7 +254,7 @@ def coalesce_m(f: TupleMorphism) -> TupleMorphism:
         0 if f.amap[cls[0]] == 0 else cod_class_of[f.amap[cls[0]]] + 1
         for cls in dom_classes
     )
-    return TupleMorphism(domain, codomain, amap)
+    return _unchecked(TupleMorphism, domain, codomain, amap)
 
 
 def complement_m(f: TupleMorphism) -> TupleMorphism:
@@ -262,8 +263,8 @@ def complement_m(f: TupleMorphism) -> TupleMorphism:
         raise LayoutError(f"{f} is not injective, so has no complement")
     img = set(f.image)
     missed = [j for j in range(1, len(f.codomain) + 1) if j not in img]
-    return TupleMorphism(
-        tuple(f.codomain[j - 1] for j in missed), f.codomain, tuple(missed)
+    return _unchecked(
+        TupleMorphism, tuple(f.codomain[j - 1] for j in missed), f.codomain, tuple(missed)
     )
 
 

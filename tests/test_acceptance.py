@@ -247,3 +247,37 @@ class TestCriterion7Admissibility:
                 continue
             hits += 1
             assert is_admissible_for_composition(a, b), (a, b)
+
+    def test_admissible_iff_refinable_iff_composable(self):
+        # where cosize(a) <= size(b) the three answers agree both ways: the
+        # greedy mutual refinement refuses exactly the non-admissible pairs
+        rng = random.Random(SEED + 6)
+        accepted = refused = 0
+        while accepted + refused < 2000:
+            a = random_tractable_flat(
+                rng,
+                allow_zero=False,
+                allow_unit=False,
+                shuffle=rng.random() < 0.5,
+                min_chain=1,
+            )
+            b = random_tractable_flat(rng).coalesce()
+            if a.cosize() > b.size():
+                continue
+            admissible = is_admissible_for_composition(a, b)
+            refinable = (
+                mutual_refinement(
+                    standard_representation(a).codomain,
+                    standard_representation(b).domain,
+                )
+                is not None
+            )
+            try:
+                Layout.of_flat(a).compose(Layout.of_flat(b))
+                composable = True
+            except NotComposableError:
+                composable = False
+            assert admissible == refinable == composable, (a, b)
+            accepted += composable
+            refused += not composable
+        assert accepted >= 500 and refused >= 500

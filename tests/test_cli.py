@@ -1,10 +1,14 @@
 """Command-line front end: verbs, output forms, exit codes."""
 
 import json
+import random
 
 import pytest
 
 from layoutkit.cli import main
+from layoutkit.notation import format_nested
+
+from generators import random_layout, random_morphism, random_nested_tuple
 
 
 def run(capsys, *argv):
@@ -243,7 +247,46 @@ class TestCheckAndExitCodes:
         assert err.startswith("parse-error:")
 
     def test_bad_integer_exit_2(self, capsys):
-        assert run(capsys, "eval", "(2,3):(1,5)", "x")[0] == 2
+        code, out, err = run(capsys, "eval", "(2,3):(1,5)", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse-error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "\u00b2:1", "0"),
+            ("complement", "8:1", "1e3"),
+            ("layout-of", "(2)", "(2)", "--map", "1,x"),
+            ("coalesce", "1" * 5000 + ":1"),
+        ],
+        ids=["superscript-digit", "size", "map", "too-many-digits"],
+    )
+    def test_malformed_integer_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse-error:")
+
+    @pytest.mark.parametrize(
+        "argv, wanted",
+        [
+            (("compose", "8:1"), "compose takes two layouts or two morphisms, got 1"),
+            (("eval", "8:1"), "eval takes a layout and an index, got 1"),
+            (("tractable", "8:1", "4:1"), "tractable takes one layout, got 2"),
+            (("coalesce-rel", "(4,2):(1,4)"), "coalesce-rel takes a layout and a shape, got 1"),
+            (
+                ("complement", "4:1", "8", "9"),
+                "complement takes a layout and an optional size, or a morphism, got 3",
+            ),
+            (("mutual-refine", "(4)", "(4)", "(4)"), "mutual-refine takes two tuples, got 3"),
+        ],
+    )
+    def test_wrong_arity_exit_2(self, capsys, argv, wanted):
+        assert run(capsys, *argv) == (2, "", "parse-error: " + wanted)
+
+    def test_range_error_exit_1(self, capsys):
+        code, out, err = run(capsys, "tractable", "(0):(1)")
+        assert (code, out) == (1, "")
+        assert err.startswith("domain-error:")
 
     def test_unknown_verb_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -265,3 +308,61 @@ class TestCheckAndExitCodes:
         deep = "(" * 400 + "4" + ")" * 400
         code, _, _ = run(capsys, "compose", deep + ":" + deep.replace("4", "1"), "4:1")
         assert code == 0
+
+
+#: operand kinds each verb takes: L layout, T tuple, M morphism, N integer
+_VERB_OPERANDS = {
+    "coalesce": ["L", "M"],
+    "coalesce-rel": ["LT"],
+    "complement": ["L", "LN", "M"],
+    "compose": ["LL", "MM"],
+    "divide": ["LL", "MM"],
+    "product": ["LL", "MM"],
+    "tractable": ["L"],
+    "morphism": ["L"],
+    "layout-of": ["M"],
+    "mutual-refine": ["TT"],
+    "render": ["L"],
+    "eval": ["LN"],
+    "check compose": ["LL"],
+    "check complement": ["L", "LN"],
+    "check coalesce": ["L"],
+}
+
+_ODD_OPERANDS = [
+    "(2,:(1)", "x", "8:1:", "(0):(1)", "(18446744073709551616):(1)", "(4):(0)",
+    "()", "(2,3):(1,)", "(2)--(1)-->(3)", "(2)--(2)-->(2)", "-1", "\u00b2:1",
+]
+
+
+def _random_argv(rng):
+    """A command line for a random verb: operands of the kinds it takes,
+    each sometimes malformed or out of range, and sometimes one too many or
+    too few."""
+    make = {
+        "L": lambda: str(random_layout(rng)),
+        "T": lambda: format_nested(random_nested_tuple(rng)),
+        "M": lambda: str(random_morphism(rng)),
+        "N": lambda: str(rng.choice([0, 7, 64, 4096, 2**64])),
+    }
+    verb = rng.choice(sorted(_VERB_OPERANDS))
+    kinds = rng.choice(_VERB_OPERANDS[verb])
+    operands = [
+        rng.choice(_ODD_OPERANDS) if rng.random() < 0.1 else make[k]() for k in kinds
+    ]
+    if rng.random() < 0.1:
+        operands = operands[1:] if rng.random() < 0.5 else operands + [make["L"]()]
+    return (["--json"] if rng.random() < 0.1 else []) + verb.split() + operands
+
+
+def test_fuzz_exit_codes_only(capsys):
+    # every command ends in exit 0, 1 or 2; no exception escapes main
+    rng = random.Random(20261018)
+    codes = set()
+    for _ in range(300):
+        argv = _random_argv(rng)
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -1,6 +1,8 @@
 """Nested layouts: coalescing, complements, composition, division, product."""
 
+import dataclasses
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +10,26 @@ from hypothesis import given, settings
 from layoutkit import (
     Layout,
     LayoutError,
+    NotComplementableError,
     NotComposableError,
     check_complement,
     check_compose,
     column_major_layout,
+    compose_nest,
     concat_layouts,
+    layout_of_nested,
+    make_composable,
+    mutual_refinement,
+    pullback,
+    pushforward,
+    size,
+    standard_representation_nested,
     substitute_profile,
     table_of,
 )
 from layoutkit.shapes import STAR, refines
 
-from generators import seeds, tractable_layouts
+from generators import random_layout, seeds, tractable_layouts
 
 
 class TestConstruction:
@@ -27,6 +38,15 @@ class TestConstruction:
             Layout((2, 2), (1, (2, 1)))
         with pytest.raises(LayoutError):
             Layout(2, (2,))
+
+    @pytest.mark.parametrize(
+        "shape, stride",
+        [((0,), (1,)), ((2, (3, 0)), (1, (2, 6))), ((2,), (-1,))],
+        ids=["zero-shape", "nested-zero-shape", "negative-stride"],
+    )
+    def test_range_checked(self, shape, stride):
+        with pytest.raises(LayoutError):
+            Layout(shape, stride)
 
     def test_of_flat_and_attributes(self):
         l = Layout(((4, 4), 4), ((16, 1), 4))
@@ -202,3 +222,63 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _revalidated(x):
+    """``x`` rebuilt with every dataclass inside it passed through its
+    validating constructor again."""
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(
+            x, **{f.name: _revalidated(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        )
+    if isinstance(x, tuple):
+        return tuple(_revalidated(c) for c in x)
+    return x
+
+
+def _coarsening(rng, shape):
+    """A shape that ``shape`` refines: some modes replaced by their size."""
+    if isinstance(shape, int):
+        return shape
+    return tuple(size(m) if rng.random() < 0.5 else _coarsening(rng, m) for m in shape)
+
+
+class TestEngineOutputIsValid:
+    # engine-built values skip validation; each must pass it when rebuilt
+    def test_results_and_intermediates_revalidate(self):
+        rng = random.Random(20261018)
+        values = []
+        composed = 0
+        for _ in range(400):
+            a, b = random_layout(rng), random_layout(rng)
+            values += [a.flat(), a.coalesce(), a.coalesce_relative(_coarsening(rng, a.shape))]
+            for n in (None, a.cosize() * 4):
+                try:
+                    values.append(a.complement(n))
+                except NotComplementableError:
+                    pass
+            for op in (a.compose, a.logical_divide, a.logical_product):
+                try:
+                    values.append(op(b))
+                except (NotComposableError, NotComplementableError):
+                    pass
+            f = standard_representation_nested(a)
+            g = standard_representation_nested(b.coalesce())
+            mr = mutual_refinement(f.fmap.codomain, g.domain)
+            values += [f, g, mr]
+            if mr is None or a.cosize() > b.size():
+                continue
+            composed += 1
+            f_fine, g_fine = make_composable(f, g, mr)
+            weak = layout_of_nested(compose_nest(f_fine, g_fine))
+            values += [
+                f_fine,
+                g_fine,
+                pullback(f, mr.t_ref),
+                pushforward(g, mr.u_ref),
+                weak,
+                weak.coalesce_relative(a.shape),
+            ]
+        assert composed >= 50
+        for x in values:
+            assert _revalidated(x) == x, x

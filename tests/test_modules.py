@@ -69,3 +69,22 @@ def test_every_export_is_named_in_a_test():
         and not re.search(rf"\b{name}\b", text)
     ]
     assert untested == []
+
+
+def test_unchecked_construction_stays_in_the_engine():
+    # values built without validation come only from the engine's own
+    # modules; the front ends validate what they read, and the oracle stays
+    # independent of the engine it checks
+    engine = {"flat", "tuplecat", "nestcat", "layout"}
+    importers, callers = set(), set()
+    for path, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if any(alias.name == "_unchecked" for alias in node.names):
+                    importers.add(path.stem)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "_unchecked":
+                    callers.add(path.stem)
+    assert callers == engine
+    assert importers <= engine
