@@ -1,5 +1,7 @@
 """Flat (depth-1) layouts and their operation suite.  The constructors
-validate; what the engine derives from valid values skips it (:func:`_unchecked`)."""
+validate: entries are range-checked where they enter, and products are
+checked where they are taken.  What the engine derives from valid values
+skips it (:func:`_unchecked`)."""
 
 from __future__ import annotations
 
@@ -7,7 +9,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError
-from .shapes import checked_add, checked_mul, colex_inv, format_nested, prefix_products
+from .shapes import (
+    _check_entries,
+    checked_add,
+    checked_mul,
+    colex_inv,
+    format_nested,
+    prefix_products,
+)
 
 
 def _unchecked(cls, *values):
@@ -23,7 +32,8 @@ def _unchecked(cls, *values):
 class FlatLayout:
     """A pair of equal-length flat tuples ``shape:stride``.
 
-    Shape entries are positive; stride entries are non-negative.
+    Shape entries are positive; stride entries are non-negative; both fit in
+    the signed 64-bit range.
     """
 
     shape: Tuple[int, ...]
@@ -34,10 +44,8 @@ class FlatLayout:
             raise LayoutError(
                 f"shape rank {len(self.shape)} != stride rank {len(self.stride)}"
             )
-        if any(s < 1 for s in self.shape):
-            raise LayoutError(f"non-positive shape entry in {self.shape}")
-        if any(d < 0 for d in self.stride):
-            raise LayoutError(f"negative stride entry in {self.stride}")
+        _check_entries(self.shape, 1, "shape entry", self.shape)
+        _check_entries(self.stride, 0, "stride entry", self.stride)
 
     # -- attributes --------------------------------------------------------
 
@@ -171,8 +179,6 @@ class FlatLayout:
         stride: list = []
         prev = 1
         for s, d in zip(srt.shape, srt.stride):
-            if d % prev != 0:  # unreachable given the chain, kept as a guard
-                raise NotComplementableError(f"{self} is not complementable")
             shape.append(d // prev)
             stride.append(prev)
             prev = checked_mul(s, d)
@@ -181,6 +187,7 @@ class FlatLayout:
                 raise NotComplementableError(
                     f"{self} is not {n}-complementable: {n} is not a positive multiple of {prev}"
                 )
+            _check_entries((n,), 1, "complement size", self)
             shape.append(n // prev)
             stride.append(prev)
         return _unchecked(FlatLayout, *_coalesce_modes(shape, stride))
@@ -198,7 +205,7 @@ def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple,
         if s == 1:
             continue
         if modes and modes[-1][0] * modes[-1][1] == d:
-            modes[-1] = (modes[-1][0] * s, modes[-1][1])
+            modes[-1] = (checked_mul(modes[-1][0], s), modes[-1][1])
         else:
             modes.append((s, d))
     return tuple(s for s, _ in modes), tuple(d for _, d in modes)

@@ -6,8 +6,10 @@ refinement of its tree induces a new morphism with the same realized
 function (pullback along a codomain refinement, pushforward along a domain
 refinement).  Composition of layouts is computed by refining the middle
 trees of two standard representations until one is a flat prefix of the
-other.  Derived morphisms skip validation; a :class:`Refinement` never does,
-because its check is where entries beyond the 64-bit range are reported.
+other.  Entries are range-checked where they enter (the constructors,
+:func:`nest_morphism` and :func:`mutual_refinement`), and products are checked
+where they are taken; the morphisms and refinements the engine derives from
+valid ones skip validation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import LayoutError, NotRefinementError
 from .flat import FlatLayout, _unchecked
 from .shapes import (
     Nested,
+    _check_entries,
     _relative_modes,
     depth,
     flatten,
@@ -75,6 +78,8 @@ class Refinement:
     def __post_init__(self) -> None:
         if not refines(self.fine, self.coarse):
             raise NotRefinementError(f"{self.fine} does not refine {self.coarse}")
+        # refines() took each coarse entry as a checked product of fine ones
+        _check_entries(flatten(self.fine), 1, "entry", self.fine)
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,16 @@ def compose_nest(f: NestMorphism, g: NestMorphism) -> NestMorphism:
 # -- refinement transport --------------------------------------------------
 
 
+def _positions(parts: Sequence[Nested]) -> List[range]:
+    """For each part, the 1-based positions of its entries in the flattening
+    of all the parts in order."""
+    out: List[range] = []
+    for p in parts:
+        start = out[-1].stop if out else 1
+        out.append(range(start, start + length(p)))
+    return out
+
+
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the codomain along ``tref`` and split each domain entry into
     the flat block it now covers; the layout function is unchanged."""
@@ -117,28 +132,14 @@ def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinemen
         raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
     rel: List[Nested] = []
     _relative_modes(tref.fine, f.codomain, rel)
-    offs: List[int] = []
-    pos = 0
-    for sub in rel:
-        offs.append(pos)
-        pos += length(sub)
-
+    pos = _positions(rel)
     parts: List[Nested] = []
     amap: List[int] = []
     for s, a in zip(f.fmap.domain, f.fmap.amap):
-        if a == 0:
-            parts.append(s)
-            amap.append(0)
-        else:
-            sub = rel[a - 1]
-            parts.append(sub)
-            base = offs[a - 1]
-            amap.extend(range(base + 1, base + 1 + length(sub)))
+        parts.append(rel[a - 1] if a else s)
+        amap.extend(pos[a - 1] if a else (0,))
     dom_fine = substitute(parts, profile(f.domain))
-    return (
-        _derived(dom_fine, tref.fine, amap),
-        Refinement(dom_fine, f.domain),
-    )
+    return _derived(dom_fine, tref.fine, amap), _unchecked(Refinement, dom_fine, f.domain)
 
 
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
@@ -153,25 +154,11 @@ def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refine
         if a != 0:
             cod_parts[a - 1] = sub
     cod_fine = substitute(cod_parts, profile(f.codomain))
-
-    offs: List[int] = []
-    pos = 0
-    for p in cod_parts:
-        offs.append(pos)
-        pos += length(p)
-
+    pos = _positions(cod_parts)
     amap: List[int] = []
     for a, sub in zip(f.fmap.amap, rel):
-        n = length(sub)
-        if a == 0:
-            amap.extend([0] * n)
-        else:
-            base = offs[a - 1]
-            amap.extend(range(base + 1, base + 1 + n))
-    return (
-        _derived(sref.fine, cod_fine, amap),
-        Refinement(cod_fine, f.codomain),
-    )
+        amap.extend(pos[a - 1] if a else [0] * length(sub))
+    return _derived(sref.fine, cod_fine, amap), _unchecked(Refinement, cod_fine, f.codomain)
 
 
 # -- mutual refinement -----------------------------------------------------
@@ -188,63 +175,46 @@ def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
     """Refinements T' of ``t`` and U' of ``u`` with T' a flat prefix of U';
     None when the greedy entry-splitting strategy finds no such pair.
 
-    Works through the flat entries with two pointers, splitting the larger
-    current entry by the smaller whenever one divides the other. Raises
-    :class:`LayoutError` when either tuple has an entry below 1.
+    Works through the flat entries with two pointers, splitting off the
+    smaller current entry as a piece of both whenever it divides the larger.
+    Raises :class:`LayoutError` for an entry below 1 and
+    :class:`ArithmeticOverflowError` for one beyond the signed 64-bit range;
+    the refinements returned are valid by construction.
     """
     x = list(flatten(t))
     y = list(flatten(u))
-    for entries, tup in ((x, t), (y, u)):
-        if any(e < 1 for e in entries):
-            raise LayoutError(f"non-positive entry in {tup}")
+    _check_entries(x, 1, "entry", t)
+    _check_entries(y, 1, "entry", u)
+    x_pieces: List[List[int]] = [[] for _ in x]
+    y_pieces: List[List[int]] = [[] for _ in y]
     i = j = 0
-    x_mode: List[int] = []
-    y_mode: List[int] = []
-    x_parts: List[Nested] = []
-    y_parts: List[Nested] = []
-
-    def flush(mode: List[int], parts: List[Nested]) -> None:
-        parts.append(mode[0] if len(mode) == 1 else tuple(mode))
-        mode.clear()
-
-    while i < len(x) and j < len(y):
-        if x[i] == y[j]:
-            x_mode.append(x[i])
-            flush(x_mode, x_parts)
-            y_mode.append(y[j])
-            flush(y_mode, y_parts)
-            i += 1
-            j += 1
-        elif y[j] % x[i] == 0:
-            x_mode.append(x[i])
-            flush(x_mode, x_parts)
-            y_mode.append(x[i])
-            y[j] //= x[i]
-            i += 1
-        elif x[i] % y[j] == 0:
-            y_mode.append(y[j])
-            flush(y_mode, y_parts)
-            x_mode.append(y[j])
-            x[i] //= y[j]
-            j += 1
+    while j < len(y):
+        if i < len(x):
+            piece = min(x[i], y[j])
+            if max(x[i], y[j]) % piece != 0:
+                return None
+            x_pieces[i].append(piece)
+            x[i] //= piece
+            if x[i] == 1:
+                i += 1
         else:
-            return None
-
+            piece = y[j]
+        y_pieces[j].append(piece)
+        y[j] //= piece
+        if y[j] == 1:
+            j += 1
     if i < len(x):
         return None
-    if y_mode:
-        y_mode.append(y[j])
-        flush(y_mode, y_parts)
-        j += 1
-    while j < len(y):
-        y_parts.append(y[j])
-        j += 1
-
     return _unchecked(
         MutualRefinement,
-        Refinement(substitute(x_parts, profile(t)), t),
-        Refinement(substitute(y_parts, profile(u)), u),
+        _unchecked(Refinement, substitute(_as_parts(x_pieces), profile(t)), t),
+        _unchecked(Refinement, substitute(_as_parts(y_pieces), profile(u)), u),
     )
+
+
+def _as_parts(pieces: List[List[int]]) -> List[Nested]:
+    """One part per entry: its only piece, or the tuple of its pieces."""
+    return [p[0] if len(p) == 1 else tuple(p) for p in pieces]
 
 
 # -- composition -----------------------------------------------------------

@@ -5,7 +5,9 @@ A nested tuple is represented directly as a Python value: an ``int`` at depth
 ``(n,)`` are distinct values.  A profile is the same kind of tree with the
 sentinel :data:`STAR` at the leaves.
 
-All arithmetic is checked against the signed 64-bit range; overflow raises
+All arithmetic stays in the signed 64-bit range: entries are range-checked
+where they enter (:func:`_check_entries`), and products are checked where
+they are taken.  Leaving the range raises
 :class:`~layoutkit.errors.ArithmeticOverflowError` instead of wrapping.
 """
 
@@ -36,6 +38,17 @@ def checked_add(a: int, b: int) -> int:
     if r > INT64_MAX or r < -INT64_MAX - 1:
         raise ArithmeticOverflowError(f"64-bit overflow in {a} + {b}")
     return r
+
+
+def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object) -> None:
+    """Refuse an entry below ``floor`` (1 or 0) with :class:`LayoutError`, and
+    one beyond the signed 64-bit range with :class:`ArithmeticOverflowError`."""
+    if entries and min(entries) < floor:
+        raise LayoutError(f"{'non-positive' if floor else 'negative'} {noun} in {whole}")
+    if entries and max(entries) > INT64_MAX:
+        raise ArithmeticOverflowError(
+            f"{noun} {max(entries)} in {whole} exceeds the signed 64-bit range"
+        )
 
 
 def _leaves(x: Nested) -> Iterator[int]:

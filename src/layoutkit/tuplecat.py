@@ -14,11 +14,19 @@ representation recovered by :func:`standard_representation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import LayoutError, NotTractableError
 from .flat import FlatLayout, _unchecked
-from .shapes import Nested, colex, colex_inv, format_nested, prefix_products
+from .shapes import (
+    Nested,
+    _check_entries,
+    colex,
+    colex_inv,
+    format_nested,
+    prefix_products,
+    size,
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,8 @@ class TupleMorphism:
                     f"entry mismatch: domain[{i}]={self.domain[i]} but "
                     f"codomain[{a - 1}]={self.codomain[a - 1]}"
                 )
+        _check_entries(self.domain, 1, "domain entry", self.domain)
+        _check_entries(self.codomain, 1, "codomain entry", self.codomain)
 
     # -- basic structure ---------------------------------------------------
 
@@ -94,21 +104,19 @@ def compose_morphisms(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
 
 
 def layout_of(f: TupleMorphism) -> FlatLayout:
-    """The flat layout encoded by ``f``, validated: a morphism's entries
-    may be below 1, a layout's may not."""
+    """The flat layout encoded by ``f``.  It is valid by construction: the
+    domain entries are the morphism's, in 1..2^63-1, and the strides are
+    prefix products of its codomain, checked where they are taken."""
     pre = prefix_products(f.codomain)
     stride = tuple(0 if a == 0 else pre[a - 1] for a in f.amap)
-    return FlatLayout(f.domain, stride)
+    return _unchecked(FlatLayout, f.domain, stride)
 
 
 def realize(f: TupleMorphism) -> List[int]:
     """The function [0, size(domain)) -> [0, size(codomain)) induced by ``f``:
     route each domain axis to its codomain axis, zero elsewhere."""
     out = []
-    size = 1
-    for s in f.domain:
-        size *= s
-    for x in range(size):
+    for x in range(size(f.domain)):
         coord = colex_inv(f.domain, x)
         ycoord = [0] * len(f.codomain)
         for i, a in enumerate(f.amap):
@@ -126,35 +134,24 @@ def standard_representation(layout: FlatLayout) -> TupleMorphism:
     """
     if not layout.is_tractable():
         raise NotTractableError(f"{layout} is not tractable")
-    stride = tuple(0 if s == 1 else d for s, d in zip(layout.shape, layout.stride))
-    layout = _unchecked(FlatLayout, layout.shape, stride)
+    shape = layout.shape
+    stride = tuple(0 if s == 1 else d for s, d in zip(shape, layout.stride))
 
-    m = layout.rank
-    sigma = layout.sort_permutation()
-    s2 = [layout.shape[i] for i in sigma]
-    d2 = [layout.stride[i] for i in sigma]
-    k = sum(1 for d in d2 if d == 0)
-
-    # codomain as (cofactor, shape) pairs for the non-basepoint ranks, then
-    # prune unit cofactors
+    # walk the modes by (stride, shape), ties by index: basepoint modes
+    # first, then each mode's codomain entry after its cofactor unless that is 1
     entries: List[int] = []
-    shape_pos: List[int] = []  # 1-based pruned position of each rank's shape entry
+    amap = [0] * len(shape)
     prev = 1
-    for r in range(k, m):
-        cof = d2[r] // prev
+    for d, s, i in sorted(zip(stride, shape, range(len(shape)))):
+        if d == 0:
+            continue
+        cof = d // prev
         if cof != 1:
             entries.append(cof)
-        entries.append(s2[r])
-        shape_pos.append(len(entries))
-        prev = s2[r] * d2[r]
-
-    sigma_inv = [0] * m
-    for r, i in enumerate(sigma):
-        sigma_inv[i] = r
-    amap = tuple(
-        0 if sigma_inv[i] < k else shape_pos[sigma_inv[i] - k] for i in range(m)
-    )
-    return _unchecked(TupleMorphism, layout.shape, tuple(entries), amap)
+        entries.append(s)
+        amap[i] = len(entries)
+        prev = s * d
+    return _unchecked(TupleMorphism, shape, tuple(entries), tuple(amap))
 
 
 # -- operation suite -------------------------------------------------------
@@ -244,12 +241,8 @@ def coalesce_m(f: TupleMorphism) -> TupleMorphism:
             cod_classes.append([j])
     cod_class_of = {j: c for c, cls in enumerate(cod_classes) for j in cls}
 
-    domain = tuple(
-        _product(f.domain[i] for i in cls) for cls in dom_classes
-    )
-    codomain = tuple(
-        _product(f.codomain[j - 1] for j in cls) for cls in cod_classes
-    )
+    domain = tuple(size(tuple(f.domain[i] for i in cls)) for cls in dom_classes)
+    codomain = tuple(size(tuple(f.codomain[j - 1] for j in cls)) for cls in cod_classes)
     amap = tuple(
         0 if f.amap[cls[0]] == 0 else cod_class_of[f.amap[cls[0]]] + 1
         for cls in dom_classes
@@ -266,10 +259,3 @@ def complement_m(f: TupleMorphism) -> TupleMorphism:
     return _unchecked(
         TupleMorphism, tuple(f.codomain[j - 1] for j in missed), f.codomain, tuple(missed)
     )
-
-
-def _product(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out

@@ -288,6 +288,19 @@ class TestCheckAndExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("domain-error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complement", "2:1", "18446744073709551616"),
+            ("coalesce", "(18446744073709551616,1):(0,1)"),
+        ],
+        ids=["complement-size", "layout-entry"],
+    )
+    def test_beyond_64_bits_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("overflow:")
+
     def test_unknown_verb_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

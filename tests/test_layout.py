@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from layoutkit import (
+    ArithmeticOverflowError,
     Layout,
     LayoutError,
     NotComplementableError,
@@ -48,6 +49,10 @@ class TestConstruction:
         with pytest.raises(LayoutError):
             Layout(shape, stride)
 
+    def test_entry_beyond_64_bits_refused(self):
+        with pytest.raises(ArithmeticOverflowError):
+            Layout((2**63,), (1,))
+
     def test_of_flat_and_attributes(self):
         l = Layout(((4, 4), 4), ((16, 1), 4))
         assert l.flat().shape == (4, 4, 4)
@@ -83,6 +88,11 @@ class TestConstruction:
 
 
 class TestCoalesce:
+    def test_size_beyond_64_bits_refused(self):
+        # merging the two modes would take a 2^124 shape entry
+        with pytest.raises(ArithmeticOverflowError):
+            Layout((2**62, 2**62), (0, 0)).coalesce()
+
     def test_examples(self):
         assert Layout((1, 1), (2, 4)).coalesce() == Layout(1, 0)
         assert Layout((512,), (4,)).coalesce() == Layout(512, 4)
@@ -124,6 +134,10 @@ class TestComplement:
         assert l.complement(4096) == Layout(1, 0)
         assert l.complement(8192) == Layout(2, 4096)
         assert Layout(4, 2).complement(8) == Layout(2, 1)
+
+    def test_size_beyond_64_bits_refused(self):
+        with pytest.raises(ArithmeticOverflowError):
+            Layout(2, 1).complement(2**64)
 
     @given(tractable_layouts(allow_zero=False))
     def test_oracle(self, l):

@@ -88,3 +88,49 @@ def test_unchecked_construction_stays_in_the_engine():
                     callers.add(path.stem)
     assert callers == engine
     assert importers <= engine
+
+
+def _scopes(tree):
+    """(name, node) for each top-level function, each method as
+    ``Class.method``, and each other top-level statement as ``<module>``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = item.name if isinstance(item, ast.FunctionDef) else "<class>"
+                yield f"{node.name}.{name}", item
+        else:
+            yield "<module>", node
+
+
+def test_validating_constructors_run_only_at_the_boundary():
+    # entries are checked once, where they enter; the engine builds what it
+    # derives from valid values with _unchecked, and never re-validates it
+    validating = {
+        "FlatLayout",
+        "TupleMorphism",
+        "NestMorphism",
+        "Refinement",
+        "MutualRefinement",
+        "Layout",
+    }
+    boundary = {
+        "column_major",
+        "identity",
+        "nest_morphism",
+        "substitute_profile",
+        "column_major_layout",
+        "Layout.__post_init__",
+    }
+    callers = set()
+    for path, tree in _source_trees():
+        if path.stem not in {"flat", "tuplecat", "nestcat", "layout"}:
+            continue
+        for name, scope in _scopes(tree):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "id", getattr(func, "attr", None)) in validating:
+                        callers.add(name)
+    assert callers == boundary

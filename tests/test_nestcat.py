@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from layoutkit import (
+    ArithmeticOverflowError,
     Layout,
     LayoutError,
     MutualRefinement,
@@ -40,6 +41,10 @@ class TestNestMorphism:
         with pytest.raises(LayoutError):
             nest_morphism((2, 2), (2, 2, 2), (1, 2, 3))
 
+    def test_entries_range_checked(self):
+        with pytest.raises(LayoutError, match="non-positive domain entry"):
+            nest_morphism((0,), (0,), (1,))
+
     def test_layout_of_transcript(self):
         f = nest_morphism(((5, 5), 8), (5, 8, 5), (1, 3, 2))
         assert layout_of_nested(f) == Layout(((5, 5), 8), ((1, 40), 5))
@@ -73,6 +78,9 @@ class TestRefinementTransport:
         Refinement((2, (2, 2)), 8)
         with pytest.raises(NotRefinementError):
             Refinement((8, 8), (4, 16))
+        # the sizes agree, but a refinement's entries are positive
+        with pytest.raises(LayoutError, match="non-positive entry"):
+            Refinement(((-1, -4),), (4,))
 
     def test_pullback_example(self):
         f = nest_morphism((64, 32), (4, 64, 4, 32), (2, 4))
@@ -131,6 +139,18 @@ class TestMutualRefinement:
         assert mr.t_ref.fine == ((2, 4), (2, 4), (2, 4))
         assert mr.u_ref.fine == (2, (4, 2), (4, 2), (4, 2))
 
+        # unit entries, a depth-0 tuple, an empty one; an entry with one
+        # piece stays an int, any other is a tuple
+        for t, u, t_fine, u_fine in (
+            ((1, 4), (2, 1, 2), (1, (2, 1, 2)), ((1, 2), 1, 2)),
+            ((4, 1), (2, 2, 3), ((2, 2), 1), (2, 2, (1, 3))),
+            (4, (2, 2), (2, 2), (2, 2)),
+            ((), (4,), (), (4,)),
+        ):
+            mr = mutual_refinement(t, u)
+            assert (mr.t_ref.fine, mr.u_ref.fine) == (t_fine, u_fine)
+        assert mutual_refinement((2, 3), (2,)) is None
+
     def test_failure_example(self):
         assert mutual_refinement((8, 8), (3, 8, 8)) is None
 
@@ -138,6 +158,10 @@ class TestMutualRefinement:
         for t, u in (((0, 4), (4,)), ((4,), (0, 4)), ((4, (2, -1)), (8,))):
             with pytest.raises(LayoutError, match="non-positive entry"):
                 mutual_refinement(t, u)
+
+    def test_entry_beyond_64_bits_refused(self):
+        with pytest.raises(ArithmeticOverflowError):
+            mutual_refinement((2**64,), (2**64,))
 
     def test_constructor_requires_flat_prefix(self):
         mr = mutual_refinement((6, 6), (12, 3, 6))

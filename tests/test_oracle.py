@@ -132,9 +132,14 @@ class TestCheckCompose:
         assert not check_compose(a, b, FlatLayout((4,), (1,)))
 
     def test_overflow(self):
-        a, b = FlatLayout((2,), (2**63,)), FlatLayout((2,), (1,))
+        # in-range operands whose evaluation overflows: b(a(2)) = c(2) = 2^63,
+        # and no earlier point differs
+        a, b = FlatLayout((3,), (1,)), FlatLayout((3,), (2**62,))
         with pytest.raises(ArithmeticOverflowError):
-            check_compose(a, b, FlatLayout((2,), (0,)))
+            check_compose(a, b, b)
+        # an entry beyond the range is refused where it enters
+        with pytest.raises(ArithmeticOverflowError):
+            FlatLayout((2,), (2**63,))
 
     def test_cap_counts_the_first_layout(self):
         a = FlatLayout((4096,), (1,))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from layoutkit import (
+    ArithmeticOverflowError,
     FlatLayout,
     LayoutError,
     NestMorphism,
@@ -43,6 +44,12 @@ class TestConstruction:
             TupleMorphism((2, 2), (2, 2), (1, 1))  # position hit twice
         with pytest.raises(LayoutError):
             TupleMorphism((2, 3), (2, 2), (1, 2))  # entry mismatch
+        with pytest.raises(LayoutError, match="non-positive domain entry"):
+            TupleMorphism((0,), (0,), (1,))
+        with pytest.raises(LayoutError, match="non-positive codomain entry"):
+            TupleMorphism((), (-2,), ())
+        with pytest.raises(ArithmeticOverflowError):
+            TupleMorphism((2**64,), (2**64,), (1,))
 
     def test_predicates(self):
         f = TupleMorphism((2, 2, 2), (2, 2, 2), (1, 2, 3))
@@ -151,6 +158,9 @@ class TestOperations:
     def test_coalesce_transcript(self):
         f = TupleMorphism((2, 2, 10, 10), (2, 2, 2, 10, 10), (1, 2, 4, 5))
         assert coalesce_m(f) == TupleMorphism((4, 100), (4, 2, 100), (1, 3))
+        # merged basepoint modes of size 2^124 are refused, not returned
+        with pytest.raises(ArithmeticOverflowError):
+            coalesce_m(TupleMorphism((2**62, 2**62), (), (0, 0)))
 
     def test_complement_transcript(self):
         f = TupleMorphism((2, 2), (2, 5, 2, 5), (1, 3))
