@@ -1,15 +1,18 @@
-"""Flat (depth-1) layouts and their operation suite.  The constructors
-validate: entries are range-checked where they enter, and products are
-checked where they are taken.  What the engine derives from valid values
-skips it (:func:`_unchecked`)."""
+"""Flat (depth-1) layouts and their operation suite.  One sorted walk over
+the modes (:func:`_standard_modes`) gives the standard representation, and
+tractability, the complement and its predicates all read it.  Entries are
+range-checked where they enter and products where they are taken; what the
+engine derives from valid values skips the checks (:func:`_unchecked`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError
 from .shapes import (
+    INT64_MAX,
     _check_entries,
     checked_add,
     checked_mul,
@@ -104,14 +107,12 @@ class FlatLayout:
 
     # -- sorting and coalescing --------------------------------------------
 
-    def sort_permutation(self) -> Tuple[int, ...]:
-        """Stable ordering of modes by (stride, shape) ascending."""
-        return tuple(
-            sorted(range(self.rank), key=lambda i: (self.stride[i], self.shape[i]))
-        )
-
     def sort(self) -> "FlatLayout":
-        return self.permute(self.sort_permutation())
+        """The modes ordered by (stride, shape)."""
+        modes = sorted(zip(self.stride, self.shape))
+        return _unchecked(
+            FlatLayout, tuple(s for _, s in modes), tuple(d for d, _ in modes)
+        )
 
     def is_coalesced(self) -> bool:
         if any(s == 1 for s in self.shape):
@@ -128,68 +129,54 @@ class FlatLayout:
 
     # -- predicates --------------------------------------------------------
 
-    def is_compact(self) -> bool:
-        """Whether the layout function is a bijection onto [0, cosize)."""
-        srt = self.squeeze().sort()
-        expect = 1
-        for s, d in zip(srt.shape, srt.stride):
-            if d != expect:
-                return False
-            expect = checked_mul(expect, s)
-        return True
-
     def is_tractable(self) -> bool:
-        srt = self.sort()
-        for i in range(srt.rank - 1):
-            d = srt.stride[i]
-            if d == 0:
-                continue
-            if srt.stride[i + 1] % (srt.shape[i] * d) != 0:
-                return False
-        return True
+        """Whether the layout has a standard representation.  Unit modes count
+        with their strides, so ``(4,1):(1,3)`` is not tractable though it
+        coalesces to ``4:1``: an open decision, ROADMAP.md item 5."""
+        return _standard_modes(self.shape, self.stride) is not None
 
-    def _complement_chain(self) -> Optional["FlatLayout"]:
-        """sort(squeeze(self)) if its strides satisfy the divisibility chain
-        (all positive and s_i*d_i | d_{i+1}), else None."""
-        srt = self.squeeze().sort()
-        for i, d in enumerate(srt.stride):
-            if d == 0:
-                return None
-            if i + 1 < srt.rank and srt.stride[i + 1] % (srt.shape[i] * d) != 0:
-                return None
-        return srt
+    def _injective_walk(self) -> Optional[Tuple[tuple, tuple]]:
+        """:func:`_standard_modes` of the non-unit modes, or None unless that
+        representation exists and is injective: the complementable case."""
+        squeezed = self.squeeze()
+        walk = _standard_modes(squeezed.shape, squeezed.stride)
+        return None if walk is None or 0 in walk[1] else walk
+
+    def is_compact(self) -> bool:
+        """Whether the layout function is a bijection onto [0, cosize): the
+        layout is complementable and its representation misses no entry."""
+        walk = self._injective_walk()
+        return walk is not None and len(walk[0]) == len(walk[1])
 
     def is_complementable(self) -> bool:
-        return self._complement_chain() is not None
+        return self._injective_walk() is not None
 
     def is_n_complementable(self, n: int) -> bool:
-        srt = self._complement_chain()
-        if srt is None:
-            return False
-        last = srt.shape[-1] * srt.stride[-1] if srt.rank else 1
-        return n >= 1 and n % last == 0
+        walk = self._injective_walk()
+        return walk is not None and 1 <= n <= INT64_MAX and n % prod(walk[0]) == 0
 
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
         """The coalesced sorted layout B with self ⋆ B compact (of total size
-        ``n`` when given)."""
-        srt = self._complement_chain()
-        if srt is None:
+        ``n`` when given): the codomain entries that the standard
+        representation of the non-unit modes misses, each at the product of
+        the entries before it, then ``n`` over the product of them all."""
+        walk = self._injective_walk()
+        if walk is None:
             raise NotComplementableError(f"{self} is not complementable")
-        shape: list = []
-        stride: list = []
-        prev = 1
-        for s, d in zip(srt.shape, srt.stride):
-            shape.append(d // prev)
-            stride.append(prev)
-            prev = checked_mul(s, d)
+        entries, amap = walk
+        pre = prefix_products(entries[:-1])  # the last entry is always hit: no gap
+        missed = [j for j in range(len(entries)) if j + 1 not in amap]
+        shape = [entries[j] for j in missed]
+        stride = [pre[j] for j in missed]
         if n is not None:
-            if n < 1 or n % prev != 0:
+            total = checked_mul(entries[-1], pre[-1]) if entries else 1
+            if n < 1 or n % total != 0:
                 raise NotComplementableError(
-                    f"{self} is not {n}-complementable: {n} is not a positive multiple of {prev}"
+                    f"{self} is not {n}-complementable: {n} is not a positive multiple of {total}"
                 )
             _check_entries((n,), 1, "complement size", self)
-            shape.append(n // prev)
-            stride.append(prev)
+            shape.append(n // total)
+            stride.append(total)
         return _unchecked(FlatLayout, *_coalesce_modes(shape, stride))
 
     # -- misc --------------------------------------------------------------
@@ -209,6 +196,33 @@ def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple,
         else:
             modes.append((s, d))
     return tuple(s for s, _ in modes), tuple(d for _, d in modes)
+
+
+def _standard_modes(
+    shape: Sequence[int], stride: Sequence[int]
+) -> Optional[Tuple[tuple, tuple]]:
+    """Codomain entries and map of the standard representation of the flat
+    layout ``shape:stride``, or None when it is not tractable.  One pass in
+    (stride, shape, index) order: each nonzero stride must be a multiple of
+    s*d of the mode before, unit modes included; each non-unit mode adds its
+    stride's cofactor (unless 1) and its shape as entries; the rest map to
+    the basepoint.  Its products are not returned, so they are not checked."""
+    entries: list = []
+    amap = [0] * len(shape)
+    chain = prev = 1
+    for d, s, i in sorted(zip(stride, shape, range(len(shape)))):
+        if d == 0:
+            continue
+        if d % chain != 0:
+            return None
+        chain = s * d
+        if s != 1:
+            if d != prev:
+                entries.append(d // prev)
+            entries.append(s)
+            amap[i] = len(entries)
+            prev = chain
+    return tuple(entries), tuple(amap)
 
 
 def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:

@@ -104,13 +104,12 @@ class Layout:
         return self.flat().is_n_complementable(n)
 
     def is_coalesced(self) -> bool:
-        """1:0, a depth-0 layout with shape > 1, or a depth-1 layout of rank
-        > 1 whose flat form admits no merging."""
-        if self.depth() == 0:
+        """Whether :meth:`coalesce` leaves the layout unchanged: 1:0, a depth-0
+        layout with shape > 1, or a flat tuple of rank > 1 that admits no merging."""
+        if isinstance(self.shape, int):
             return (self.shape, self.stride) == (1, 0) or self.shape > 1
-        return (
-            self.depth() == 1 and self.rank() > 1 and self.flat().is_coalesced()
-        )
+        flat = self.flat()  # equal to the shape only for a tuple of integers
+        return flat.shape == self.shape and flat.rank > 1 and flat.is_coalesced()
 
     # -- coalescing --------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import LayoutError, NotTractableError
-from .flat import FlatLayout, _unchecked
+from .flat import FlatLayout, _standard_modes, _unchecked
 from .shapes import (
     Nested,
     _check_entries,
@@ -127,31 +127,13 @@ def realize(f: TupleMorphism) -> List[int]:
 
 
 def standard_representation(layout: FlatLayout) -> TupleMorphism:
-    """The canonical morphism encoding a tractable flat layout.
-
-    Unit-shape modes are treated as stride 0 (sent to the basepoint), so the
-    result is always non-degenerate and of standard form.
-    """
-    if not layout.is_tractable():
+    """The canonical morphism encoding a tractable flat layout; a layout is
+    tractable exactly when it has one.  Unit-shape modes go to the basepoint,
+    so the result is always non-degenerate and of standard form."""
+    walk = _standard_modes(layout.shape, layout.stride)
+    if walk is None:
         raise NotTractableError(f"{layout} is not tractable")
-    shape = layout.shape
-    stride = tuple(0 if s == 1 else d for s, d in zip(shape, layout.stride))
-
-    # walk the modes by (stride, shape), ties by index: basepoint modes
-    # first, then each mode's codomain entry after its cofactor unless that is 1
-    entries: List[int] = []
-    amap = [0] * len(shape)
-    prev = 1
-    for d, s, i in sorted(zip(stride, shape, range(len(shape)))):
-        if d == 0:
-            continue
-        cof = d // prev
-        if cof != 1:
-            entries.append(cof)
-        entries.append(s)
-        amap[i] = len(entries)
-        prev = s * d
-    return _unchecked(TupleMorphism, shape, tuple(entries), tuple(amap))
+    return _unchecked(TupleMorphism, layout.shape, *walk)
 
 
 # -- operation suite -------------------------------------------------------

@@ -134,3 +134,20 @@ def test_validating_constructors_run_only_at_the_boundary():
                     if getattr(func, "id", getattr(func, "attr", None)) in validating:
                         callers.add(name)
     assert callers == boundary
+
+
+def test_every_public_method_of_an_export_is_named_in_a_test():
+    # methods and properties of exported classes, as ``.name`` in a test
+    tests = Path(__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(tests.glob("test_*.py")))
+    methods = (property, staticmethod, classmethod)
+    untested = [
+        f"{cls_name}.{name}"
+        for cls_name, cls in vars(layoutkit).items()
+        if not cls_name.startswith("_") and inspect.isclass(cls)
+        for name, obj in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or isinstance(obj, methods))
+        and not re.search(rf"\.{name}\b", text)
+    ]
+    assert untested == []
