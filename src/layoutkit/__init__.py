@@ -31,7 +31,6 @@ from .shapes import (
     relative_modes,
     size,
     substitute,
-    unflatten,
 )
 from .flat import FlatLayout, column_major, concat_flat
 from .tuplecat import (

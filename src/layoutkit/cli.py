@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import LayoutError, NotationError
 from .layout import Layout, layout_of_nested, standard_representation_nested
@@ -24,65 +24,96 @@ from .nestcat import (
     mutual_refinement,
     nest_morphism,
 )
-from .notation import (
-    _int,
-    format_layout,
-    format_morphism,
-    format_nested,
-    nested_to_json,
-    parse_layout,
-    parse_morphism,
-    parse_nested,
-)
+from .notation import _int, format_nested, parse_layout, parse_morphism, parse_nested
 from .oracle import check_complement, check_compose, table_of
 
 
-def _is_morphism_text(text: str) -> bool:
-    return "--(" in text
+class _Verb(NamedTuple):
+    help: Optional[str]  # None for a check target, which is no subparser
+    operands: Optional[str]  # what it takes; None for check: see its target
+    low: int = 1  # the fewest and the most operands without --map
+    high: int = 1
+    map: bool = False  # also takes a morphism as two tuples plus --map
 
 
-def _emit_layout(l: Layout, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "shape": nested_to_json(l.shape),
-                    "stride": nested_to_json(l.stride),
-                }
-            )
-        )
-    else:
-        print(format_layout(l))
+#: every verb, in the order ``--help`` lists them, then every check target
+_VERBS = {
+    "coalesce": _Verb(
+        "coalesce a layout or a morphism", "a layout or a morphism", map=True
+    ),
+    "coalesce-rel": _Verb(
+        "coalesce a layout relative to a shape", "a layout and a shape", 2, 2
+    ),
+    "complement": _Verb(
+        "complement of a layout (optionally sized) or morphism",
+        "a layout and an optional size, or a morphism", 1, 2, map=True,
+    ),
+    "compose": _Verb(
+        "compose: second argument applied after the first",
+        "two layouts or two morphisms", 2, 2,
+    ),
+    "divide": _Verb(
+        "logical division of the first argument by the second",
+        "two layouts or two morphisms", 2, 2,
+    ),
+    "product": _Verb(
+        "logical product of the two arguments", "two layouts or two morphisms", 2, 2
+    ),
+    "tractable": _Verb("whether a layout is tractable", "one layout"),
+    "morphism": _Verb("standard representation of a tractable layout", "one layout"),
+    "layout-of": _Verb("the layout encoded by a morphism", "a morphism", map=True),
+    "mutual-refine": _Verb("mutual refinement of two nested tuples", "two tuples", 2, 2),
+    "render": _Verb("grid of layout function values", "one layout"),
+    "eval": _Verb("evaluate a layout at a linear index", "a layout and an index", 2, 2),
+    "check": _Verb("re-verify an engine result against the oracle", None),
+    "check compose": _Verb(None, "two layouts", 2, 2),
+    "check complement": _Verb(None, "a layout and an optional size", 1, 2),
+    "check coalesce": _Verb(None, "one layout"),
+}
+
+#: the layout operation and the morphism operation of each algebra verb;
+#: arrow text or ``--map`` selects the morphism side
+_ALGEBRA = {
+    "coalesce": (Layout.coalesce, coalesce_nm),
+    "complement": (Layout.complement, complement_nm),
+    "compose": (Layout.compose, compose_nest),
+    "divide": (Layout.logical_divide, logical_divide_m),
+    "product": (Layout.logical_product, logical_product_m),
+}
 
 
-def _emit_morphism(f: NestMorphism, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "domain": nested_to_json(f.domain),
-                    "codomain": nested_to_json(f.codomain),
-                    "map": list(f.fmap.amap),
-                }
-            )
-        )
-    else:
-        print(format_morphism(f))
+def _emit(as_json: bool, result: object, **fields: object) -> None:
+    """Print a result as text, or under ``--json`` as one JSON object: a
+    layout's shape and stride, a morphism's domain, codomain and map, or else
+    the given fields.  ``json`` writes tuples as lists."""
+    if not as_json:
+        print(result)
+        return
+    if isinstance(result, Layout):
+        fields = {"shape": result.shape, "stride": result.stride}
+    elif isinstance(result, NestMorphism):
+        fields = {
+            "domain": result.domain,
+            "codomain": result.codomain,
+            "map": result.fmap.amap,
+        }
+    print(json.dumps(fields))
 
 
-def _morphism_arg(args: argparse.Namespace) -> NestMorphism:
-    """A single morphism argument: either arrow text, or two tuples plus
+def _morphisms(
+    verb: str, operands: Sequence[str], amap: Optional[str]
+) -> List[NestMorphism]:
+    """The morphism operands: each in arrow text, or one as two tuples plus
     ``--map``."""
-    if args.map is not None:
-        if len(args.args) != 2:
+    if amap is not None:
+        if len(operands) != 2:
             raise NotationError("--map needs exactly two tuple arguments")
-        amap = tuple(_int(tok) for tok in args.map.split(",")) if args.map else ()
-        return nest_morphism(
-            parse_nested(args.args[0]), parse_nested(args.args[1]), amap
-        )
-    if len(args.args) != 1:
+        entries = tuple(_int(tok) for tok in amap.split(",")) if amap else ()
+        domain, codomain = parse_nested(operands[0]), parse_nested(operands[1])
+        return [nest_morphism(domain, codomain, entries)]
+    if verb == "complement" and len(operands) > 1:  # a morphism takes no size
         raise NotationError("expected exactly one morphism argument")
-    return parse_morphism(args.args[0])
+    return [parse_morphism(text) for text in operands]
 
 
 def _render_grid(l: Layout, flatten_to: Optional[int]) -> List[List[int]]:
@@ -120,163 +151,81 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def verb(name: str, nargs: str = "+", **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("args", nargs=nargs)
-        return p
-
-    verb("coalesce", help="coalesce a layout or a morphism").add_argument(
-        "--map", default=None
-    )
-    verb("coalesce-rel", help="coalesce a layout relative to a shape")
-    verb("complement", help="complement of a layout (optionally sized) or morphism").add_argument(
-        "--map", default=None
-    )
-    verb("compose", help="compose: second argument applied after the first")
-    verb("divide", help="logical division of the first argument by the second")
-    verb("product", help="logical product of the two arguments")
-    verb("tractable", help="whether a layout is tractable")
-    verb("morphism", help="standard representation of a tractable layout")
-    verb("layout-of", help="the layout encoded by a morphism").add_argument(
-        "--map", default=None
-    )
-    verb("mutual-refine", help="mutual refinement of two nested tuples")
-    p = verb("render", help="grid of layout function values")
-    p.add_argument("--flatten-to", type=int, choices=(1, 2), default=None)
-    p.add_argument("--tikz", action="store_true")
-    verb("eval", help="evaluate a layout at a linear index")
-    verb("check", help="re-verify an engine result against the oracle")
+    for name, row in _VERBS.items():
+        if row.help is None:
+            continue
+        p = sub.add_parser(name, help=row.help)
+        p.add_argument("args", nargs="+")
+        if row.map:
+            p.add_argument("--map", default=None)
+        if name == "render":
+            p.add_argument("--flatten-to", type=int, choices=(1, 2), default=None)
+            p.add_argument("--tikz", action="store_true")
     return parser
 
 
-#: the operands each verb (without ``--map``) and each ``check`` target
-#: takes: (fewest, most, description)
-_ARITY = {
-    "coalesce": (1, 1, "a layout or a morphism"),
-    "coalesce-rel": (2, 2, "a layout and a shape"),
-    "complement": (1, 2, "a layout and an optional size, or a morphism"),
-    "compose": (2, 2, "two layouts or two morphisms"),
-    "divide": (2, 2, "two layouts or two morphisms"),
-    "product": (2, 2, "two layouts or two morphisms"),
-    "tractable": (1, 1, "one layout"),
-    "morphism": (1, 1, "one layout"),
-    "layout-of": (1, 1, "a morphism"),
-    "mutual-refine": (2, 2, "two tuples"),
-    "render": (1, 1, "one layout"),
-    "eval": (2, 2, "a layout and an index"),
-    "check compose": (2, 2, "two layouts"),
-    "check complement": (1, 2, "a layout and an optional size"),
-    "check coalesce": (1, 1, "one layout"),
-}
-
-
-def _check_arity(name: str, operands: Sequence[str]) -> None:
-    low, high, wanted = _ARITY[name]
-    if not low <= len(operands) <= high:
-        raise NotationError(f"{name} takes {wanted}, got {len(operands)}")
-
-
-#: the layout operation and the morphism operation of each two-operand verb
-_BINARY = {
-    "compose": (Layout.compose, compose_nest),
-    "divide": (Layout.logical_divide, logical_divide_m),
-    "product": (Layout.logical_product, logical_product_m),
-}
-
-
 def _run(args: argparse.Namespace) -> int:
-    verb = args.verb
-    as_json = args.json
-    if verb in _ARITY and getattr(args, "map", None) is None:
-        _check_arity(verb, args.args)
+    verb, name, operands = args.verb, args.verb, args.args
+    as_json, amap = args.json, getattr(args, "map", None)
+    if verb == "check":
+        name, operands = f"check {operands[0]}", operands[1:]
+        if name not in _VERBS:
+            raise NotationError(f"unknown check target {args.args[0]!r}")
+    row = _VERBS[name]
+    if amap is None and not row.low <= len(operands) <= row.high:
+        raise NotationError(f"{name} takes {row.operands}, got {len(operands)}")
 
-    if verb == "coalesce":
-        if getattr(args, "map", None) is not None or _is_morphism_text(args.args[0]):
-            _emit_morphism(coalesce_nm(_morphism_arg(args)), as_json)
+    if verb in _ALGEBRA:
+        on_layouts, on_morphisms = _ALGEBRA[verb]
+        if amap is not None or "--(" in operands[0]:
+            _emit(as_json, on_morphisms(*_morphisms(verb, operands, amap)))
+        elif verb == "complement":  # the second operand is an optional size
+            n = _int(operands[1]) if len(operands) > 1 else None
+            _emit(as_json, on_layouts(parse_layout(operands[0]), n))
         else:
-            _emit_layout(parse_layout(args.args[0]).coalesce(), as_json)
+            _emit(as_json, on_layouts(*[parse_layout(text) for text in operands]))
     elif verb == "coalesce-rel":
-        text, shape_text = args.args
-        _emit_layout(
-            parse_layout(text).coalesce_relative(parse_nested(shape_text)), as_json
-        )
-    elif verb == "complement":
-        if getattr(args, "map", None) is not None or _is_morphism_text(args.args[0]):
-            _emit_morphism(complement_nm(_morphism_arg(args)), as_json)
-        else:
-            n = _int(args.args[1]) if len(args.args) > 1 else None
-            _emit_layout(parse_layout(args.args[0]).complement(n), as_json)
-    elif verb in _BINARY:
-        a_text, b_text = args.args
-        on_layouts, on_morphisms = _BINARY[verb]
-        if _is_morphism_text(a_text):
-            f, g = parse_morphism(a_text), parse_morphism(b_text)
-            _emit_morphism(on_morphisms(f, g), as_json)
-        else:
-            _emit_layout(on_layouts(parse_layout(a_text), parse_layout(b_text)), as_json)
+        a = parse_layout(operands[0])
+        _emit(as_json, a.coalesce_relative(parse_nested(operands[1])))
     elif verb == "tractable":
-        result = parse_layout(args.args[0]).is_tractable()
-        print(json.dumps({"tractable": result}) if as_json else str(result).lower())
+        result = parse_layout(operands[0]).is_tractable()
+        _emit(as_json, str(result).lower(), tractable=result)
     elif verb == "morphism":
-        _emit_morphism(standard_representation_nested(parse_layout(args.args[0])), as_json)
+        _emit(as_json, standard_representation_nested(parse_layout(operands[0])))
     elif verb == "layout-of":
-        _emit_layout(layout_of_nested(_morphism_arg(args)), as_json)
+        _emit(as_json, layout_of_nested(*_morphisms(verb, operands, amap)))
     elif verb == "mutual-refine":
-        t_text, u_text = args.args
-        mr = mutual_refinement(parse_nested(t_text), parse_nested(u_text))
+        mr = mutual_refinement(parse_nested(operands[0]), parse_nested(operands[1]))
         if mr is None:
             print("not-composable: no mutual refinement", file=sys.stderr)
             return 1
-        if as_json:
-            print(
-                json.dumps(
-                    {
-                        "first": nested_to_json(mr.t_ref.fine),
-                        "second": nested_to_json(mr.u_ref.fine),
-                    }
-                )
-            )
-        else:
-            print(format_nested(mr.t_ref.fine))
-            print(format_nested(mr.u_ref.fine))
+        first, second = mr.t_ref.fine, mr.u_ref.fine
+        text = format_nested(first) + "\n" + format_nested(second)
+        _emit(as_json, text, first=first, second=second)
     elif verb == "render":
-        cells = _render_grid(parse_layout(args.args[0]), args.flatten_to)
-        if as_json:
-            print(
-                json.dumps(
-                    {"rows": len(cells), "cols": len(cells[0]), "cells": cells}
-                )
-            )
-        else:
-            print(_format_grid(cells, args.tikz))
+        cells = _render_grid(parse_layout(operands[0]), args.flatten_to)
+        text = None if as_json else _format_grid(cells, args.tikz)
+        _emit(as_json, text, rows=len(cells), cols=len(cells[0]), cells=cells)
     elif verb == "eval":
-        text, x_text = args.args
-        value = parse_layout(text)(_int(x_text))
-        print(json.dumps({"value": value}) if as_json else str(value))
+        value = parse_layout(operands[0])(_int(operands[1]))
+        _emit(as_json, value, value=value)
     elif verb == "check":
-        ok = _check(args.args)
-        if as_json:
-            print(json.dumps({"ok": ok}))
-        elif ok:
-            print("ok")
+        ok = _check(name, operands)
+        if ok or as_json:
+            _emit(as_json, "ok", ok=ok)
         if not ok:
             print("check-failed: oracle disagrees with the engine", file=sys.stderr)
             return 1
     return 0
 
 
-def _check(argv: Sequence[str]) -> bool:
-    what, rest = argv[0], argv[1:]
-    if f"check {what}" not in _ARITY:
-        raise NotationError(f"unknown check target {what!r}")
-    _check_arity(f"check {what}", rest)
-    if what == "compose":
-        return check_compose(parse_layout(rest[0]), parse_layout(rest[1]))
-    if what == "complement":
-        n = _int(rest[1]) if len(rest) > 1 else None
-        return check_complement(parse_layout(rest[0]), n=n)
-    a = parse_layout(rest[0])
+def _check(name: str, operands: Sequence[str]) -> bool:
+    if name == "check compose":
+        return check_compose(parse_layout(operands[0]), parse_layout(operands[1]))
+    if name == "check complement":
+        n = _int(operands[1]) if len(operands) > 1 else None
+        return check_complement(parse_layout(operands[0]), n=n)
+    a = parse_layout(operands[0])
     return table_of(a.coalesce()) == table_of(a)
 
 

@@ -35,7 +35,6 @@ from .shapes import (
     relative_modes,
     size,
     substitute,
-    unflatten,
 )
 from .tuplecat import layout_of, standard_representation
 
@@ -171,13 +170,13 @@ def substitute_profile(layout: Layout, prof) -> Layout:
     """Re-nest the entries of ``layout`` under a new profile of the same
     length."""
     flat = layout.flat()
-    return Layout(unflatten(flat.shape, prof), unflatten(flat.stride, prof))
+    return Layout(substitute(flat.shape, prof), substitute(flat.stride, prof))
 
 
 def column_major_layout(shape: Nested) -> Layout:
     """The compact layout with the given shape, first entry fastest."""
     entries = flatten(shape)
-    return Layout(shape, unflatten(prefix_products(entries)[:-1], profile(shape)))
+    return Layout(shape, substitute(prefix_products(entries)[:-1], profile(shape)))
 
 
 # -- conversion to and from nest morphisms ----------------------------------
@@ -186,7 +185,7 @@ def column_major_layout(shape: Nested) -> Layout:
 def layout_of_nested(f: NestMorphism) -> Layout:
     """The layout encoded by ``f``, nested like its domain."""
     flat = layout_of(f.fmap)
-    return _unchecked(Layout, f.domain, unflatten(flat.stride, profile(f.domain)))
+    return _unchecked(Layout, f.domain, substitute(flat.stride, profile(f.domain)))
 
 
 def standard_representation_nested(layout: Layout) -> NestMorphism:

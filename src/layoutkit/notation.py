@@ -121,12 +121,3 @@ def parse_morphism(text: str) -> NestMorphism:
     codomain = sc.nested()
     sc.done()
     return nest_morphism(domain, codomain, amap)
-
-
-def nested_to_json(x: Nested):
-    if isinstance(x, int):
-        return x
-    out = []
-    for c in x:
-        out.append(nested_to_json(c))
-    return out

@@ -113,11 +113,6 @@ def format_nested(x: Nested) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def unflatten(entries: Sequence[int], prof: Profile) -> Nested:
-    """Rebuild the nested tuple with the given entries and profile."""
-    return substitute(entries, prof)
-
-
 def profile_length(p: Profile) -> int:
     if p == STAR:
         return 1

@@ -106,8 +106,9 @@ def compose_morphisms(f: TupleMorphism, g: TupleMorphism) -> TupleMorphism:
 def layout_of(f: TupleMorphism) -> FlatLayout:
     """The flat layout encoded by ``f``.  It is valid by construction: the
     domain entries are the morphism's, in 1..2^63-1, and the strides are
-    prefix products of its codomain, checked where they are taken."""
-    pre = prefix_products(f.codomain)
+    prefix products of its codomain, checked where they are taken.  The
+    product of the whole codomain is no stride, so it is not taken."""
+    pre = prefix_products(f.codomain[:-1])
     stride = tuple(0 if a == 0 else pre[a - 1] for a in f.amap)
     return _unchecked(FlatLayout, f.domain, stride)
 

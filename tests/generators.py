@@ -18,7 +18,7 @@ from layoutkit import (
     Nested,
     TupleMorphism,
     profile,
-    unflatten,
+    substitute,
 )
 
 SMALL_SHAPES = [2, 2, 2, 3, 3, 4, 5, 6, 8]
@@ -96,7 +96,7 @@ def random_layout(rng: random.Random, **kwargs) -> Layout:
     if flat.rank == 0:
         return Layout(1, 0)
     shape = random_tree(rng, flat.shape)
-    return Layout(shape, unflatten(flat.stride, profile(shape)))
+    return Layout(shape, substitute(flat.stride, profile(shape)))
 
 
 def random_standard_morphism(

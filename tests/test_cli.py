@@ -78,6 +78,29 @@ class TestMorphismVerbs:
         )
         assert (code, out) == (0, "((5,5),8):((1,40),5)")
 
+    def test_layout_of_at_the_64_bit_edge(self, capsys):
+        # every stride is in range, though the codomain's size is 2^64
+        code, out, _ = run(
+            capsys, "layout-of", "(4611686018427387904)--(2)-->(4,4611686018427387904)"
+        )
+        assert (code, out) == (0, "(4611686018427387904):(4)")
+
+    def test_coalesce_with_map_flag(self, capsys):
+        code, out, _ = run(
+            capsys, "coalesce", "(2,2,10,10)", "(2,2,2,10,10)", "--map", "1,2,4,5"
+        )
+        assert (code, out) == (0, "(4,100)--(1,3)-->(4,2,100)")
+
+    def test_complement_with_map_flag(self, capsys):
+        code, out, _ = run(capsys, "complement", "(2,2)", "(2,5,2,5)", "--map", "1,3")
+        assert (code, out) == (0, "(5,5)--(2,4)-->(2,5,2,5)")
+
+    def test_map_flag_only_on_coalesce_complement_layout_of(self, capsys):
+        code, out, err = run(capsys, "compose", "--map", "1", "(2)", "(2)")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: layoutkit")
+        assert err.endswith("error: unrecognized arguments: --map")
+
     def test_compose_morphisms(self, capsys):
         code, out, _ = run(
             capsys,
@@ -179,6 +202,109 @@ class TestRender:
         assert "grid" in out
 
 
+#: the exact stdout of ``--json`` for every verb that emits JSON, on layouts
+#: and on morphisms; compared as bytes, not as parsed JSON
+_JSON_TRANSCRIPTS = {
+    "coalesce-layout": (
+        ("coalesce", "((2,2),(2,2),(5,5)):((1,2),(16,32),(64,640))"),
+        '{"shape": [4, 20, 5], "stride": [1, 16, 640]}',
+    ),
+    "coalesce-morphism": (
+        ("coalesce", "(2,2,10,10)--(1,2,4,5)-->(2,2,2,10,10)"),
+        '{"domain": [4, 100], "codomain": [4, 2, 100], "map": [1, 3]}',
+    ),
+    "coalesce-depth-0": (
+        ("coalesce", "4:1"),
+        '{"shape": 4, "stride": 1}',
+    ),
+    "complement-layout": (
+        ("complement", "((2,2),(2,2)):((8,2),(64,256))", "4096"),
+        '{"shape": [2, 2, 4, 2, 8], "stride": [1, 4, 16, 128, 512]}',
+    ),
+    "complement-morphism": (
+        ("complement", "(2,2)--(1,3)-->(2,5,2,5)"),
+        '{"domain": [5, 5], "codomain": [2, 5, 2, 5], "map": [2, 4]}',
+    ),
+    "complement-empty-morphism": (
+        ("complement", "()--()-->()"),
+        '{"domain": [], "codomain": [], "map": []}',
+    ),
+    "compose-layouts": (
+        ("compose", "((4,4),4):((16,1),4)", "(8,64):(64,1)"),
+        '{"shape": [[4, 4], [2, 2]], "stride": [[2, 64], [256, 1]]}',
+    ),
+    "compose-morphisms": (
+        (
+            "compose",
+            "((2,2),(2,2))--(3,2,6,5)-->((2,2,2),(2,2,2))",
+            "((2,2,2),(2,2,2))--(1,0,2,0,3,4)-->(2,2,2,2)",
+        ),
+        '{"domain": [[2, 2], [2, 2]], "codomain": [2, 2, 2, 2], "map": [2, 0, 4, 3]}',
+    ),
+    "divide-layouts": (
+        ("divide", "(64,32):(32,1)", "(4,4):(1,64)"),
+        '{"shape": [[4, 4], [16, 8]], "stride": [[32, 1], [128, 4]]}',
+    ),
+    "divide-morphisms": (
+        ("divide", "(4,8,4,8)--(1,2,3,4)-->(4,8,4,8)", "(4,4)--(1,3)-->(4,8,4,8)"),
+        '{"domain": [[4, 4], [8, 8]], "codomain": [4, 8, 4, 8], "map": [1, 3, 2, 4]}',
+    ),
+    "product-layouts": (
+        ("product", "(3,10,10):(200,1,20)", "(2,2):(1,2)"),
+        '{"shape": [[3, 10, 10], [2, 2]], "stride": [[200, 1, 20], [10, 600]]}',
+    ),
+    "product-morphisms": (
+        ("product", "(2,2)--(1,2)-->(2,2,5,5)", "(5,5)--(2,1)-->(5,5)"),
+        '{"domain": [[2, 2], [5, 5]], "codomain": [2, 2, 5, 5], "map": [1, 2, 4, 3]}',
+    ),
+    "coalesce-rel": (
+        ("coalesce-rel", "((2,2),(3,3),(5,5)):((1,2),(4,12),(36,180))", "((2,2),9,25)"),
+        '{"shape": [[2, 2], 9, 25], "stride": [[1, 2], 4, 36]}',
+    ),
+    "tractable": (
+        ("tractable", "(2,2,2):(1,2,4)"),
+        '{"tractable": true}',
+    ),
+    "morphism": (
+        ("morphism", "(2,2,2):(1,2,4)"),
+        '{"domain": [2, 2, 2], "codomain": [2, 2, 2], "map": [1, 2, 3]}',
+    ),
+    "mutual-refine": (
+        ("mutual-refine", "(6,6)", "(12,3,6)"),
+        '{"first": [6, [2, 3]], "second": [[6, 2], 3, 6]}',
+    ),
+    "render": (
+        ("render", "(3,5):(2,10)"),
+        '{"rows": 3, "cols": 5, '
+        '"cells": [[0, 10, 20, 30, 40], [2, 12, 22, 32, 42], [4, 14, 24, 34, 44]]}',
+    ),
+    "eval": (
+        ("eval", "(2,3):(1,5)", "3"),
+        '{"value": 6}',
+    ),
+    "check": (
+        ("check", "compose", "((4,4),4):((16,1),4)", "(8,64):(64,1)"),
+        '{"ok": true}',
+    ),
+    "layout-of-arrow": (
+        ("layout-of", "((5,5),8)--(1,3,2)-->(5,8,5)"),
+        '{"shape": [[5, 5], 8], "stride": [[1, 40], 5]}',
+    ),
+    "layout-of-map": (
+        ("layout-of", "((5,5),8)", "(5,8,5)", "--map", "1,3,2"),
+        '{"shape": [[5, 5], 8], "stride": [[1, 40], 5]}',
+    ),
+    "coalesce-map": (
+        ("coalesce", "(2,2,10,10)", "(2,2,2,10,10)", "--map", "1,2,4,5"),
+        '{"domain": [4, 100], "codomain": [4, 2, 100], "map": [1, 3]}',
+    ),
+    "complement-map": (
+        ("complement", "(2,2)", "(2,5,2,5)", "--map", "1,3"),
+        '{"domain": [5, 5], "codomain": [2, 5, 2, 5], "map": [2, 4]}',
+    ),
+}
+
+
 class TestJson:
     def test_layout(self, capsys):
         code, out, _ = run(
@@ -205,6 +331,22 @@ class TestJson:
     def test_render(self, capsys):
         code, out, _ = run(capsys, "--json", "render", "(2,2):(1,2)")
         assert json.loads(out) == {"rows": 2, "cols": 2, "cells": [[0, 2], [1, 3]]}
+
+    @pytest.mark.parametrize(
+        "argv, stdout", _JSON_TRANSCRIPTS.values(), ids=_JSON_TRANSCRIPTS.keys()
+    )
+    def test_transcript_byte_exact(self, capsys, argv, stdout):
+        assert main(["--json", *argv]) == 0
+        assert capsys.readouterr() == (stdout + "\n", "")
+
+    def test_deep_compose(self, capsys):
+        deep = "(" * 900 + "{}" + ")" * 900
+        layout = deep.format(4) + ":" + deep.format(1)
+        assert main(["--json", "compose", layout, "4:1"]) == 0
+        wanted = '{"shape": ' + deep.format(4) + ', "stride": ' + deep.format(1) + "}\n"
+        wanted = wanted.replace("(", "[").replace(")", "]")
+        assert capsys.readouterr() == (wanted, "")
+        assert len(wanted) == 3626
 
 
 class TestCheckAndExitCodes:
@@ -258,8 +400,10 @@ class TestCheckAndExitCodes:
             ("complement", "8:1", "1e3"),
             ("layout-of", "(2)", "(2)", "--map", "1,x"),
             ("coalesce", "1" * 5000 + ":1"),
+            # the size is read before the layout, whose zero entry is exit 1
+            ("complement", "(0):(1)", "x"),
         ],
-        ids=["superscript-digit", "size", "map", "too-many-digits"],
+        ids=["superscript-digit", "size", "map", "too-many-digits", "size-first"],
     )
     def test_malformed_integer_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -278,6 +422,7 @@ class TestCheckAndExitCodes:
                 "complement takes a layout and an optional size, or a morphism, got 3",
             ),
             (("mutual-refine", "(4)", "(4)", "(4)"), "mutual-refine takes two tuples, got 3"),
+            (("complement", "(2)--(1)-->(2)", "8"), "expected exactly one morphism argument"),
         ],
     )
     def test_wrong_arity_exit_2(self, capsys, argv, wanted):

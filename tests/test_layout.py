@@ -160,6 +160,13 @@ class TestCompose:
         with pytest.raises(NotComposableError):
             Layout(64, 1).compose(Layout((3, 3), (3, 1)))
 
+    def test_composite_in_range_at_the_64_bit_edge(self):
+        # the morphisms composed have codomains of size 2^64; no stride is
+        # that large
+        a, b = Layout(4, 1), Layout(2**62, 4)
+        assert a.compose(b) == Layout(4, 4)
+        assert check_compose(a, b)
+
     @given(tractable_layouts(), tractable_layouts())
     @settings(deadline=None)
     def test_oracle(self, a, b):

@@ -15,8 +15,8 @@ from layoutkit import (
     LayoutError,
     NotTractableError,
     profile,
+    substitute,
     standard_representation,
-    unflatten,
 )
 
 from generators import random_tractable_flat, random_tree
@@ -51,7 +51,7 @@ def _corpus(seed, count):
         flat = FlatLayout(tuple(shape), tuple(stride))
         yield flat
         tree = random_tree(rng, flat.shape) if flat.rank else ()
-        yield Layout(tree, unflatten(flat.stride, profile(tree)))
+        yield Layout(tree, substitute(flat.stride, profile(tree)))
 
 
 def _sizes(flat):

@@ -21,7 +21,6 @@ from layoutkit import (
     relative_modes,
     size,
     substitute,
-    unflatten,
 )
 from layoutkit.shapes import checked_add, checked_mul
 
@@ -60,12 +59,14 @@ class TestBasics:
         assert size(((2, 2), (5, 5))) == 100
 
     def test_unflatten(self):
+        # Rebuilding a nested tuple from flat entries is substitute with
+        # integer parts.
         prof = (STAR, (STAR, STAR))
-        assert unflatten((64, 16, 4), prof) == (64, (16, 4))
+        assert substitute((64, 16, 4), prof) == (64, (16, 4))
         with pytest.raises(LayoutError):
-            unflatten((64, 16), prof)
+            substitute((64, 16), prof)
         with pytest.raises(LayoutError):
-            unflatten((64, 16, 4, 2), prof)
+            substitute((64, 16, 4, 2), prof)
 
     def test_substitute(self):
         assert substitute([64, (16, 4)], (STAR, STAR)) == (64, (16, 4))

@@ -74,6 +74,11 @@ class TestLayoutOf:
         f = TupleMorphism((4, 3), (3,), (0, 1))
         assert layout_of(f) == FlatLayout((4, 3), (0, 1))
 
+    def test_takes_no_product_of_the_whole_codomain(self):
+        # the strides are in range although the codomain's size is 2^64
+        l = FlatLayout((2**62,), (4,))
+        assert layout_of(standard_representation(l)) == l
+
 
 class TestStandardRepresentation:
     def test_examples(self):
