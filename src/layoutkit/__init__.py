@@ -32,12 +32,14 @@ from .shapes import (
     size,
     substitute,
 )
-from .flat import FlatLayout, column_major, concat_flat
 from .tuplecat import (
+    FlatLayout,
     TupleMorphism,
     coalesce_m,
+    column_major,
     complement_m,
     compose_morphisms,
+    concat_flat,
     concat_morphisms,
     identity,
     layout_of,
@@ -48,15 +50,20 @@ from .tuplecat import (
     sum_morphisms,
 )
 from .nestcat import (
+    Layout,
     MutualRefinement,
     NestMorphism,
     Refinement,
     coalesce_nm,
+    column_major_layout,
     complement_nm,
     compose_nest,
+    compose_tractable,
+    concat_layouts,
     concat_nm,
     divides,
     is_admissible_for_composition,
+    layout_of_nested,
     logical_divide_m,
     logical_product_m,
     make_composable,
@@ -64,13 +71,6 @@ from .nestcat import (
     nest_morphism,
     pullback,
     pushforward,
-)
-from .layout import (
-    Layout,
-    column_major_layout,
-    compose_tractable,
-    concat_layouts,
-    layout_of_nested,
     standard_representation_nested,
     substitute_profile,
 )

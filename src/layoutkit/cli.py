@@ -13,19 +13,21 @@ import sys
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import LayoutError, NotationError
-from .layout import Layout, layout_of_nested, standard_representation_nested
 from .nestcat import (
+    Layout,
     NestMorphism,
     coalesce_nm,
     complement_nm,
     compose_nest,
+    layout_of_nested,
     logical_divide_m,
     logical_product_m,
     mutual_refinement,
     nest_morphism,
+    standard_representation_nested,
 )
 from .notation import _int, format_nested, parse_layout, parse_morphism, parse_nested
-from .oracle import check_complement, check_compose, table_of
+from .oracle import check_complement, check_compose, functions_equal, table_of
 
 
 class _Verb(NamedTuple):
@@ -226,7 +228,7 @@ def _check(name: str, operands: Sequence[str]) -> bool:
         n = _int(operands[1]) if len(operands) > 1 else None
         return check_complement(parse_layout(operands[0]), n=n)
     a = parse_layout(operands[0])
-    return table_of(a.coalesce()) == table_of(a)
+    return functions_equal(a.coalesce(), a)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,15 +1,16 @@
-"""Nested tuple morphisms, mutual refinement, and layout composition.
+"""Nested layouts and nest morphisms: the two sides of the Nest category.
 
-A nested morphism is a tuple morphism between the flattenings of two nested
-tuples; the trees only record grouping.  Refining either side along a
-refinement of its tree induces a new morphism with the same realized
-function (pullback along a codomain refinement, pushforward along a domain
-refinement).  Composition of layouts is computed by refining the middle
+A :class:`Layout` pairs a nested shape tuple with a congruent nested stride
+tuple.  Its function is that of the flattened layout; the nesting groups
+the results of composition, division and product.  A nest morphism is a
+tuple morphism between the flattenings of two nested tuples.  Refining
+either side along a refinement of its tree induces a new morphism with the
+same realized function (pullback along a codomain refinement, pushforward
+along a domain refinement).  Composition of layouts refines the middle
 trees of two standard representations until one is a flat prefix of the
 other.  Entries are range-checked where they enter (the constructors,
-:func:`nest_morphism` and :func:`mutual_refinement`), and products are checked
-where they are taken; the morphisms and refinements the engine derives from
-valid ones skip validation.
+:func:`nest_morphism` and :func:`mutual_refinement`) and products where
+they are taken; what the engine derives from valid values skips validation.
 """
 
 from __future__ import annotations
@@ -17,27 +18,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import LayoutError, NotRefinementError
-from .flat import FlatLayout, _unchecked
+from .errors import LayoutError, NotComposableError, NotRefinementError
 from .shapes import (
     Nested,
     _check_entries,
     _relative_modes,
+    congruent,
     depth,
     flatten,
+    format_nested,
     length,
     profile,
+    rank,
     refines,
+    relative_modes,
+    size,
     substitute,
 )
 from .tuplecat import (
+    FlatLayout,
     TupleMorphism,
+    _coalesce_modes,
     _format_arrow,
+    _unchecked,
     coalesce_m,
     complement_m,
     compose_morphisms,
     concat_morphisms,
+    column_major,
+    layout_of,
     realize,
+    standard_representation,
 )
 
 
@@ -110,6 +121,11 @@ def _derived(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorph
 def compose_nest(f: NestMorphism, g: NestMorphism) -> NestMorphism:
     """g ∘ f (flattened codomain of f must equal flattened domain of g)."""
     return _unchecked(NestMorphism, f.domain, g.codomain, compose_morphisms(f.fmap, g.fmap))
+
+
+def _as_tree(entries: Sequence[int]) -> Nested:
+    """A single entry as a bare integer, any other number of them as a tuple."""
+    return entries[0] if len(entries) == 1 else tuple(entries)
 
 
 # -- refinement transport --------------------------------------------------
@@ -205,16 +221,13 @@ def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
             j += 1
     if i < len(x):
         return None
+    x_parts = [_as_tree(p) for p in x_pieces]
+    y_parts = [_as_tree(p) for p in y_pieces]
     return _unchecked(
         MutualRefinement,
-        _unchecked(Refinement, substitute(_as_parts(x_pieces), profile(t)), t),
-        _unchecked(Refinement, substitute(_as_parts(y_pieces), profile(u)), u),
+        _unchecked(Refinement, substitute(x_parts, profile(t)), t),
+        _unchecked(Refinement, substitute(y_parts, profile(u)), u),
     )
-
-
-def _as_parts(pieces: List[List[int]]) -> List[Nested]:
-    """One part per entry: its only piece, or the tuple of its pieces."""
-    return [p[0] if len(p) == 1 else tuple(p) for p in pieces]
 
 
 # -- composition -----------------------------------------------------------
@@ -284,10 +297,6 @@ def logical_product_m(f: NestMorphism, g: NestMorphism) -> NestMorphism:
     return concat_nm([f, compose_nest(g, complement_nm(f))])
 
 
-def _as_tree(entries: Tuple[int, ...]) -> Nested:
-    return entries[0] if len(entries) == 1 else entries
-
-
 # -- admissibility ---------------------------------------------------------
 
 
@@ -330,3 +339,180 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
         if lo2 <= hi1:
             return False
     return True
+
+
+# -- nested layouts --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Layout:
+    shape: Nested
+    stride: Nested
+
+    def __post_init__(self) -> None:
+        if not congruent(self.shape, self.stride):
+            raise LayoutError(
+                f"shape {self.shape} and stride {self.stride} are not congruent"
+            )
+        # range checks by the validating flat constructor, not by flat()
+        FlatLayout(flatten(self.shape), flatten(self.stride))
+
+    @staticmethod
+    def of_flat(flat: FlatLayout) -> "Layout":
+        """Wrap a flat layout: rank 0 becomes 1:0, rank 1 becomes depth 0."""
+        return _unchecked(Layout, *_unflat(flat.shape, flat.stride))
+
+    # -- attributes --------------------------------------------------------
+
+    def flat(self) -> FlatLayout:
+        return _unchecked(FlatLayout, flatten(self.shape), flatten(self.stride))
+
+    def length(self) -> int:
+        return length(self.shape)
+
+    def rank(self) -> int:
+        return rank(self.shape)
+
+    def depth(self) -> int:
+        return depth(self.shape)
+
+    def complexity(self) -> int:
+        return self.length() + self.depth()
+
+    def size(self) -> int:
+        return size(self.shape)
+
+    def cosize(self) -> int:
+        return self.flat().cosize()
+
+    # -- evaluation --------------------------------------------------------
+
+    def __call__(self, x: int) -> int:
+        return self.flat()(x)
+
+    def eval_coord(self, coord: Sequence[int]) -> int:
+        return self.flat().eval_coord(coord)
+
+    # -- predicates --------------------------------------------------------
+
+    def is_tractable(self) -> bool:
+        return self.flat().is_tractable()
+
+    def is_compact(self) -> bool:
+        return self.flat().is_compact()
+
+    def is_complementable(self) -> bool:
+        return self.flat().is_complementable()
+
+    def is_n_complementable(self, n: int) -> bool:
+        return self.flat().is_n_complementable(n)
+
+    def is_coalesced(self) -> bool:
+        """Whether :meth:`coalesce` leaves the layout unchanged: 1:0, a depth-0
+        layout with shape > 1, or a flat tuple of rank > 1 that admits no merging."""
+        if isinstance(self.shape, int):
+            return (self.shape, self.stride) == (1, 0) or self.shape > 1
+        flat = self.flat()  # equal to the shape only for a tuple of integers
+        return flat.shape == self.shape and flat.rank > 1 and flat.is_coalesced()
+
+    # -- coalescing --------------------------------------------------------
+
+    def coalesce(self) -> "Layout":
+        """The minimal-complexity layout with the same function."""
+        return Layout.of_flat(self.flat().coalesce())
+
+    def coalesce_relative(self, shape_bar: Nested) -> "Layout":
+        """Coalesce each group of modes lying over an entry of ``shape_bar``
+        (which the shape must refine), keeping the coarse grouping."""
+        shapes = relative_modes(self.shape, shape_bar)
+        strides: List[Nested] = []
+        _relative_modes(self.stride, shape_bar, strides)
+        for i, (s, d) in enumerate(zip(shapes, strides)):
+            shapes[i], strides[i] = _unflat(*_coalesce_modes(flatten(s), flatten(d)))
+        prof = profile(shape_bar)
+        return _unchecked(Layout, substitute(shapes, prof), substitute(strides, prof))
+
+    # -- complement --------------------------------------------------------
+
+    def complement(self, n: Optional[int] = None) -> "Layout":
+        return Layout.of_flat(self.flat().complement(n))
+
+    # -- algebra (delegating to the morphism engine) -----------------------
+
+    def compose(self, other: "Layout") -> "Layout":
+        """The layout of ``Φ_other ∘ Φ_self``: the weak composite coalesced
+        relative to the shape of ``self``."""
+        return compose_tractable(self, other).coalesce_relative(self.shape)
+
+    def logical_divide(self, tiler: "Layout") -> "Layout":
+        return concat_layouts(
+            [tiler, tiler.complement(self.size())]
+        ).compose(self)
+
+    def logical_product(self, other: "Layout") -> "Layout":
+        comp = self.complement(self.size() * other.cosize())
+        return concat_layouts([self, other.compose(comp)])
+
+    def __str__(self) -> str:
+        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
+
+
+def _unflat(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[Nested, Nested]:
+    """Shape and stride of :meth:`Layout.of_flat`."""
+    return (_as_tree(shape), _as_tree(stride)) if shape else (1, 0)
+
+
+def concat_layouts(layouts: Sequence[Layout]) -> Layout:
+    """(A, B, ...) as one layout with one mode per operand."""
+    return _unchecked(
+        Layout, tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
+    )
+
+
+def substitute_profile(layout: Layout, prof) -> Layout:
+    """Re-nest the entries of ``layout`` under a new profile of the same
+    length."""
+    flat = layout.flat()
+    return Layout(substitute(flat.shape, prof), substitute(flat.stride, prof))
+
+
+def column_major_layout(shape: Nested) -> Layout:
+    """The compact layout with the given shape, first entry fastest."""
+    stride = column_major(flatten(shape)).stride
+    return _unchecked(Layout, shape, substitute(stride, profile(shape)))
+
+
+# -- conversion to and from nest morphisms ----------------------------------
+
+
+def layout_of_nested(f: NestMorphism) -> Layout:
+    """The layout encoded by ``f``, nested like its domain."""
+    flat = layout_of(f.fmap)
+    return _unchecked(Layout, f.domain, substitute(flat.stride, profile(f.domain)))
+
+
+def standard_representation_nested(layout: Layout) -> NestMorphism:
+    """Standard representation with the layout's shape tree as domain and a
+    flat codomain."""
+    fmap = standard_representation(layout.flat())
+    return _unchecked(NestMorphism, layout.shape, fmap.codomain, fmap)
+
+
+def compose_tractable(a: Layout, b: Layout) -> Layout:
+    """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
+    refines shape(a), before any coalescing."""
+    if a.cosize() > b.size():
+        raise NotComposableError(
+            f"cosize {a.cosize()} of the first layout exceeds size {b.size()} "
+            f"of the second"
+        )
+    f = standard_representation_nested(a)
+    g = standard_representation_nested(b.coalesce())
+
+    mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
+    if mr is None:
+        raise NotComposableError(
+            f"no mutual refinement of {f.fmap.codomain} and {g.domain}"
+        )
+    f_fine, g_fine = make_composable(f, g, mr)
+    return layout_of_nested(compose_nest(f_fine, g_fine))

@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import NotationError
-from .layout import Layout
-from .nestcat import NestMorphism, nest_morphism
+from .nestcat import Layout, NestMorphism, nest_morphism
 from .shapes import Nested, format_nested
 
 # -- formatting: each type's ``str`` is its canonical text ----------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import OracleCapError
-from .flat import FlatLayout, concat_flat
-from .layout import Layout
+from .nestcat import Layout
 from .shapes import INT64_MAX
+from .tuplecat import FlatLayout, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6

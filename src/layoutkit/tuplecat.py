@@ -1,32 +1,245 @@
-"""Tuple morphisms: tractable pointed maps between flat index tuples.
+"""Flat layouts and tuple morphisms: the two sides of the Tuple category.
 
-A morphism ``f : (s_1..s_m) -> (t_1..t_n)`` carries a map ``alpha`` with
-``alpha[i] == 0`` meaning the basepoint (the entry is dropped) and
+A tuple morphism ``f : (s_1..s_m) -> (t_1..t_n)`` carries a map ``alpha``
+with ``alpha[i] == 0`` meaning the basepoint (the entry is dropped) and
 ``alpha[i] == j > 0`` meaning mode ``i`` lands on codomain position ``j``
 (1-based), which forces ``s_i == t_j``.  No positive value may occur twice.
 
-Each morphism encodes the flat layout whose stride at mode ``i`` is the
-product of the codomain entries before position ``alpha[i]`` (0 for the
+Each morphism encodes the :class:`FlatLayout` whose stride at mode ``i`` is
+the product of the codomain entries before position ``alpha[i]`` (0 for the
 basepoint); conversely every tractable flat layout has a canonical standard
-representation recovered by :func:`standard_representation`.
+representation, which tractability, the complement and its predicates read.
+Entries are range-checked where they enter and products where they are
+taken; what the engine derives from valid values skips the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from math import prod
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import LayoutError, NotTractableError
-from .flat import FlatLayout, _standard_modes, _unchecked
+from .errors import LayoutError, NotComplementableError, NotTractableError
 from .shapes import (
+    INT64_MAX,
     Nested,
     _check_entries,
+    checked_add,
+    checked_mul,
     colex,
     colex_inv,
     format_nested,
     prefix_products,
     size,
 )
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` with these field values, skipping its
+    ``__post_init__``: only for values the engine derives from valid ones."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@dataclass(frozen=True)
+class FlatLayout:
+    """A pair of equal-length flat tuples ``shape:stride``.
+
+    Shape entries are positive; stride entries are non-negative; both fit in
+    the signed 64-bit range.
+    """
+
+    shape: Tuple[int, ...]
+    stride: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.shape) != len(self.stride):
+            raise LayoutError(
+                f"shape rank {len(self.shape)} != stride rank {len(self.stride)}"
+            )
+        _check_entries(self.shape, 1, "shape entry", self.shape)
+        _check_entries(self.stride, 0, "stride entry", self.stride)
+
+    # -- attributes --------------------------------------------------------
+
+    @property
+    def rank(self) -> int:
+        return len(self.shape)
+
+    def size(self) -> int:
+        return size(self.shape)
+
+    def cosize(self) -> int:
+        total = 1
+        for s, d in zip(self.shape, self.stride):
+            total = checked_add(total, checked_mul(s - 1, d))
+        return total
+
+    # -- evaluation --------------------------------------------------------
+
+    def eval_coord(self, coord: Sequence[int]) -> int:
+        if len(coord) != self.rank:
+            raise LayoutError(f"coordinate rank {len(coord)} != {self.rank}")
+        out = 0
+        for c, s, d in zip(coord, self.shape, self.stride):
+            if not 0 <= c < s:
+                raise LayoutError(f"coordinate {tuple(coord)} out of range for {self.shape}")
+            out = checked_add(out, checked_mul(c, d))
+        return out
+
+    def __call__(self, x: int) -> int:
+        return self.eval_coord(colex_inv(self.shape, x))
+
+    # -- restrictions ------------------------------------------------------
+
+    def restrict(self, idx: Sequence[int]) -> "FlatLayout":
+        """Keep the listed modes (0-based), in the order given."""
+        for i in idx:
+            if not 0 <= i < self.rank:
+                raise LayoutError(f"mode index {i} out of range for rank {self.rank}")
+        shape = tuple(self.shape[i] for i in idx)
+        return _unchecked(FlatLayout, shape, tuple(self.stride[i] for i in idx))
+
+    def squeeze(self) -> "FlatLayout":
+        return self.restrict([i for i, s in enumerate(self.shape) if s != 1])
+
+    def filter_zeros(self) -> "FlatLayout":
+        return self.restrict([i for i, d in enumerate(self.stride) if d != 0])
+
+    def permute(self, sigma: Sequence[int]) -> "FlatLayout":
+        """Mode ``i`` of the result is mode ``sigma[i]`` of ``self``."""
+        if sorted(sigma) != list(range(self.rank)):
+            raise LayoutError(f"{tuple(sigma)} is not a permutation of 0..{self.rank - 1}")
+        return self.restrict(list(sigma))
+
+    # -- sorting and coalescing --------------------------------------------
+
+    def sort(self) -> "FlatLayout":
+        """The modes ordered by (stride, shape)."""
+        modes = sorted(zip(self.stride, self.shape))
+        return _unchecked(
+            FlatLayout, tuple(s for _, s in modes), tuple(d for d, _ in modes)
+        )
+
+    def is_coalesced(self) -> bool:
+        if any(s == 1 for s in self.shape):
+            return False
+        for i in range(self.rank - 1):
+            if self.shape[i] * self.stride[i] == self.stride[i + 1]:
+                return False
+        return True
+
+    def coalesce(self) -> "FlatLayout":
+        """The unique minimal-rank flat layout with the same layout function:
+        drop unit modes, then merge adjacent modes with s_i*d_i == d_{i+1}."""
+        return _unchecked(FlatLayout, *_coalesce_modes(self.shape, self.stride))
+
+    # -- predicates --------------------------------------------------------
+
+    def is_tractable(self) -> bool:
+        """Whether the layout has a standard representation.  Unit modes count
+        with their strides, so ``(4,1):(1,3)`` is not tractable though it
+        coalesces to ``4:1``: an open decision, ROADMAP.md item 5."""
+        return _standard_modes(self) is not None
+
+    def _injective_walk(self) -> Optional["TupleMorphism"]:
+        """The standard representation of the non-unit modes, or None unless
+        it exists and is injective: the complementable case."""
+        f = _standard_modes(self.squeeze())
+        return None if f is None or not f.is_injective() else f
+
+    def is_compact(self) -> bool:
+        """Whether the layout function is a bijection onto [0, cosize): the
+        layout is complementable and its representation misses no entry."""
+        f = self._injective_walk()
+        return f is not None and len(f.codomain) == len(f.domain)
+
+    def is_complementable(self) -> bool:
+        return self._injective_walk() is not None
+
+    def is_n_complementable(self, n: int) -> bool:
+        f = self._injective_walk()
+        return f is not None and 1 <= n <= INT64_MAX and n % prod(f.codomain) == 0
+
+    def complement(self, n: Optional[int] = None) -> "FlatLayout":
+        """The coalesced sorted layout B with self ⋆ B compact (of total size
+        ``n`` when given): the layout of the complement of the standard
+        representation of the non-unit modes, then ``n`` over the product of
+        its codomain."""
+        f = self._injective_walk()
+        if f is None:
+            raise NotComplementableError(f"{self} is not complementable")
+        c = layout_of(complement_m(f))
+        if n is not None:
+            # layout_of took the product of all but the last entry, checked
+            cod = f.codomain
+            total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
+            if n < 1 or n % total != 0:
+                raise NotComplementableError(
+                    f"{self} is not {n}-complementable: {n} is not a positive multiple of {total}"
+                )
+            _check_entries((n,), 1, "complement size", self)
+            c = _unchecked(FlatLayout, c.shape + (n // total,), c.stride + (total,))
+        return c.coalesce()
+
+    # -- misc --------------------------------------------------------------
+
+    def __str__(self) -> str:
+        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
+
+
+def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple, tuple]:
+    """Shape and stride of the coalesce of the flat layout ``shape:stride``."""
+    modes: list = []
+    for s, d in zip(shape, stride):
+        if s == 1:
+            continue
+        if modes and modes[-1][0] * modes[-1][1] == d:
+            modes[-1] = (checked_mul(modes[-1][0], s), modes[-1][1])
+        else:
+            modes.append((s, d))
+    return tuple(s for s, _ in modes), tuple(d for _, d in modes)
+
+
+def _standard_modes(layout: FlatLayout) -> Optional["TupleMorphism"]:
+    """The standard representation of ``layout``, or None when it is not
+    tractable.  One pass in (stride, shape, index) order: each nonzero stride
+    must be a multiple of s*d of the mode before, unit modes included; each
+    non-unit mode adds its stride's cofactor (unless 1) and its shape as
+    codomain entries; the rest map to the basepoint.  Its products are not
+    returned, so they are not checked."""
+    entries: list = []
+    amap = [0] * layout.rank
+    chain = prev = 1
+    for d, s, i in sorted(zip(layout.stride, layout.shape, range(layout.rank))):
+        if d == 0:
+            continue
+        if d % chain != 0:
+            return None
+        chain = s * d
+        if s != 1:
+            if d != prev:
+                entries.append(d // prev)
+            entries.append(s)
+            amap[i] = len(entries)
+            prev = chain
+    return _unchecked(TupleMorphism, layout.shape, tuple(entries), tuple(amap))
+
+
+def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
+    shape: Tuple[int, ...] = ()
+    stride: Tuple[int, ...] = ()
+    for l in layouts:
+        shape += l.shape
+        stride += l.stride
+    return _unchecked(FlatLayout, shape, stride)
+
+
+def column_major(shape: Sequence[int]) -> FlatLayout:
+    """The layout of the identity: compact, first entry fastest."""
+    return layout_of(identity(shape))
 
 
 @dataclass(frozen=True)
@@ -131,10 +344,10 @@ def standard_representation(layout: FlatLayout) -> TupleMorphism:
     """The canonical morphism encoding a tractable flat layout; a layout is
     tractable exactly when it has one.  Unit-shape modes go to the basepoint,
     so the result is always non-degenerate and of standard form."""
-    walk = _standard_modes(layout.shape, layout.stride)
-    if walk is None:
+    f = _standard_modes(layout)
+    if f is None:
         raise NotTractableError(f"{layout} is not tractable")
-    return _unchecked(TupleMorphism, layout.shape, *walk)
+    return f
 
 
 # -- operation suite -------------------------------------------------------

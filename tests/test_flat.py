@@ -150,6 +150,9 @@ class TestCompact:
         assert l.is_compact()
         assert table_of(l).values == tuple(range(l.size()))
 
+    def test_column_major_takes_no_product_of_the_whole_shape(self):
+        assert column_major((4, 2**61)) == FlatLayout((4, 2**61), (1, 4))
+
 
 class TestTractable:
     def test_examples(self):

@@ -81,6 +81,9 @@ class TestConstruction:
         assert l.is_compact()
         assert column_major_layout(7) == Layout(7, 1)
 
+    def test_column_major_takes_no_product_of_the_whole_shape(self):
+        assert column_major_layout((4, 2**61)) == Layout((4, 2**61), (1, 4))
+
     def test_flatten(self):
         l = Layout(((2, 2, 2, (2, 2)),), ((1, 0, 8, (0, 16)),))
         assert l.flat().shape == (2, 2, 2, 2, 2)
@@ -138,6 +141,15 @@ class TestComplement:
     def test_size_beyond_64_bits_refused(self):
         with pytest.raises(ArithmeticOverflowError):
             Layout(2, 1).complement(2**64)
+
+    def test_total_beyond_64_bits_refused(self):
+        # the total is the last codomain entry times the product before it
+        a = Layout(2**61, 4)
+        with pytest.raises(
+            ArithmeticOverflowError, match=r"^64-bit overflow in 2305843009213693952 \* 4$"
+        ):
+            a.complement(8)
+        assert not a.is_n_complementable(8)
 
     @given(tractable_layouts(allow_zero=False))
     def test_oracle(self, l):
