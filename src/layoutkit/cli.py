@@ -26,7 +26,7 @@ from .nestcat import (
     nest_morphism,
     standard_representation_nested,
 )
-from .notation import _int, format_nested, parse_layout, parse_morphism, parse_nested
+from .notation import _parse, _Scanner, format_nested, parse_layout, parse_morphism, parse_nested
 from .oracle import check_complement, check_compose, functions_equal, table_of
 
 
@@ -110,7 +110,7 @@ def _morphisms(
     if amap is not None:
         if len(operands) != 2:
             raise NotationError("--map needs exactly two tuple arguments")
-        entries = tuple(_int(tok) for tok in amap.split(",")) if amap else ()
+        entries = _parse(amap, _Scanner.map) if amap else ()
         domain, codomain = parse_nested(operands[0]), parse_nested(operands[1])
         return [nest_morphism(domain, codomain, entries)]
     if verb == "complement" and len(operands) > 1:  # a morphism takes no size
@@ -182,7 +182,7 @@ def _run(args: argparse.Namespace) -> int:
         if amap is not None or "--(" in operands[0]:
             _emit(as_json, on_morphisms(*_morphisms(verb, operands, amap)))
         elif verb == "complement":  # the second operand is an optional size
-            n = _int(operands[1]) if len(operands) > 1 else None
+            n = _parse(operands[1], _Scanner.operand) if len(operands) > 1 else None
             _emit(as_json, on_layouts(parse_layout(operands[0]), n))
         else:
             _emit(as_json, on_layouts(*[parse_layout(text) for text in operands]))
@@ -209,7 +209,7 @@ def _run(args: argparse.Namespace) -> int:
         text = None if as_json else _format_grid(cells, args.tikz)
         _emit(as_json, text, rows=len(cells), cols=len(cells[0]), cells=cells)
     elif verb == "eval":
-        value = parse_layout(operands[0])(_int(operands[1]))
+        value = parse_layout(operands[0])(_parse(operands[1], _Scanner.operand))
         _emit(as_json, value, value=value)
     elif verb == "check":
         ok = _check(name, operands)
@@ -225,7 +225,7 @@ def _check(name: str, operands: Sequence[str]) -> bool:
     if name == "check compose":
         return check_compose(parse_layout(operands[0]), parse_layout(operands[1]))
     if name == "check complement":
-        n = _int(operands[1]) if len(operands) > 1 else None
+        n = _parse(operands[1], _Scanner.operand) if len(operands) > 1 else None
         return check_complement(parse_layout(operands[0]), n=n)
     a = parse_layout(operands[0])
     return functions_equal(a.coalesce(), a)

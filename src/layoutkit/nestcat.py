@@ -22,13 +22,14 @@ from .errors import LayoutError, NotComposableError, NotRefinementError
 from .shapes import (
     Nested,
     _check_entries,
+    _check_ints,
     _relative_modes,
+    _substitute,
     congruent,
     depth,
     flatten,
     format_nested,
     length,
-    profile,
     rank,
     refines,
     relative_modes,
@@ -40,6 +41,7 @@ from .tuplecat import (
     TupleMorphism,
     _coalesce_modes,
     _format_arrow,
+    _Predicates,
     _unchecked,
     coalesce_m,
     complement_m,
@@ -67,6 +69,7 @@ class NestMorphism:
             raise LayoutError(
                 f"codomain {self.codomain} does not flatten to {self.fmap.codomain}"
             )
+        _check_entries(flatten((self.domain, self.codomain)), 1, "entry", self)
 
     def is_standard_form(self) -> bool:
         return self.fmap.is_standard_form() and depth(self.codomain) <= 1
@@ -87,6 +90,7 @@ class Refinement:
     coarse: Nested
 
     def __post_init__(self) -> None:
+        _check_ints(flatten((self.fine, self.coarse)), "entry", self)
         if not refines(self.fine, self.coarse):
             raise NotRefinementError(f"{self.fine} does not refine {self.coarse}")
         # refines() took each coarse entry as a checked product of fine ones
@@ -146,15 +150,14 @@ def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinemen
     the flat block it now covers; the layout function is unchanged."""
     if tref.coarse != f.codomain:
         raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
-    rel: List[Nested] = []
-    _relative_modes(tref.fine, f.codomain, rel)
+    rel = _relative_modes(tref.fine, f.codomain)
     pos = _positions(rel)
     parts: List[Nested] = []
     amap: List[int] = []
     for s, a in zip(f.fmap.domain, f.fmap.amap):
         parts.append(rel[a - 1] if a else s)
         amap.extend(pos[a - 1] if a else (0,))
-    dom_fine = substitute(parts, profile(f.domain))
+    dom_fine = _substitute(f.domain, iter(parts))
     return _derived(dom_fine, tref.fine, amap), _unchecked(Refinement, dom_fine, f.domain)
 
 
@@ -163,13 +166,12 @@ def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refine
     by the refining sub-tree; the layout function is unchanged."""
     if sref.coarse != f.domain:
         raise LayoutError(f"{sref.coarse} is not the domain of {f}")
-    rel: List[Nested] = []
-    _relative_modes(sref.fine, f.domain, rel)
+    rel = _relative_modes(sref.fine, f.domain)
     cod_parts: List[Nested] = list(f.fmap.codomain)
     for a, sub in zip(f.fmap.amap, rel):
         if a != 0:
             cod_parts[a - 1] = sub
-    cod_fine = substitute(cod_parts, profile(f.codomain))
+    cod_fine = _substitute(f.codomain, iter(cod_parts))
     pos = _positions(cod_parts)
     amap: List[int] = []
     for a, sub in zip(f.fmap.amap, rel):
@@ -221,12 +223,10 @@ def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
             j += 1
     if i < len(x):
         return None
-    x_parts = [_as_tree(p) for p in x_pieces]
-    y_parts = [_as_tree(p) for p in y_pieces]
     return _unchecked(
         MutualRefinement,
-        _unchecked(Refinement, substitute(x_parts, profile(t)), t),
-        _unchecked(Refinement, substitute(y_parts, profile(u)), u),
+        _unchecked(Refinement, _substitute(t, map(_as_tree, x_pieces)), t),
+        _unchecked(Refinement, _substitute(u, map(_as_tree, y_pieces)), u),
     )
 
 
@@ -345,7 +345,7 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
 
 
 @dataclass(frozen=True)
-class Layout:
+class Layout(_Predicates):
     shape: Nested
     stride: Nested
 
@@ -398,23 +398,6 @@ class Layout:
     def is_tractable(self) -> bool:
         return self.flat().is_tractable()
 
-    def is_compact(self) -> bool:
-        return self.flat().is_compact()
-
-    def is_complementable(self) -> bool:
-        return self.flat().is_complementable()
-
-    def is_n_complementable(self, n: int) -> bool:
-        return self.flat().is_n_complementable(n)
-
-    def is_coalesced(self) -> bool:
-        """Whether :meth:`coalesce` leaves the layout unchanged: 1:0, a depth-0
-        layout with shape > 1, or a flat tuple of rank > 1 that admits no merging."""
-        if isinstance(self.shape, int):
-            return (self.shape, self.stride) == (1, 0) or self.shape > 1
-        flat = self.flat()  # equal to the shape only for a tuple of integers
-        return flat.shape == self.shape and flat.rank > 1 and flat.is_coalesced()
-
     # -- coalescing --------------------------------------------------------
 
     def coalesce(self) -> "Layout":
@@ -425,12 +408,11 @@ class Layout:
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
         shapes = relative_modes(self.shape, shape_bar)
-        strides: List[Nested] = []
-        _relative_modes(self.stride, shape_bar, strides)
+        strides = _relative_modes(self.stride, shape_bar)
         for i, (s, d) in enumerate(zip(shapes, strides)):
             shapes[i], strides[i] = _unflat(*_coalesce_modes(flatten(s), flatten(d)))
-        prof = profile(shape_bar)
-        return _unchecked(Layout, substitute(shapes, prof), substitute(strides, prof))
+        shape = _substitute(shape_bar, iter(shapes))
+        return _unchecked(Layout, shape, _substitute(shape_bar, iter(strides)))
 
     # -- complement --------------------------------------------------------
 
@@ -479,7 +461,7 @@ def substitute_profile(layout: Layout, prof) -> Layout:
 def column_major_layout(shape: Nested) -> Layout:
     """The compact layout with the given shape, first entry fastest."""
     stride = column_major(flatten(shape)).stride
-    return _unchecked(Layout, shape, substitute(stride, profile(shape)))
+    return _unchecked(Layout, shape, _substitute(shape, iter(stride)))
 
 
 # -- conversion to and from nest morphisms ----------------------------------
@@ -488,7 +470,7 @@ def column_major_layout(shape: Nested) -> Layout:
 def layout_of_nested(f: NestMorphism) -> Layout:
     """The layout encoded by ``f``, nested like its domain."""
     flat = layout_of(f.fmap)
-    return _unchecked(Layout, f.domain, substitute(flat.stride, profile(f.domain)))
+    return _unchecked(Layout, f.domain, _substitute(f.domain, iter(flat.stride)))
 
 
 def standard_representation_nested(layout: Layout) -> NestMorphism:

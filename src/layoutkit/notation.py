@@ -1,10 +1,13 @@
 """Canonical text notation.
 
-Grammar (no whitespace in canonical output; parsing is whitespace-tolerant)::
+Grammar (no whitespace in canonical output; in input, whitespace separates
+tokens and is otherwise ignored, so ``1 6`` is two integers)::
 
-    TUPLE    := INT | "(" TUPLE ("," TUPLE)* ")" | "()"
+    TUPLE    := INT | "(" TUPLE ("," TUPLE)* ")" | "()"    (INT: ASCII digits)
     LAYOUT   := TUPLE ":" TUPLE
-    MORPHISM := TUPLE "--(" INT ("," INT)* ")-->" TUPLE   (0 = basepoint)
+    MAP      := INT ("," INT)*                   (also the CLI's ``--map``)
+    MORPHISM := TUPLE "--(" MAP? ")-->" TUPLE   (0 = basepoint)
+    OPERAND  := "-"? INT                         (a CLI size or index)
 
 A bare integer and a length-1 tuple are distinct: ``10:2`` is depth 0 while
 ``(10):(2)`` has one mode.
@@ -32,44 +35,52 @@ def format_morphism(f: NestMorphism) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-def _int(text: str) -> int:
-    """A decimal integer; anything ``int`` refuses is malformed text."""
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise NotationError(f"not an integer: {exc}") from None
-
-
 class _Scanner:
     def __init__(self, text: str):
-        self.text = "".join(text.split())
+        self.text = text
         self.pos = 0
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The first character of the next token, or "" at the end."""
+        while self.text[self.pos : self.pos + 1].isspace():
+            self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, token: str) -> None:
-        if not self.text.startswith(token, self.pos):
+        if not self.tries(token):
             raise NotationError(
                 f"expected {token!r} at position {self.pos} in {self.text!r}"
             )
-        self.pos += len(token)
 
     def tries(self, token: str) -> bool:
+        self.peek()
         if self.text.startswith(token, self.pos):
             self.pos += len(token)
             return True
         return False
 
     def integer(self) -> int:
+        self.peek()
         start = self.pos
-        while "0" <= self.peek() <= "9":
+        while "0" <= self.text[self.pos : self.pos + 1] <= "9":
             self.pos += 1
         if self.pos == start:
             raise NotationError(
                 f"expected an integer at position {start} in {self.text!r}"
             )
-        return _int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than ``int`` converts
+            raise NotationError(f"not an integer: {exc}") from None
+
+    def operand(self) -> int:
+        return -self.integer() if self.tries("-") else self.integer()
+
+    def map(self) -> Tuple[int, ...]:
+        out = (self.integer(),)
+        while self.tries(","):
+            out += (self.integer(),)
+        return out
 
     def nested(self) -> Nested:
         if not self.tries("("):
@@ -83,17 +94,22 @@ class _Scanner:
         return tuple(items)
 
     def done(self) -> None:
-        if self.pos != len(self.text):
+        if self.peek():
             raise NotationError(
                 f"trailing text {self.text[self.pos:]!r} in {self.text!r}"
             )
 
 
-def parse_nested(text: str) -> Nested:
+def _parse(text: str, read):
+    """What the scanner method ``read`` reads from the whole of ``text``."""
     sc = _Scanner(text)
-    out = sc.nested()
+    out = read(sc)
     sc.done()
     return out
+
+
+def parse_nested(text: str) -> Nested:
+    return _parse(text, _Scanner.nested)
 
 
 def parse_layout(text: str) -> Layout:
@@ -111,11 +127,7 @@ def parse_morphism(text: str) -> NestMorphism:
     sc = _Scanner(text)
     domain = sc.nested()
     sc.take("--(")
-    amap: Tuple[int, ...] = ()
-    if sc.peek() != ")":
-        amap = (sc.integer(),)
-        while sc.tries(","):
-            amap += (sc.integer(),)
+    amap = sc.map() if sc.peek() != ")" else ()
     sc.take(")-->")
     codomain = sc.nested()
     sc.done()

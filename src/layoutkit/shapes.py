@@ -2,8 +2,8 @@
 
 A nested tuple is represented directly as a Python value: an ``int`` at depth
 0, or a tuple of nested tuples.  A bare integer ``n`` and the length-1 tuple
-``(n,)`` are distinct values.  A profile is the same kind of tree with the
-sentinel :data:`STAR` at the leaves.
+``(n,)`` are distinct values.  A tuple is the only node: anything else is a
+leaf, so a profile is a tree with the sentinel :data:`STAR` at the leaves.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
@@ -40,9 +40,17 @@ def checked_add(a: int, b: int) -> int:
     return r
 
 
+def _check_ints(entries: Sequence[object], noun: str, whole: object) -> None:
+    """Refuse an entry whose type is not ``int``, ``bool`` included."""
+    for e in entries:
+        if type(e) is not int:
+            raise LayoutError(f"{noun} {e!r} in {whole} is not an integer")
+
+
 def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object) -> None:
-    """Refuse an entry below ``floor`` (1 or 0) with :class:`LayoutError`, and
-    one beyond the signed 64-bit range with :class:`ArithmeticOverflowError`."""
+    """Refuse a non-``int`` entry or one below ``floor`` (1 or 0) with
+    :class:`LayoutError`, and one beyond 2^63-1 with :class:`ArithmeticOverflowError`."""
+    _check_ints(entries, noun, whole)
     if entries and min(entries) < floor:
         raise LayoutError(f"{'non-positive' if floor else 'negative'} {noun} in {whole}")
     if entries and max(entries) > INT64_MAX:
@@ -52,11 +60,11 @@ def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object)
 
 
 def _leaves(x: Nested) -> Iterator[int]:
-    if isinstance(x, int):
-        yield x
-    else:
+    if isinstance(x, tuple):
         for c in x:
             yield from _leaves(c)
+    else:
+        yield x
 
 
 def flatten(x: Nested) -> Tuple[int, ...]:
@@ -65,7 +73,7 @@ def flatten(x: Nested) -> Tuple[int, ...]:
 
 
 def profile(x: Nested) -> Profile:
-    if isinstance(x, int):
+    if not isinstance(x, tuple):
         return STAR
     out = []
     for c in x:
@@ -83,11 +91,11 @@ def length(x: Nested) -> int:
 
 
 def rank(x: Nested) -> int:
-    return 1 if isinstance(x, int) else len(x)
+    return len(x) if isinstance(x, tuple) else 1
 
 
 def depth(x: Nested) -> int:
-    if isinstance(x, int):
+    if not isinstance(x, tuple):
         return 0
     # the deepest child starts at -1, so depth(()) == 0
     d = -1
@@ -105,7 +113,7 @@ def size(x: Nested) -> int:
 
 def format_nested(x: Nested) -> str:
     """Canonical text of a nested tuple: ``4`` or ``(2,(3,4))``."""
-    if isinstance(x, int):
+    if not isinstance(x, tuple):
         return str(x)
     parts = []
     for c in x:
@@ -113,29 +121,21 @@ def format_nested(x: Nested) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def profile_length(p: Profile) -> int:
-    if p == STAR:
-        return 1
-    n = 0
-    for c in p:
-        n += profile_length(c)
-    return n
-
-
 def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
     """Replace the leaves of ``prof``, in order, by the given nested tuples."""
-    if len(parts) != profile_length(prof):
+    if len(parts) != length(prof):
         raise LayoutError(
-            f"substitution needs {profile_length(prof)} parts, got {len(parts)}"
+            f"substitution needs {length(prof)} parts, got {len(parts)}"
         )
     return _substitute(prof, iter(parts))
 
 
-def _substitute(p: Profile, parts: Iterator[Nested]) -> Nested:
-    if p == STAR:
+def _substitute(tree: Nested, parts: Iterator[Nested]) -> Nested:
+    """:func:`substitute` unchecked, for the trees the engine re-nests."""
+    if not isinstance(tree, tuple):
         return next(parts)
     out = []
-    for c in p:
+    for c in tree:
         out.append(_substitute(c, parts))
     return tuple(out)
 
@@ -143,9 +143,9 @@ def _substitute(p: Profile, parts: Iterator[Nested]) -> Nested:
 def refines(fine: Nested, coarse: Nested) -> bool:
     """Whether ``fine`` may be obtained from ``coarse`` by replacing each
     entry with a nested tuple of the same size."""
-    if isinstance(coarse, int):
+    if not isinstance(coarse, tuple):
         return size(fine) == coarse
-    if isinstance(fine, int) or len(fine) != len(coarse):
+    if not isinstance(fine, tuple) or len(fine) != len(coarse):
         return False
     for f, c in zip(fine, coarse):
         if not refines(f, c):
@@ -161,18 +161,16 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
     """
     if not refines(fine, coarse):
         raise NotRefinementError(f"{fine} does not refine {coarse}")
+    return _relative_modes(fine, coarse)
 
+
+def _relative_modes(fine: Nested, coarse: Nested) -> list:
+    if not isinstance(coarse, tuple):
+        return [fine]
     out: list = []
-    _relative_modes(fine, coarse, out)
+    for f, c in zip(fine, coarse):
+        out += _relative_modes(f, c)
     return out
-
-
-def _relative_modes(fine: Nested, coarse: Nested, out: list) -> None:
-    if isinstance(coarse, int):
-        out.append(fine)
-    else:
-        for f, c in zip(fine, coarse):
-            _relative_modes(f, c, out)
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:

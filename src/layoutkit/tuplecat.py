@@ -15,15 +15,16 @@ taken; what the engine derives from valid values skips the checks.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError, NotTractableError
 from .shapes import (
-    INT64_MAX,
     Nested,
     _check_entries,
+    _check_ints,
     checked_add,
     checked_mul,
     colex,
@@ -43,8 +44,32 @@ def _unchecked(cls, *values):
     return obj
 
 
+def _returns(op, *args):
+    """The result of ``op(*args)``, or None where the operation is undefined."""
+    with suppress(LayoutError):
+        return op(*args)
+
+
+class _Predicates:
+    """The predicates of flat and nested layouts, each answered by its operation."""
+
+    def is_coalesced(self) -> bool:
+        return _returns(self.coalesce) == self
+
+    def is_compact(self) -> bool:
+        """Whether the layout is a bijection onto [0, cosize): its complement has size 1."""
+        c = _returns(self.complement)
+        return c is not None and c.size() == 1
+
+    def is_complementable(self) -> bool:
+        return _returns(self.complement) is not None
+
+    def is_n_complementable(self, n: int) -> bool:
+        return _returns(self.complement, n) is not None
+
+
 @dataclass(frozen=True)
-class FlatLayout:
+class FlatLayout(_Predicates):
     """A pair of equal-length flat tuples ``shape:stride``.
 
     Shape entries are positive; stride entries are non-negative; both fit in
@@ -123,14 +148,6 @@ class FlatLayout:
             FlatLayout, tuple(s for _, s in modes), tuple(d for d, _ in modes)
         )
 
-    def is_coalesced(self) -> bool:
-        if any(s == 1 for s in self.shape):
-            return False
-        for i in range(self.rank - 1):
-            if self.shape[i] * self.stride[i] == self.stride[i + 1]:
-                return False
-        return True
-
     def coalesce(self) -> "FlatLayout":
         """The unique minimal-rank flat layout with the same layout function:
         drop unit modes, then merge adjacent modes with s_i*d_i == d_{i+1}."""
@@ -139,40 +156,23 @@ class FlatLayout:
     # -- predicates --------------------------------------------------------
 
     def is_tractable(self) -> bool:
-        """Whether the layout has a standard representation.  Unit modes count
-        with their strides, so ``(4,1):(1,3)`` is not tractable though it
-        coalesces to ``4:1``: an open decision, ROADMAP.md item 5."""
+        """Whether the layout has a standard representation, i.e. is the layout
+        of a tuple morphism.  Unit modes count: a morphism gives every mode it
+        carries the product of the codomain entries before it, so the strides
+        of ``(4,1):(1,3)`` would have to form a chain, and they do not."""
         return _standard_modes(self) is not None
-
-    def _injective_walk(self) -> Optional["TupleMorphism"]:
-        """The standard representation of the non-unit modes, or None unless
-        it exists and is injective: the complementable case."""
-        f = _standard_modes(self.squeeze())
-        return None if f is None or not f.is_injective() else f
-
-    def is_compact(self) -> bool:
-        """Whether the layout function is a bijection onto [0, cosize): the
-        layout is complementable and its representation misses no entry."""
-        f = self._injective_walk()
-        return f is not None and len(f.codomain) == len(f.domain)
-
-    def is_complementable(self) -> bool:
-        return self._injective_walk() is not None
-
-    def is_n_complementable(self, n: int) -> bool:
-        f = self._injective_walk()
-        return f is not None and 1 <= n <= INT64_MAX and n % prod(f.codomain) == 0
 
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
         """The coalesced sorted layout B with self ⋆ B compact (of total size
         ``n`` when given): the layout of the complement of the standard
         representation of the non-unit modes, then ``n`` over the product of
         its codomain."""
-        f = self._injective_walk()
-        if f is None:
+        f = _standard_modes(self.squeeze())
+        if f is None or not f.is_injective():
             raise NotComplementableError(f"{self} is not complementable")
         c = layout_of(complement_m(f))
         if n is not None:
+            _check_ints((n,), "complement size", self)
             # layout_of took the product of all but the last entry, checked
             cod = f.codomain
             total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
@@ -252,6 +252,7 @@ class TupleMorphism:
         m, n = len(self.domain), len(self.codomain)
         if len(self.amap) != m:
             raise LayoutError(f"map length {len(self.amap)} != domain rank {m}")
+        _check_ints(self.amap, "map value", self.amap)
         seen = set()
         for i, a in enumerate(self.amap):
             if a == 0:

@@ -1,9 +1,12 @@
-"""Acceptance suite: golden transcripts, worked examples, oracle
-equivalence at scale, correspondence round trips, functoriality,
-mutual-refinement soundness, and the admissibility implication."""
+"""Acceptance suite: golden transcripts, the demos' stored output, worked
+examples, oracle equivalence at scale, correspondence round trips,
+functoriality, mutual-refinement soundness, and the admissibility
+implication."""
 
 import random
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +87,18 @@ class TestCriterion1Golden:
             code, out = run_cli(capsys, *argv)
             assert (code, out) == (0, expected), argv
         assert time.monotonic() - start < 1.0
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_prints_its_stored_output(capsys, demo):
+    # tests/demo_output/<demo>.txt holds the stdout each demo printed when
+    # it was stored; a demo must keep printing exactly that
+    runpy.run_path(str(demo), run_name="__main__")
+    stored = Path(__file__).parent / "demo_output" / f"{demo.stem}.txt"
+    assert capsys.readouterr().out.encode() == stored.read_bytes()
 
 
 class TestCriterion2WorkedExamples:

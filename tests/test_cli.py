@@ -402,8 +402,31 @@ class TestCheckAndExitCodes:
             ("coalesce", "1" * 5000 + ":1"),
             # the size is read before the layout, whose zero entry is exit 1
             ("complement", "(0):(1)", "x"),
+            # whitespace separates tokens; it never joins digits
+            ("coalesce", "(1 6):(1)"),
+            ("layout-of", "(2 2)--(1)-->(2 2)"),
+            # a size or an index is an optional "-" and ASCII digits, read by
+            # the scanner that reads layouts, not by int()
+            ("complement", "4:1", "1_6"),
+            ("complement", "4:1", "+16"),
+            ("complement", "4:1", "\u0663\u0662"),
+            ("complement", "4:1", "1 6"),
+            ("complement", "4:1", "1" * 5000),
+            ("eval", "4:1", "-" + "1" * 5000),
+            # --map is read by the code that reads the map of arrow text
+            ("layout-of", "(2)", "(2)", "--map", "-1"),
+            ("layout-of", "(2)--(-1)-->(2)"),
+            ("layout-of", "(2)", "(2)", "--map", "+1"),
+            ("layout-of", "(2)", "(2)", "--map", "\u0661"),
+            ("layout-of", "(2,2)", "(2,2)", "--map", "1 2"),
         ],
-        ids=["superscript-digit", "size", "map", "too-many-digits", "size-first"],
+        ids=[
+            "superscript-digit", "size", "map", "too-many-digits", "size-first",
+            "space-in-layout", "space-in-arrow", "size-underscore", "size-plus",
+            "size-arabic-indic", "size-space", "size-too-many-digits",
+            "index-too-many-digits", "map-minus", "arrow-minus", "map-plus",
+            "map-arabic-indic", "map-space",
+        ],
     )
     def test_malformed_integer_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -427,6 +450,18 @@ class TestCheckAndExitCodes:
     )
     def test_wrong_arity_exit_2(self, capsys, argv, wanted):
         assert run(capsys, *argv) == (2, "", "parse-error: " + wanted)
+
+    def test_operand_grammar_accepts(self, capsys):
+        assert run(capsys, "complement", "4:1", " 16 ") == (0, "4:4", "")
+        assert run(capsys, "complement", "4:1", "016") == (0, "4:4", "")
+        code, _, err = run(capsys, "complement", "4:1", "-16")
+        assert (code, err[:19]) == (1, "not-complementable:")
+        code, _, err = run(capsys, "eval", "4:1", "-1")
+        assert (code, err) == (1, "domain-error: index -1 out of range for shape (4,)")
+
+    def test_map_whitespace_between_tokens(self, capsys):
+        argv = ("layout-of", "(2,2)", "(2,2)", "--map", " 2 , 1 ")
+        assert run(capsys, *argv) == (0, "(2,2):(2,1)", "")
 
     def test_range_error_exit_1(self, capsys):
         code, out, err = run(capsys, "tractable", "(0):(1)")

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 
 from layoutkit import (
     ArithmeticOverflowError,
+    FlatLayout,
     Layout,
     LayoutError,
+    NestMorphism,
     NotComplementableError,
     NotComposableError,
+    Refinement,
+    TupleMorphism,
     check_complement,
     check_compose,
     column_major_layout,
@@ -21,6 +25,7 @@ from layoutkit import (
     layout_of_nested,
     make_composable,
     mutual_refinement,
+    nest_morphism,
     pullback,
     pushforward,
     size,
@@ -52,6 +57,38 @@ class TestConstruction:
     def test_entry_beyond_64_bits_refused(self):
         with pytest.raises(ArithmeticOverflowError):
             Layout((2**63,), (1,))
+
+    # every entry point refuses an entry that is no int before it does
+    # arithmetic on it: a float, a bool, a string or a list (each a leaf, as
+    # anything but a tuple is)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FlatLayout((2.5,), (1,)),
+            lambda: Layout(4, 1).complement(16.0),
+            lambda: Layout(True, 1),
+            lambda: Layout("4", 1),
+            lambda: Layout([2, 2], [1, 2]),
+            lambda: TupleMorphism((2,), (2,), (1.0,)),
+            lambda: nest_morphism((2,), (2.0,), (1,)),
+            lambda: NestMorphism((2.0,), (2,), TupleMorphism((2,), (2,), (1,))),
+            lambda: Refinement((2, 2), 4.0),
+            lambda: Refinement(("2", 2), 4),
+            lambda: mutual_refinement((4.0,), (4,)),
+        ],
+        ids=[
+            "flat-float", "complement-size-float", "bool", "string", "list",
+            "map-float", "nest-morphism", "NestMorphism", "refinement-coarse",
+            "refinement-fine", "mutual-refinement",
+        ],
+    )
+    def test_non_integer_entry_refused(self, build):
+        with pytest.raises(LayoutError, match="is not an integer"):
+            build()
+
+    def test_non_integer_size_is_not_complementable(self):
+        assert Layout(4, 1).is_n_complementable(16)
+        assert not Layout(4, 1).is_n_complementable(16.0)
 
     def test_of_flat_and_attributes(self):
         l = Layout(((4, 4), 4), ((16, 1), 4))

@@ -155,6 +155,38 @@ def test_validating_constructors_run_only_at_the_boundary():
     assert callers == boundary
 
 
+def _called_name(node):
+    func = node.func
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_a_tuple_is_the_only_node():
+    # every walker in shapes asks whether a value is a tuple, never whether
+    # it is an int: anything but a tuple is a leaf, which the entry checks
+    # then refuse unless it is an int
+    path = Path(layoutkit.__file__).parent / "shapes.py"
+    offenders = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "isinstance"
+        and any(getattr(n, "id", None) == "int" for n in ast.walk(node.args[1]))
+    ]
+    assert offenders == []
+
+
+def test_profiles_are_built_only_to_compare_trees():
+    # the engine re-nests what it derives with the tree it already holds, so
+    # a profile is built only by congruent (and by profile, recursively)
+    callers = set()
+    for path, tree in _source_trees():
+        for name, scope in _scopes(tree):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and _called_name(node) == "profile":
+                    callers.add(f"{path.stem}.{name}")
+    assert callers == {"shapes.congruent", "shapes.profile"}
+
+
 def test_every_public_method_of_an_export_is_named_in_a_test():
     # methods and properties of exported classes, as ``.name`` in a test
     tests = Path(__file__).parent

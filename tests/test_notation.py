@@ -49,6 +49,7 @@ class TestParse:
 
     def test_whitespace_tolerated(self):
         assert parse_layout(" (2, 3) : (1, 2) ") == Layout((2, 3), (1, 2))
+        assert parse_morphism(" (2) --( 1 )--> (2) ").fmap.amap == (1,)
 
     def test_morphism(self):
         f = parse_morphism("(2,2,2,2)--(1,0,4,2)-->(2,2,2,2)")
@@ -57,10 +58,13 @@ class TestParse:
         assert g.fmap.amap == ()
 
     def test_malformed(self):
-        for text in ["", "2:", "(2,:(1)", "2:1:3", "(2))", "2", "(2,)-(1)", "-2:1"]:
+        # whitespace separates tokens: it never joins digits, nor an arrow
+        for text in ["", "2:", "(2,:(1)", "2:1:3", "(2))", "2", "(2,)-(1)", "-2:1",
+                     "(1 6):(1)", "1 6:1"]:
             with pytest.raises(NotationError):
                 parse_layout(text)
-        for text in ["(2)--1-->(2)", "(2)--(1)->(2)", "(2)--(x)-->(2)"]:
+        for text in ["(2)--1-->(2)", "(2)--(1)->(2)", "(2)--(x)-->(2)",
+                     "(2 2)--(1)-->(2 2)", "(2)--(1 0)-->(2)", "(2)- -(1)-->(2)"]:
             with pytest.raises(NotationError):
                 parse_morphism(text)
 
