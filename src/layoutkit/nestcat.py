@@ -241,7 +241,8 @@ def make_composable(
     changing either layout function.
 
     The refined codomain of ``f`` is a flat prefix of the refined domain of
-    ``g``, so ``f`` is extended by the corresponding inclusion.
+    ``g``, so the refined ``f`` keeps its map and takes that domain as its
+    codomain.
     """
     if mr.t_ref.coarse != f.codomain or mr.u_ref.coarse != g.domain:
         raise LayoutError(
@@ -249,9 +250,8 @@ def make_composable(
         )
     f_fine, _ = pullback(f, mr.t_ref)
     g_fine, _ = pushforward(g, mr.u_ref)
-    nt = length(mr.t_ref.fine)
-    inclusion = _derived(mr.t_ref.fine, mr.u_ref.fine, range(1, nt + 1))
-    return compose_nest(f_fine, inclusion), g_fine
+    fmap = _unchecked(TupleMorphism, f_fine.fmap.domain, g_fine.fmap.domain, f_fine.fmap.amap)
+    return _unchecked(NestMorphism, f_fine.domain, mr.u_ref.fine, fmap), g_fine
 
 
 # -- morphism-level operations ---------------------------------------------

@@ -105,6 +105,7 @@ def depth(x: Nested) -> int:
 
 
 def size(x: Nested) -> int:
+    """Product of the leaves; it checks no leaf, as the engine calls it on checked trees."""
     total = 1
     for e in _leaves(x):
         total = checked_mul(total, e)
@@ -142,7 +143,8 @@ def _substitute(tree: Nested, parts: Iterator[Nested]) -> Nested:
 
 def refines(fine: Nested, coarse: Nested) -> bool:
     """Whether ``fine`` may be obtained from ``coarse`` by replacing each
-    entry with a nested tuple of the same size."""
+    entry with a nested tuple of the same size.  It checks no leaf, as the
+    engine calls it on checked trees."""
     if not isinstance(coarse, tuple):
         return size(fine) == coarse
     if not isinstance(fine, tuple) or len(fine) != len(coarse):
@@ -157,7 +159,8 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
     """For each entry of ``coarse``, the sub-tree of ``fine`` refining it.
 
     The result has ``length(coarse)`` elements and satisfies
-    ``substitute(result, profile(coarse)) == fine``.
+    ``substitute(result, profile(coarse)) == fine``.  It checks no leaf, as
+    the engine calls it on checked trees.
     """
     if not refines(fine, coarse):
         raise NotRefinementError(f"{fine} does not refine {coarse}")
@@ -174,7 +177,8 @@ def _relative_modes(fine: Nested, coarse: Nested) -> list:
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
-    """Exclusive prefix products: (1, e1, e1*e2, ...)."""
+    """Exclusive prefix products (1, e1, e1*e2, ...); it checks no entry, as
+    the engine calls it on checked ones."""
     out = [1]
     for e in entries:
         out.append(checked_mul(out[-1], e))
@@ -185,6 +189,7 @@ def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
     """Linearize ``coord`` against a flat ``shape``, first axis fastest."""
     if len(coord) != len(shape):
         raise LayoutError(f"coordinate rank {len(coord)} != shape rank {len(shape)}")
+    _check_ints(coord, "coordinate", tuple(coord))
     x = 0
     scale = 1
     for c, s in zip(coord, shape):
@@ -197,6 +202,7 @@ def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
 
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
     """Inverse of :func:`colex`."""
+    _check_ints((x,), "index", tuple(shape))
     total = 1
     for s in shape:
         total = checked_mul(total, s)

@@ -107,6 +107,7 @@ class FlatLayout(_Predicates):
     def eval_coord(self, coord: Sequence[int]) -> int:
         if len(coord) != self.rank:
             raise LayoutError(f"coordinate rank {len(coord)} != {self.rank}")
+        _check_ints(coord, "coordinate", tuple(coord))
         out = 0
         for c, s, d in zip(coord, self.shape, self.stride):
             if not 0 <= c < s:
@@ -121,6 +122,7 @@ class FlatLayout(_Predicates):
 
     def restrict(self, idx: Sequence[int]) -> "FlatLayout":
         """Keep the listed modes (0-based), in the order given."""
+        _check_ints(idx, "mode index", tuple(idx))
         for i in idx:
             if not 0 <= i < self.rank:
                 raise LayoutError(f"mode index {i} out of range for rank {self.rank}")
@@ -135,6 +137,7 @@ class FlatLayout(_Predicates):
 
     def permute(self, sigma: Sequence[int]) -> "FlatLayout":
         """Mode ``i`` of the result is mode ``sigma[i]`` of ``self``."""
+        _check_ints(sigma, "mode index", tuple(sigma))
         if sorted(sigma) != list(range(self.rank)):
             raise LayoutError(f"{tuple(sigma)} is not a permutation of 0..{self.rank - 1}")
         return self.restrict(list(sigma))
@@ -165,15 +168,14 @@ class FlatLayout(_Predicates):
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
         """The coalesced sorted layout B with self ⋆ B compact (of total size
         ``n`` when given): the layout of the complement of the standard
-        representation of the non-unit modes, then ``n`` over the product of
-        its codomain."""
+        representation of the non-unit modes, whose codomain first grows by
+        the entry ``n`` over its product when ``n`` is given."""
         f = _standard_modes(self.squeeze())
         if f is None or not f.is_injective():
             raise NotComplementableError(f"{self} is not complementable")
-        c = layout_of(complement_m(f))
         if n is not None:
             _check_ints((n,), "complement size", self)
-            # layout_of took the product of all but the last entry, checked
+            # the product before the last entry is the last stride, in range
             cod = f.codomain
             total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
             if n < 1 or n % total != 0:
@@ -181,8 +183,8 @@ class FlatLayout(_Predicates):
                     f"{self} is not {n}-complementable: {n} is not a positive multiple of {total}"
                 )
             _check_entries((n,), 1, "complement size", self)
-            c = _unchecked(FlatLayout, c.shape + (n // total,), c.stride + (total,))
-        return c.coalesce()
+            f = _unchecked(TupleMorphism, f.domain, cod + (n // total,), f.amap)
+        return layout_of(complement_m(f)).coalesce()
 
     # -- misc --------------------------------------------------------------
 
@@ -280,14 +282,12 @@ class TupleMorphism:
         return all(a == 0 for s, a in zip(self.domain, self.amap) if s == 1)
 
     def is_standard_form(self) -> bool:
+        """Whether each codomain position is hit, or is a cofactor other than 1
+        whose next position is hit: the last one is hit, if there is one."""
         img = set(self.image)
-        n = len(self.codomain)
-        if n > 1 and n not in img:
-            return False
-        for j in range(1, n):  # 1-based positions below n
-            if j not in img and (self.codomain[j - 1] == 1 or (j + 1) not in img):
-                return False
-        return True
+        return all(
+            j in img or (t != 1 and j + 1 in img) for j, t in enumerate(self.codomain, 1)
+        )
 
     def is_injective(self) -> bool:
         return all(a != 0 for a in self.amap)
@@ -383,68 +383,53 @@ def concat_morphisms(fs: Sequence[TupleMorphism]) -> TupleMorphism:
 def squeeze_m(f: TupleMorphism) -> TupleMorphism:
     """Drop unit entries on both sides; strides are unaffected because unit
     codomain entries contribute trivial prefix factors."""
-    keep_cod = [j for j, t in enumerate(f.codomain) if t != 1]
-    reindex = {j + 1: p + 1 for p, j in enumerate(keep_cod)}
-    domain: List[int] = []
-    amap: List[int] = []
-    for s, a in zip(f.domain, f.amap):
-        if s == 1:
-            continue
-        domain.append(s)
-        amap.append(0 if a == 0 else reindex[a])
-    codomain = tuple(f.codomain[j] for j in keep_cod)
-    return _unchecked(TupleMorphism, tuple(domain), codomain, tuple(amap))
+    kept = [j for j, t in enumerate(f.codomain, 1) if t != 1]
+    reindex = {j: p for p, j in enumerate(kept, 1)}
+    modes = [(s, 0 if a == 0 else reindex[a]) for s, a in zip(f.domain, f.amap) if s != 1]
+    domain = tuple(s for s, _ in modes)
+    codomain = tuple(f.codomain[j - 1] for j in kept)
+    return _unchecked(TupleMorphism, domain, codomain, tuple(a for _, a in modes))
 
 
 def sort_m(f: TupleMorphism) -> TupleMorphism:
     """Precompose with the permutation putting basepoint modes first (by
     shape, then index) and the remaining modes in codomain order."""
-    stars = sorted(
-        (i for i, a in enumerate(f.amap) if a == 0), key=lambda i: (f.domain[i], i)
+    order = sorted(
+        range(len(f.amap)), key=lambda i: (f.amap[i] != 0, f.amap[i] or f.domain[i], i)
     )
-    hits = sorted((i for i, a in enumerate(f.amap) if a != 0), key=lambda i: f.amap[i])
-    order = stars + hits
     domain = tuple(f.domain[i] for i in order)
     return _unchecked(TupleMorphism, domain, f.codomain, tuple(f.amap[i] for i in order))
 
 
 def coalesce_m(f: TupleMorphism) -> TupleMorphism:
     """Merge adjacent modes mapping consecutively (or jointly to the
-    basepoint) after squeezing; encodes the coalesce of the encoded layout."""
+    basepoint) after squeezing; encodes the coalesce of the encoded layout.
+    One pass over the modes collects the runs, one over the codomain merges
+    the positions each run covers."""
     f = squeeze_m(f)
-    m = len(f.domain)
-
-    dom_classes: List[List[int]] = []
-    for i in range(m):
-        if dom_classes:
-            p = dom_classes[-1][-1]
-            if (f.amap[p] == 0 and f.amap[i] == 0) or (
-                f.amap[p] != 0 and f.amap[i] == f.amap[p] + 1
-            ):
-                dom_classes[-1].append(i)
-                continue
-        dom_classes.append([i])
-
-    # codomain positions j, j+1 merge when consecutive domain modes hit them
-    joined = set()
-    for i in range(m - 1):
-        if f.amap[i] != 0 and f.amap[i + 1] == f.amap[i] + 1:
-            joined.add(f.amap[i])
-    cod_classes: List[List[int]] = []
-    for j in range(1, len(f.codomain) + 1):
-        if cod_classes and (j - 1) in joined:
-            cod_classes[-1].append(j)
+    runs: List[list] = []  # [size, first, last]; positions are 0 for the basepoint
+    for s, a in zip(f.domain, f.amap):
+        last = runs[-1][2] if runs else -1
+        if a == last == 0 or (last > 0 and a == last + 1):
+            runs[-1][0] = checked_mul(runs[-1][0], s)
+            runs[-1][2] = a
         else:
-            cod_classes.append([j])
-    cod_class_of = {j: c for c, cls in enumerate(cod_classes) for j in cls}
-
-    domain = tuple(size(tuple(f.domain[i] for i in cls)) for cls in dom_classes)
-    codomain = tuple(size(tuple(f.codomain[j - 1] for j in cls)) for cls in cod_classes)
-    amap = tuple(
-        0 if f.amap[cls[0]] == 0 else cod_class_of[f.amap[cls[0]]] + 1
-        for cls in dom_classes
-    )
-    return _unchecked(TupleMorphism, domain, codomain, amap)
+            runs.append([s, a, a])
+    # the last position of the run that starts at each position
+    ends = list(range(len(f.codomain) + 1))
+    for _, first, last in runs:
+        ends[first] = last
+    codomain: List[int] = []
+    merged = [0] * len(ends)  # the new position of each run's first
+    j = 1
+    while j < len(ends):
+        # a merged product is the size of its run, checked in the first pass
+        codomain.append(prod(f.codomain[j - 1 : ends[j]]))
+        merged[j] = len(codomain)
+        j = ends[j] + 1
+    domain = tuple(s for s, _, _ in runs)
+    amap = tuple(merged[first] for _, first, _ in runs)
+    return _unchecked(TupleMorphism, domain, tuple(codomain), amap)
 
 
 def complement_m(f: TupleMorphism) -> TupleMorphism:

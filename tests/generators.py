@@ -173,6 +173,22 @@ def random_morphism(
     return TupleMorphism(tuple(domain), tuple(e for e, _ in kept), tuple(amap))
 
 
+def with_unit_entries(rng: random.Random, f: TupleMorphism) -> TupleMorphism:
+    """``f`` with one or two unit entries inserted into its codomain, each
+    hit by a new unit domain mode or left unhit."""
+    items = [(t, j) for j, t in enumerate(f.codomain, start=1)]  # (entry, old position)
+    for _ in range(rng.randrange(1, 3)):
+        items.insert(rng.randrange(len(items) + 1), (1, 0))
+    moved = {j: pos for pos, (_, j) in enumerate(items, start=1) if j}
+    modes = [(s, 0 if a == 0 else moved[a]) for s, a in zip(f.domain, f.amap)]
+    for pos, (_, j) in enumerate(items, start=1):
+        if j == 0 and rng.random() < 0.5:
+            modes.insert(rng.randrange(len(modes) + 1), (1, pos))
+    return TupleMorphism(
+        tuple(s for s, _ in modes), tuple(t for t, _ in items), tuple(a for _, a in modes)
+    )
+
+
 def random_composable_pair(
     rng: random.Random, max_size: int = 1000
 ) -> Tuple[TupleMorphism, TupleMorphism]:
@@ -214,6 +230,12 @@ def tractable_layouts(draw, **kwargs) -> Layout:
 @st.composite
 def standard_morphisms(draw, **kwargs) -> TupleMorphism:
     return random_standard_morphism(draw(seeds()), **kwargs)
+
+
+@st.composite
+def morphisms_with_units(draw, **kwargs) -> TupleMorphism:
+    rng = draw(seeds())
+    return with_unit_entries(rng, random_morphism(rng, **kwargs))
 
 
 @st.composite

@@ -5,8 +5,11 @@ from hypothesis import given
 
 from layoutkit import (
     FlatLayout,
+    Layout,
     LayoutError,
     NotComplementableError,
+    colex,
+    colex_inv,
     column_major,
     concat_flat,
     table_of,
@@ -50,6 +53,32 @@ class TestEvaluation:
             FlatLayout((2, 3), (1, 5)).eval_coord((2, 0))
         with pytest.raises(LayoutError):
             FlatLayout((2, 3), (1, 5))(6)
+
+
+    # a coordinate, an index or a mode index is checked where it enters, like
+    # an entry: one whose type is not int is refused before any arithmetic
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Layout(4, 1)(2.5),
+            lambda: Layout(4, 1)(True),
+            lambda: Layout(4, 1)("2"),
+            lambda: Layout((4, 2), (1, 4)).eval_coord((1.5, 1)),
+            lambda: FlatLayout((2, 3), (1, 2)).permute((1.0, 0)),
+            lambda: FlatLayout((2, 3), (1, 2)).restrict((1.0,)),
+            lambda: FlatLayout((2, 3), (1, 2)).restrict((True,)),
+            lambda: colex((4,), (1.5,)),
+            lambda: colex_inv((4,), 2.0),
+        ],
+        ids=[
+            "index-float", "index-bool", "index-string", "coordinate-float",
+            "permute-float", "restrict-float", "restrict-bool", "colex-float",
+            "colex-inv-float",
+        ],
+    )
+    def test_non_integer_refused(self, call):
+        with pytest.raises(LayoutError, match="is not an integer"):
+            call()
 
 
 class TestRestriction:

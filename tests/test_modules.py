@@ -1,13 +1,16 @@
 """Package structure: every import sits at module level, so the import
 graph of ``layoutkit`` is visible and acyclic; recursion runs one frame per
-level and leaves no reference cycles; every export is tested."""
+level and leaves no reference cycles; every export is tested, and the
+equivalence gate's corpus calls every export and every CLI verb."""
 
 import ast
+import importlib.util
 import inspect
 import re
 from pathlib import Path
 
 import layoutkit
+from layoutkit.cli import _VERBS
 
 # scopes that run in a frame of their own (comprehensions too, before 3.12)
 _NESTED_SCOPES = (
@@ -202,3 +205,53 @@ def test_every_public_method_of_an_export_is_named_in_a_test():
         and not re.search(rf"\.{name}\b", text)
     ]
     assert untested == []
+
+
+def _corpus_names(calls):
+    """The names a differential corpus calls, and the CLI verbs it runs (a
+    check as ``check`` and as ``check <target>``)."""
+    names, verbs = set(), set()
+    for target, args in calls:
+        if target == "cli":
+            argv = [a for a in args[0] if a != "--json"]
+            verbs.update([" ".join(argv[:1]), " ".join(argv[:2])])
+            continue
+        specs = [(target, *args)]
+        while specs:
+            tag, *parts = specs.pop()
+            if tag not in ("=", "deep"):
+                names.add(tag)
+                specs += parts
+    return names, verbs
+
+
+def test_differential_corpus_names_every_export_and_verb():
+    # tools/differential.py runs one corpus against two source trees; its
+    # smallest corpus, built but not run, already calls every export (a
+    # class through a method, a value by reading it), every public method
+    # of an exported class and every verb
+    path = Path(__file__).parent.parent / "tools" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    differential = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(differential)
+    names, verbs = _corpus_names(differential.build_corpus(rounds=2, cli_seeds=1))
+    exports = {
+        name: obj
+        for name, obj in vars(layoutkit).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    uncalled = [
+        name
+        for name in exports
+        if name not in names and not any(n.startswith(name + ".") for n in names)
+    ]
+    assert uncalled == []
+    methods = [
+        f"{name}.{attr}"
+        for name, obj in exports.items()
+        if inspect.isclass(obj) and not issubclass(obj, Exception)
+        for attr in dir(obj)
+        if not attr.startswith("_")
+    ]
+    assert [m for m in methods if m not in names] == []
+    assert set(_VERBS) <= verbs

@@ -3,7 +3,8 @@ when it has a standard representation, (n-)complementable exactly when its
 complement (of size n) exists, compact exactly when that complement has size
 1, and coalesced exactly when coalescing leaves it unchanged.  Also pins the
 one place where tractability and the layout function part ways, unit modes,
-and characterizes tractability on a bounded universe."""
+and characterizes tractability and standard representations on bounded
+universes."""
 
 import random
 from itertools import permutations, product
@@ -17,6 +18,7 @@ from layoutkit import (
     LayoutError,
     NotTractableError,
     TupleMorphism,
+    identity,
     layout_of,
     profile,
     substitute,
@@ -165,3 +167,36 @@ def test_tractability_characterized_on_a_bounded_universe():
     # the example of the docstring of FlatLayout.is_tractable
     f = _morphism_of_chain((4, 1), _chain([(4, 1, 0), (1, 4, 1)]))
     assert str(f) == "(4,1)--(1,2)-->(4,1)"
+
+
+def _morphisms(entries, max_rank):
+    """Every valid tuple morphism whose domain and codomain have rank at most
+    ``max_rank`` and entries in ``entries``."""
+    tuples = [t for r in range(max_rank + 1) for t in product(entries, repeat=r)]
+    for dom, cod in product(tuples, repeat=2):
+        for amap in product(range(len(cod) + 1), repeat=len(dom)):
+            hits = [a for a in amap if a]
+            if len(set(hits)) == len(hits) and all(
+                a == 0 or s == cod[a - 1] for s, a in zip(dom, amap)
+            ):
+                yield TupleMorphism(dom, cod, amap)
+
+
+def test_standard_representations_characterized_on_a_bounded_universe():
+    # every tuple morphism of rank <= 3 on both sides with entries 1..3: it is
+    # the standard representation of its layout exactly when it is
+    # non-degenerate and of standard form, where each codomain position is
+    # hit or is a cofactor other than 1 whose next position is hit
+    morphisms = standard = 0
+    for f in _morphisms(range(1, 4), 3):
+        morphisms += 1
+        is_standard = standard_representation(layout_of(f)) == f
+        standard += is_standard
+        assert (f.is_standard_form() and f.is_non_degenerate()) == is_standard, f
+    assert (morphisms, standard) == (7_030, 692)
+    # a codomain position that nothing hits is no cofactor when it is last,
+    # and the standard representation of the layout has an empty codomain
+    for f in (TupleMorphism((), (2,), ()), TupleMorphism((2,), (2,), (0,))):
+        assert not f.is_standard_form()
+        assert standard_representation(layout_of(f)).codomain == ()
+    assert identity(()).is_standard_form()

@@ -26,6 +26,7 @@ from layoutkit import (
 
 from generators import (
     composable_pairs,
+    morphisms_with_units,
     non_degenerate,
     random_composable_pair,
     seeds,
@@ -154,15 +155,20 @@ class TestOperations:
         assert layout_of(squeeze_m(f)) == layout_of(f).squeeze()
         assert layout_of(sort_m(f)) == layout_of(f).sort()
 
-    @given(standard_morphisms())
-    def test_squeeze_sort_coalesce_compatible(self, f):
-        assert layout_of(squeeze_m(f)) == layout_of(f).squeeze()
-        assert layout_of(sort_m(f)) == layout_of(f).sort()
-        assert layout_of(coalesce_m(f)) == layout_of(f).coalesce()
+    @given(standard_morphisms(), morphisms_with_units())
+    def test_squeeze_sort_coalesce_compatible(self, f, g):
+        # g has unit codomain entries, hit or not, and any positions unhit
+        for h in (f, g):
+            assert layout_of(squeeze_m(h)) == layout_of(h).squeeze()
+            assert layout_of(sort_m(h)) == layout_of(h).sort()
+            assert layout_of(coalesce_m(h)) == layout_of(h).coalesce()
 
     def test_coalesce_transcript(self):
         f = TupleMorphism((2, 2, 10, 10), (2, 2, 2, 10, 10), (1, 2, 4, 5))
         assert coalesce_m(f) == TupleMorphism((4, 100), (4, 2, 100), (1, 3))
+        # a basepoint run merges; unit entries go, hit by a unit mode or not
+        f = TupleMorphism((2, 3, 2, 1, 2, 5), (2, 1, 2, 1, 3, 5), (0, 0, 1, 2, 3, 6))
+        assert coalesce_m(f) == TupleMorphism((6, 4, 5), (4, 3, 5), (0, 1, 3))
         # merged basepoint modes of size 2^124 are refused, not returned
         with pytest.raises(ArithmeticOverflowError):
             coalesce_m(TupleMorphism((2**62, 2**62), (), (0, 0)))

@@ -1,0 +1,571 @@
+"""Equivalence gate: run one seeded corpus of public-API calls and CLI
+commands against two source trees and print every outcome that differs.
+
+Usage::
+
+    python3 tools/differential.py PARENT_SRC CHANGE_SRC
+
+Each ``*_SRC`` is a directory that holds the ``layoutkit`` package, such as
+the ``src`` of a checkout.  The corpus is built once, as text and plain
+tuples, from the generators of ``bench/gen.py``, ``bench/clicases.py`` and
+``tests/generators.py`` (run against PARENT_SRC's ``layoutkit``).  Each
+tree then runs it in a fresh process.  A library outcome is the ``repr`` of
+a public call's result, or its error type and message; a CLI outcome is the
+exit code, stdout and stderr of ``layoutkit.cli.main``.  The first line
+printed is a summary, then each outcome that differs follows.  The exit
+status is 0 when no outcome differs and 1 otherwise.
+
+A call is ``(target, args)``.  ``target`` is a public name of
+``layoutkit``, a method or property as ``Class.name``, or ``"cli"`` with
+the argument list as its one argument.  Each argument is a spec: ``("=",
+value)`` is the value itself, ``("deep", n, leaf)`` is ``leaf`` inside
+``n`` one-tuples, ``("[]", *specs)`` is a list, and ``(target, *specs)`` is
+the result of that call.  So the corpus holds no object of either tree.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import pickle
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: entries at and around the edges of the signed 64-bit range
+EDGE = (0, -1, 2**61, 2**62, 2**63 - 1, 2**63, 2**64)
+#: values of the wrong type where an integer is expected
+NOT_INT = (2.5, 2.0, True, "2", None)
+#: nesting depths: within the interpreter's recursion limit, and beyond it
+DEEP = (50, 900, 3000)
+#: the longest outcome kept whole; a longer one keeps its start and a hash
+KEEP = 240
+
+
+def lit(value):
+    return ("=", value)
+
+
+def _L(a):
+    return ("Layout", lit(a.shape), lit(a.stride))
+
+
+def _F(f):
+    return ("FlatLayout", lit(f.shape), lit(f.stride))
+
+
+def _T(f):
+    return ("TupleMorphism", lit(f.domain), lit(f.codomain), lit(f.amap))
+
+
+def _N(dom, cod, amap):
+    return ("nest_morphism", lit(dom), lit(cod), lit(tuple(amap)))
+
+
+# -- the corpus ------------------------------------------------------------------
+
+
+class Corpus:
+    """The calls, appended by the batteries below."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.calls: list = []
+
+    def add(self, target: str, *args) -> None:
+        self.calls.append((target, args))
+
+    def cli(self, argv) -> None:
+        self.calls.append(("cli", (tuple(argv),)))
+
+
+def _sizes(a, rng):
+    """Sizes to complement ``a`` in: multiples of its size and of its
+    largest mode's extent, a non-multiple, and the edges."""
+    flat = a.flat()
+    span = max((s * d for s, d in zip(flat.shape, flat.stride) if s != 1), default=1)
+    base = [flat.size() * k for k in (1, 2)] + [span * rng.choice((1, 2, 4)), span + 1]
+    return base + [rng.choice(EDGE)]
+
+
+def layout_battery(c: Corpus, lk, a, b) -> None:
+    """Every method of the nested layout ``a`` and of its flat form, with
+    ``b`` as the second operand where one is needed."""
+    rng = c.rng
+    A, B = _L(a), _L(b)
+    for name in (
+        "__str__", "flat", "length", "rank", "depth", "complexity", "size", "cosize",
+        "is_tractable", "coalesce", "is_coalesced", "complement", "is_complementable",
+        "is_compact",
+    ):
+        c.add(f"Layout.{name}", A)
+    n = a.size()
+    for x in (0, rng.randrange(n), n - 1, n, -1):
+        c.add("Layout.__call__", A, lit(x))
+    shape = lk.flatten(a.shape)
+    c.add("Layout.eval_coord", A, lit(tuple(rng.randrange(s) for s in shape)))
+    c.add("Layout.eval_coord", A, lit(tuple(shape)))
+    for m in _sizes(a, rng):
+        c.add("Layout.complement", A, lit(m))
+        c.add("Layout.is_n_complementable", A, lit(m))
+    c.add("Layout.coalesce_relative", A, lit(lk.size(a.shape)))
+    c.add("Layout.coalesce_relative", A, lit(b.shape))
+    for op in ("compose", "logical_divide", "logical_product"):
+        c.add(f"Layout.{op}", A, B)
+    c.add("compose_tractable", A, B)
+    c.add("standard_representation_nested", A)
+    c.add("layout_of_nested", ("standard_representation_nested", A))
+    c.add("Layout.of_flat", _F(a.flat()))
+    c.add("concat_layouts", ("[]", A, B))
+    c.add("format_layout", A)
+    c.add("parse_layout", lit(lk.format_layout(a)))
+    c.add("column_major_layout", lit(a.shape))
+    c.add("substitute_profile", A, lit(lk.profile(a.shape)))
+    c.add("substitute_profile", A, lit(lk.profile(tuple(shape))))
+    flat_battery(c, lk, a.flat(), b.flat())
+
+
+def flat_battery(c: Corpus, lk, f, g) -> None:
+    rng = c.rng
+    F, G = _F(f), _F(g)
+    for name in (
+        "__str__", "rank", "size", "cosize", "squeeze", "filter_zeros", "sort",
+        "coalesce", "is_coalesced", "is_tractable", "complement", "is_complementable",
+        "is_compact",
+    ):
+        c.add(f"FlatLayout.{name}", F)
+    c.add("FlatLayout.__call__", F, lit(rng.randrange(f.size())))
+    c.add("FlatLayout.eval_coord", F, lit(tuple(s - 1 for s in f.shape)))
+    modes = list(range(f.rank))
+    rng.shuffle(modes)
+    c.add("FlatLayout.permute", F, lit(tuple(modes)))
+    c.add("FlatLayout.restrict", F, lit(tuple(modes[: rng.randint(0, f.rank)])))
+    c.add("FlatLayout.restrict", F, lit((f.rank,)))
+    m = rng.choice((f.size(), f.cosize(), 2**63 - 1))
+    c.add("FlatLayout.complement", F, lit(m))
+    c.add("FlatLayout.is_n_complementable", F, lit(m))
+    c.add("standard_representation", F)
+    c.add("is_admissible_for_composition", ("FlatLayout.filter_zeros", ("FlatLayout.squeeze", F)), G)
+    c.add("concat_flat", ("[]", F, G))
+    c.add("column_major", lit(f.shape))
+
+
+def morphism_battery(c: Corpus, lk, gens, f, g) -> None:
+    """Every tuple-morphism operation on ``f`` (``g`` as second operand),
+    and the nest-morphism ones on ``f`` with a nested domain."""
+    rng = c.rng
+    Tf, Tg = _T(f), _T(g)
+    for name in ("image", "is_non_degenerate", "is_standard_form", "is_injective", "__str__"):
+        c.add(f"TupleMorphism.{name}", Tf)
+    for op in ("layout_of", "squeeze_m", "sort_m", "coalesce_m", "complement_m"):
+        c.add(op, Tf)
+    c.add("standard_representation", ("layout_of", Tf))
+    c.add("layout_of", ("coalesce_m", Tf))
+    if lk.size(f.domain) <= 4096:
+        c.add("realize", Tf)
+    c.add("compose_morphisms", Tf, Tg)
+    c.add("sum_morphisms", Tf, Tg)
+    cut = rng.randint(0, len(f.amap))
+    halves = [
+        _T(lk.TupleMorphism(f.domain[:cut], f.codomain, f.amap[:cut])),
+        _T(lk.TupleMorphism(f.domain[cut:], f.codomain, f.amap[cut:])),
+    ]
+    c.add("concat_morphisms", ("[]", *halves))
+    c.add("concat_morphisms", ("[]", Tf, Tf))
+    c.add("identity", lit(f.domain))
+    dom = gens.random_tree(rng, f.domain) if f.domain else ()
+    cod = gens.random_tree(rng, f.codomain) if f.codomain else ()
+    Nf = _N(dom, cod, f.amap)
+    for name in ("is_standard_form", "is_non_degenerate", "realize", "__str__"):
+        c.add(f"NestMorphism.{name}", Nf)
+    c.add("NestMorphism", lit(dom), lit(cod), Tf)
+    c.add("format_morphism", Nf)
+    c.add("parse_morphism", lit(str(lk.nest_morphism(dom, cod, f.amap))))
+    c.add("coalesce_nm", Nf)
+    c.add("complement_nm", Nf)
+    c.add("layout_of_nested", Nf)
+    Ng = _N(g.domain, g.codomain, g.amap)
+    c.add("compose_nest", Nf, Ng)
+    c.add("concat_nm", ("[]", Nf, Nf))
+    c.add("logical_divide_m", Ng, Nf)
+    c.add("logical_product_m", Nf, Ng)
+    with contextlib.suppress(lk.LayoutError):
+        # a product whose second operand lands on the complement's domain
+        fc = lk.complement_m(f).domain
+        c.add("logical_product_m", Nf, _N(fc, fc, range(1, len(fc) + 1)))
+
+
+def composition_battery(c: Corpus, lk, a, b) -> None:
+    """The composition pipeline of ``a`` then ``b``, step by step."""
+    try:
+        f = lk.standard_representation_nested(a)
+        g = lk.standard_representation_nested(b.coalesce())
+    except lk.LayoutError:
+        return
+    t, u = tuple(f.fmap.codomain), g.domain
+    c.add("mutual_refinement", lit(t), lit(u))
+    c.add("divides", lit(t), lit(u))
+    mr = lk.mutual_refinement(t, u)
+    if mr is None:
+        return
+    R1 = ("Refinement", lit(mr.t_ref.fine), lit(mr.t_ref.coarse))
+    R2 = ("Refinement", lit(mr.u_ref.fine), lit(mr.u_ref.coarse))
+    MR = ("MutualRefinement", R1, R2)
+    Nf = ("standard_representation_nested", _L(a))
+    Ng = ("standard_representation_nested", ("Layout.coalesce", _L(b)))
+    c.add("make_composable", Nf, Ng, MR)
+    c.add("make_composable", Ng, Nf, MR)
+    c.add("pullback", Nf, R1)
+    c.add("pushforward", Ng, R2)
+    c.add("pullback", Ng, R1)
+    c.add("divides", lit(mr.t_ref.fine), lit(mr.u_ref.fine))
+    c.add("MutualRefinement", R2, R1)
+
+
+def shapes_battery(c: Corpus, lk, gen, x, y) -> None:
+    """The nested-tuple utilities on ``x`` (``y`` as the other tree)."""
+    rng = c.rng
+    X = lit(x)
+    for op in ("flatten", "profile", "length", "rank", "depth", "size", "format_nested"):
+        c.add(op, X)
+    c.add("congruent", X, lit(y))
+    c.add("parse_nested", lit(lk.format_nested(x)))
+    leaves = lk.flatten(x)
+    c.add("substitute", lit(leaves), lit(lk.profile(x)))
+    c.add("substitute", lit(leaves[1:]), lit(lk.profile(x)))
+    coarse = gen.coarsen(x)
+    c.add("refines", X, lit(coarse))
+    c.add("relative_modes", X, lit(coarse))
+    c.add("relative_modes", X, lit(y))
+    c.add("prefix_products", lit(leaves))
+    c.add("colex", lit(leaves), lit(tuple(rng.randrange(e) for e in leaves)))
+    c.add("colex_inv", lit(leaves), lit(rng.randrange(lk.size(x) + 1)))
+
+
+def oracle_battery(c: Corpus, lk, a, b) -> None:
+    A, B = _L(a), _L(b)
+    c.add("table_of", A)
+    c.add("FunctionTable.size", ("table_of", A))
+    c.add("FunctionTable.is_bijection_onto_range", ("table_of", A))
+    c.add("FunctionTable.__getitem__", ("table_of", A), lit(a.size() - 1))
+    c.add("functions_equal", A, ("Layout.coalesce", A))
+    c.add("functions_equal", A, B)
+    c.add("check_compose", A, B)
+    c.add("check_complement", A)
+    c.add("check_complement", A, lit(None), lit(a.size() * 2))
+    c.add("table_of", A, lit(a.size() - 1))
+
+
+def edge_battery(c: Corpus, lk, gens, rng) -> None:
+    """Entries at the 64-bit edge, values of the wrong type and deep nesting
+    at every entry point."""
+    for v in EDGE:
+        V = lit(v)
+        c.add("Layout", V, lit(1))
+        c.add("Layout", lit(2), V)
+        c.add("Layout.complement", ("Layout", lit((2, v)), lit((v, 1))))
+        c.add("Layout.complement", ("Layout", lit(4), lit(1)), V)
+        c.add("Layout.is_n_complementable", ("Layout", lit(2**62), lit(1)), V)
+        c.add("Layout.compose", ("Layout", lit(4), lit(v)), ("Layout", lit(2**62), lit(2)))
+        c.add("Layout.compose", ("Layout", lit(v), lit(1)), ("Layout", lit((2, 4)), lit((4, 1))))
+        c.add("Layout.logical_divide", ("Layout", lit(2**62), lit(1)), ("Layout", lit(v), lit(2)))
+        c.add("Layout.logical_product", ("Layout", lit(4), lit(1)), ("Layout", lit(v), lit(1)))
+        c.add("Layout.__call__", ("Layout", lit(8), lit(2**60)), V)
+        c.add("Layout.cosize", ("Layout", lit((v, 2)), lit((1, v))))
+        c.add("FlatLayout", lit((v,)), lit((1,)))
+        c.add("TupleMorphism", lit((v,)), lit((v,)), lit((1,)))
+        c.add("TupleMorphism", lit((2,)), lit((2,)), lit((v,)))
+        c.add("identity", lit((v, 2)))
+        c.add("column_major", lit((4, v)))
+        c.add("column_major_layout", lit((v, (2, 2))))
+        c.add("mutual_refinement", lit((v,)), lit((2, v)))
+        c.add("Refinement", lit((2, v)), lit(v))
+        c.add("size", lit((2**62, v)))
+        c.add("prefix_products", lit((v, 4)))
+        c.add("colex_inv", lit((2**62, 4)), V)
+        c.add("parse_layout", lit(f"({v},2):(1,{v})"))
+        c.add("nest_morphism", lit((v, 2)), lit((2, v)), lit((2, 1)))
+    for v in NOT_INT:
+        V = lit(v)
+        c.add("Layout.__call__", ("Layout", lit(4), lit(1)), V)
+        c.add("Layout.eval_coord", ("Layout", lit((4, 2)), lit((1, 4))), lit((v, 1)))
+        c.add("FlatLayout.eval_coord", ("FlatLayout", lit((4, 2)), lit((1, 4))), lit((1, v)))
+        c.add("FlatLayout.restrict", ("FlatLayout", lit((2, 3)), lit((1, 2))), lit((v,)))
+        c.add("FlatLayout.permute", ("FlatLayout", lit((2, 3)), lit((1, 2))), lit((v, 0)))
+        c.add("colex", lit((4,)), lit((v,)))
+        c.add("colex_inv", lit((4,)), V)
+        c.add("Layout", V, lit(1))
+        c.add("Layout.complement", ("Layout", lit(4), lit(1)), V)
+        c.add("TupleMorphism", lit((2,)), lit((2,)), lit((v,)))
+        c.add("Refinement", lit((2, v)), lit(4))
+        c.add("mutual_refinement", lit((v,)), lit((4,)))
+    for n in DEEP:
+        D, D1 = ("deep", n, 2), ("deep", n, 1)
+        for op in ("flatten", "profile", "length", "rank", "depth", "size", "format_nested"):
+            c.add(op, D)
+        c.add("congruent", D, D1)
+        c.add("refines", D, lit(2))
+        c.add("relative_modes", D, lit(2))
+        c.add("Layout", D, D1)
+        c.add("Layout.compose", ("Layout", D, D1), ("Layout", lit(4), lit(1)))
+        c.add("column_major_layout", D)
+        c.add("parse_nested", lit("(" * n + "2" + ")" * n))
+        c.add("parse_layout", lit("(" * n + "2" + ")" * n + ":" + "(" * n + "1" + ")" * n))
+        c.add("nest_morphism", D, lit((2,)), lit((1,)))
+        c.add("mutual_refinement", D, lit((2,)))
+        c.cli(("tractable", "(" * n + "2" + ")" * n + ":" + "(" * n + "1" + ")" * n))
+    # the edge entries inside generated layouts, as the predicate tests do
+    for _ in range(40):
+        flat = gens.random_tractable_flat(rng)
+        shape, stride = list(flat.shape), list(flat.stride)
+        if shape and rng.random() < 0.5:
+            stride[rng.randrange(len(shape))] = rng.choice(EDGE)
+        else:
+            shape.append(rng.choice(EDGE))
+            stride.append(rng.choice(EDGE))
+        L = ("Layout", lit(tuple(shape)), lit(tuple(stride)))
+        for name in ("coalesce", "complement", "is_tractable", "cosize", "is_compact"):
+            c.add(f"Layout.{name}", L)
+        c.add("Layout.complement", L, lit(rng.choice(EDGE)))
+        c.add("Layout.compose", ("Layout", lit(4), lit(1)), L)
+        c.add("Layout.compose", L, ("Layout", lit(2**62), lit(1)))
+        c.add("standard_representation", ("Layout.flat", L))
+        c.cli(("coalesce", f"({','.join(map(str, shape))}):({','.join(map(str, stride))})"))
+
+
+def cli_battery(c: Corpus, clicases, seed: int) -> None:
+    """Every verb: the bench's generated command lines of one seed, with its
+    golden transcripts and refusals."""
+    for argv, _, _ in clicases.build(random.Random(seed)):
+        c.cli(argv)
+
+
+def cli_fixed(c: Corpus, clicases, cli) -> None:
+    """Each verb's help, nesting beyond the recursion limit, a render past
+    the oracle's cap, and operands at the edges or of the wrong form."""
+    c.cli(("--help",))
+    c.cli(())
+    for verb, row in cli._VERBS.items():
+        if row.help is not None:
+            c.cli((verb, "--help"))
+    c.cli(clicases.DEEP_ARGV)
+    c.cli(clicases.OVERSIZED_RENDER)
+    for v in EDGE:
+        c.cli(("complement", "4:1", str(v)))
+        c.cli(("eval", "(4,2):(1,4)", str(v)))
+        c.cli(("compose", f"{v}:1", "(2,4):(4,1)"))
+        c.cli(("coalesce", f"({v},2):(1,{v})"))
+        c.cli(("layout-of", f"({v})--(1)-->({v})"))
+        c.cli(("mutual-refine", f"({v})", f"(2,{v})"))
+        c.cli(("check", "complement", "(2,2):(1,4)", str(v)))
+    for text in ("2.5", "True", "0x4", "+4", "٤", " 4", "4 "):
+        c.cli(("eval", "4:1", text))
+        c.cli(("complement", "4:1", text))
+        c.cli(("coalesce", f"({text},2):(1,4)"))
+
+
+def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
+    """The calls, built with the ``layoutkit`` already importable: each round
+    draws operands from every generator and runs every battery on them."""
+    for path in (ROOT / "bench", ROOT / "tests"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    # imported here, once the caller has put the tree to build with on the path
+    import layoutkit as lk
+    import layoutkit.cli as cli
+    import clicases
+    import generators as gens
+    from gen import Gen
+    from workloads import SMALL, WIDE
+
+    c = Corpus(seed)
+    rng = c.rng
+    for name in ("STAR", "Nested", "Profile", "__version__"):
+        c.add(name)
+    for name, obj in vars(lk).items():
+        if isinstance(obj, type) and issubclass(obj, (lk.LayoutError, lk.NotationError)):
+            c.add(f"{name}.code" if hasattr(obj, "code") else f"{name}.__name__")
+    c.add("exhaustive_complement_search", ("Layout", lit((2, 2)), lit((1, 4))), lit(16))
+    c.add("exhaustive_complement_search", ("FlatLayout", lit((3,)), lit((2,))), lit(12))
+    c.add("exhaustive_complement_search", ("Layout", lit(4), lit(1)), lit(2**30))
+    small, wide = Gen(rng, SMALL), Gen(rng, WIDE)
+    for r in range(rounds):
+        for gen in (small, wide) if r % 2 else (small,):
+            for kind in ("compose", "logical_divide", "logical_product"):
+                (a, b), _ = gen.operands(kind)
+                layout_battery(c, lk, a, b)
+                composition_battery(c, lk, a, b)
+            (a, n), _ = gen.operands("complement")
+            c.add("Layout.complement", _L(a), lit(n))
+            c.add("check_complement", _L(a), lit(None), lit(n))
+            (a, bar), _ = gen.operands("coalesce_relative")
+            c.add("Layout.coalesce_relative", _L(a), lit(bar))
+            shapes_battery(c, lk, gen, a.shape, bar)
+        a, b = gens.random_layout(rng), gens.random_layout(rng)
+        layout_battery(c, lk, a, b)
+        composition_battery(c, lk, a, b)
+        if a.size() <= 4096 and b.size() <= 4096:
+            oracle_battery(c, lk, a, b)
+        for f, g in (
+            (gens.random_standard_morphism(rng), gens.random_standard_morphism(rng)),
+            gens.random_composable_pair(rng),
+            (gens.random_morphism(rng), gens.random_morphism(rng)),
+            (gens.with_unit_entries(rng, gens.random_morphism(rng)), gens.random_morphism(rng)),
+        ):
+            morphism_battery(c, lk, gens, f, g)
+        x, y = gens.random_nested_tuple(rng), gens.random_nested_tuple(rng)
+        shapes_battery(c, lk, small, x, y)
+    edge_battery(c, lk, gens, rng)
+    cli_fixed(c, clicases, cli)
+    for s in range(cli_seeds):
+        cli_battery(c, clicases, seed + s)
+    return c.calls
+
+
+# -- running it --------------------------------------------------------------------
+
+
+def _build(lk, spec):
+    tag = spec[0]
+    if tag == "=":
+        return spec[1]
+    if tag == "deep":
+        value = spec[2]
+        for _ in range(spec[1]):
+            value = (value,)
+        return value
+    args = [_build(lk, s) for s in spec[1:]]
+    if tag == "[]":
+        return args
+    return _call(lk, tag, args)
+
+
+def _call(lk, target, args):
+    obj = lk
+    for part in target.split("."):
+        obj = getattr(obj, part)
+    if isinstance(obj, property):
+        return obj.fget(*args)
+    return obj(*args) if args else obj  # a name with no arguments is read
+
+
+def _text(value) -> str:
+    try:
+        text = repr(value)
+    except RecursionError:
+        text = f"<{type(value).__name__} nested too deep to repr>"
+    if len(text) > KEEP:
+        text = text[:KEEP] + "...#" + hashlib.sha1(text.encode()).hexdigest()[:12]
+    return text
+
+
+def run_corpus(calls) -> list:
+    """The outcome of each call, with the ``layoutkit`` already importable."""
+    import layoutkit as lk
+    from layoutkit.cli import main
+
+    outcomes = []
+    for target, args in calls:
+        if target == "cli":
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(args[0]))
+                except Exception as exc:  # the CLI's error contract is broken
+                    code = f"{type(exc).__name__}: {exc}"
+            outcomes.append(f"exit {code}\nstdout {out.getvalue()!r}\nstderr {err.getvalue()!r}")
+            continue
+        try:
+            outcomes.append(_text(_call(lk, target, [_build(lk, s) for s in args])))
+        except Exception as exc:
+            outcomes.append(_text(f"{type(exc).__name__}: {exc}"))
+    return outcomes
+
+
+def _describe(spec) -> str:
+    tag = spec[0]
+    if tag == "=":
+        return repr(spec[1])
+    if tag == "deep":
+        return f"<{spec[2]!r} nested {spec[1]} deep>"
+    inner = ", ".join(_describe(s) for s in spec[1:])
+    return f"[{inner}]" if tag == "[]" else f"{tag}({inner})"
+
+
+def describe(call) -> str:
+    target, args = call
+    text = " ".join(args[0]) if target == "cli" else _describe((target, *args))
+    text = f"cli: {text}" if target == "cli" else text
+    return text if len(text) <= 300 else text[:300] + "..."
+
+
+def _worker(src: str, corpus_path: str, out_path: str) -> None:
+    sys.path.insert(0, src)
+    import layoutkit
+
+    if Path(layoutkit.__file__).parent.parent != Path(src):
+        raise SystemExit(f"imported {layoutkit.__file__}, not the package in {src}")
+    with open(corpus_path, "rb") as fh:
+        calls = pickle.load(fh)
+    outcomes = run_corpus(calls)
+    with open(out_path, "wb") as fh:
+        pickle.dump(outcomes, fh)
+
+
+def main(argv) -> int:
+    if len(argv) == 4 and argv[0] == "--worker":
+        _worker(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    parent, change = (str(Path(p).resolve()) for p in argv)
+    for src in (parent, change):
+        if not (Path(src) / "layoutkit" / "__init__.py").is_file():
+            print(f"no layoutkit package in {src}", file=sys.stderr)
+            return 2
+    start = time.perf_counter()
+    sys.path.insert(0, parent)
+    calls = build_corpus()
+    built = time.perf_counter() - start
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path = os.path.join(tmp, "corpus.pickle")
+        with open(corpus_path, "wb") as fh:
+            pickle.dump(calls, fh)
+        workers, elapsed = [], []
+        for i, src in enumerate((parent, change)):
+            out_path = os.path.join(tmp, f"outcomes{i}.pickle")
+            argv_w = [sys.executable, __file__, "--worker", src, corpus_path, out_path]
+            workers.append((subprocess.Popen(argv_w, env=env), out_path, time.perf_counter()))
+        results = []
+        for proc, out_path, t0 in workers:
+            if proc.wait() != 0:
+                print(f"worker for {out_path} exited {proc.returncode}", file=sys.stderr)
+                return 2
+            elapsed.append(time.perf_counter() - t0)
+            with open(out_path, "rb") as fh:
+                results.append(pickle.load(fh))
+    before, after = results
+    differ = [i for i, (p, q) in enumerate(zip(before, after)) if p != q]
+    ncli = sum(1 for target, _ in calls if target == "cli")
+    print(
+        f"differential: {len(calls):,} outcomes ({len(calls) - ncli:,} library, "
+        f"{ncli:,} CLI), {len(differ):,} differ; corpus {built:.1f} s, "
+        f"parent {elapsed[0]:.1f} s, change {elapsed[1]:.1f} s"
+    )
+    for i in differ:
+        print(f"\n#{i} {describe(calls[i])}\n  parent: {before[i]}\n  change: {after[i]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
