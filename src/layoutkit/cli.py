@@ -246,6 +246,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
+        # the parsers refuse text nested too deep to read, but the engine's
+        # tree walkers and tuple comparison still recurse on trees they read
         print("parse-error: nesting too deep", file=sys.stderr)
         return 2
 

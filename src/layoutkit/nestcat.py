@@ -28,12 +28,10 @@ from .shapes import (
     congruent,
     depth,
     flatten,
-    format_nested,
     length,
     rank,
     refines,
     relative_modes,
-    size,
     substitute,
 )
 from .tuplecat import (
@@ -41,7 +39,7 @@ from .tuplecat import (
     TupleMorphism,
     _coalesce_modes,
     _format_arrow,
-    _Predicates,
+    _LayoutFunction,
     _unchecked,
     coalesce_m,
     complement_m,
@@ -61,15 +59,16 @@ class NestMorphism:
     fmap: TupleMorphism
 
     def __post_init__(self) -> None:
-        if flatten(self.domain) != self.fmap.domain:
+        domain, codomain = flatten(self.domain), flatten(self.codomain)
+        if domain != self.fmap.domain:
             raise LayoutError(
                 f"domain {self.domain} does not flatten to {self.fmap.domain}"
             )
-        if flatten(self.codomain) != self.fmap.codomain:
+        if codomain != self.fmap.codomain:
             raise LayoutError(
                 f"codomain {self.codomain} does not flatten to {self.fmap.codomain}"
             )
-        _check_entries(flatten((self.domain, self.codomain)), 1, "entry", self)
+        _check_entries(domain + codomain, 1, "entry", self)
 
     def is_standard_form(self) -> bool:
         return self.fmap.is_standard_form() and depth(self.codomain) <= 1
@@ -90,11 +89,12 @@ class Refinement:
     coarse: Nested
 
     def __post_init__(self) -> None:
-        _check_ints(flatten((self.fine, self.coarse)), "entry", self)
+        fine = flatten(self.fine)
+        _check_ints(fine + flatten(self.coarse), "entry", self)
         if not refines(self.fine, self.coarse):
             raise NotRefinementError(f"{self.fine} does not refine {self.coarse}")
         # refines() took each coarse entry as a checked product of fine ones
-        _check_entries(flatten(self.fine), 1, "entry", self.fine)
+        _check_entries(fine, 1, "entry", self.fine)
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,9 @@ class MutualRefinement:
 
 
 def nest_morphism(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorphism:
-    return NestMorphism(
-        domain, codomain, TupleMorphism(flatten(domain), flatten(codomain), tuple(amap))
-    )
-
-
-def _derived(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorphism:
-    """:func:`nest_morphism` without validation, for morphisms the engine
-    derives from valid ones."""
-    fmap = _unchecked(TupleMorphism, flatten(domain), flatten(codomain), tuple(amap))
+    """The morphism ``amap`` between the flattenings of two trees, built
+    unchecked: its tuple morphism has checked every entry."""
+    fmap = TupleMorphism(flatten(domain), flatten(codomain), tuple(amap))
     return _unchecked(NestMorphism, domain, codomain, fmap)
 
 
@@ -135,48 +129,59 @@ def _as_tree(entries: Sequence[int]) -> Nested:
 # -- refinement transport --------------------------------------------------
 
 
-def _positions(parts: Sequence[Nested]) -> List[range]:
-    """For each part, the 1-based positions of its entries in the flattening
-    of all the parts in order."""
-    out: List[range] = []
-    for p in parts:
-        start = out[-1].stop if out else 1
-        out.append(range(start, start + length(p)))
-    return out
+def _joined(pieces: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], List[range]]:
+    """The concatenation of flat pieces, and the 1-based positions of each in it."""
+    flat: Tuple[int, ...] = ()
+    spans: List[range] = []
+    for p in pieces:
+        spans.append(range(len(flat) + 1, len(flat) + 1 + len(p)))
+        flat += p
+    return flat, spans
 
 
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the codomain along ``tref`` and split each domain entry into
-    the flat block it now covers; the layout function is unchanged."""
+    the flat block it now covers; the layout function is unchanged.  Each
+    refining sub-tree is flattened once, and the flat morphism read off them."""
     if tref.coarse != f.codomain:
         raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
     rel = _relative_modes(tref.fine, f.codomain)
-    pos = _positions(rel)
+    pieces = [flatten(sub) for sub in rel]
+    codomain, spans = _joined(pieces)
     parts: List[Nested] = []
+    domain: List[int] = []
     amap: List[int] = []
     for s, a in zip(f.fmap.domain, f.fmap.amap):
         parts.append(rel[a - 1] if a else s)
-        amap.extend(pos[a - 1] if a else (0,))
+        domain.extend(pieces[a - 1] if a else (s,))
+        amap.extend(spans[a - 1] if a else (0,))
     dom_fine = _substitute(f.domain, iter(parts))
-    return _derived(dom_fine, tref.fine, amap), _unchecked(Refinement, dom_fine, f.domain)
+    fmap = _unchecked(TupleMorphism, tuple(domain), codomain, tuple(amap))
+    fine = _unchecked(NestMorphism, dom_fine, tref.fine, fmap)
+    return fine, _unchecked(Refinement, dom_fine, f.domain)
 
 
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the domain along ``sref`` and replace each hit codomain entry
-    by the refining sub-tree; the layout function is unchanged."""
+    by the refining sub-tree; the layout function is unchanged.  Each
+    refining sub-tree is flattened once, and the flat morphism read off them."""
     if sref.coarse != f.domain:
         raise LayoutError(f"{sref.coarse} is not the domain of {f}")
     rel = _relative_modes(sref.fine, f.domain)
+    pieces = [flatten(sub) for sub in rel]
     cod_parts: List[Nested] = list(f.fmap.codomain)
-    for a, sub in zip(f.fmap.amap, rel):
+    cod_pieces = [(t,) for t in f.fmap.codomain]
+    for a, sub, piece in zip(f.fmap.amap, rel, pieces):
         if a != 0:
-            cod_parts[a - 1] = sub
+            cod_parts[a - 1], cod_pieces[a - 1] = sub, piece
     cod_fine = _substitute(f.codomain, iter(cod_parts))
-    pos = _positions(cod_parts)
+    codomain, spans = _joined(cod_pieces)
     amap: List[int] = []
-    for a, sub in zip(f.fmap.amap, rel):
-        amap.extend(pos[a - 1] if a else [0] * length(sub))
-    return _derived(sref.fine, cod_fine, amap), _unchecked(Refinement, cod_fine, f.codomain)
+    for a, piece in zip(f.fmap.amap, pieces):
+        amap.extend(spans[a - 1] if a else [0] * len(piece))
+    fmap = _unchecked(TupleMorphism, _joined(pieces)[0], codomain, tuple(amap))
+    fine = _unchecked(NestMorphism, sref.fine, cod_fine, fmap)
+    return fine, _unchecked(Refinement, cod_fine, f.codomain)
 
 
 # -- mutual refinement -----------------------------------------------------
@@ -259,18 +264,13 @@ def make_composable(
 
 def concat_nm(fs: Sequence[NestMorphism]) -> NestMorphism:
     """One morphism with one domain mode per operand; images must be
-    disjoint and the codomains equal."""
-    if not fs:
-        raise LayoutError("cannot concatenate zero morphisms")
+    disjoint and the codomains equal; the tuple morphisms' concatenation
+    refuses zero operands."""
     for f in fs[1:]:
         if f.codomain != fs[0].codomain:
             raise LayoutError("concatenation requires a common codomain")
-    return _unchecked(
-        NestMorphism,
-        tuple(f.domain for f in fs),
-        fs[0].codomain,
-        concat_morphisms([f.fmap for f in fs]),
-    )
+    fmap = concat_morphisms([f.fmap for f in fs])
+    return _unchecked(NestMorphism, tuple(f.domain for f in fs), fs[0].codomain, fmap)
 
 
 def complement_nm(f: NestMorphism) -> NestMorphism:
@@ -345,7 +345,7 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
 
 
 @dataclass(frozen=True)
-class Layout(_Predicates):
+class Layout(_LayoutFunction):
     shape: Nested
     stride: Nested
 
@@ -354,8 +354,10 @@ class Layout(_Predicates):
             raise LayoutError(
                 f"shape {self.shape} and stride {self.stride} are not congruent"
             )
-        # range checks by the validating flat constructor, not by flat()
-        FlatLayout(flatten(self.shape), flatten(self.stride))
+        # the entry checks of FlatLayout, with its messages
+        shape, stride = flatten(self.shape), flatten(self.stride)
+        _check_entries(shape, 1, "shape entry", shape)
+        _check_entries(stride, 0, "stride entry", stride)
 
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
@@ -378,25 +380,6 @@ class Layout(_Predicates):
 
     def complexity(self) -> int:
         return self.length() + self.depth()
-
-    def size(self) -> int:
-        return size(self.shape)
-
-    def cosize(self) -> int:
-        return self.flat().cosize()
-
-    # -- evaluation --------------------------------------------------------
-
-    def __call__(self, x: int) -> int:
-        return self.flat()(x)
-
-    def eval_coord(self, coord: Sequence[int]) -> int:
-        return self.flat().eval_coord(coord)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_tractable(self) -> bool:
-        return self.flat().is_tractable()
 
     # -- coalescing --------------------------------------------------------
 
@@ -435,9 +418,6 @@ class Layout(_Predicates):
         comp = self.complement(self.size() * other.cosize())
         return concat_layouts([self, other.compose(comp)])
 
-    def __str__(self) -> str:
-        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
-
 
 def _unflat(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[Nested, Nested]:
     """Shape and stride of :meth:`Layout.of_flat`."""
@@ -455,7 +435,8 @@ def substitute_profile(layout: Layout, prof) -> Layout:
     """Re-nest the entries of ``layout`` under a new profile of the same
     length."""
     flat = layout.flat()
-    return Layout(substitute(flat.shape, prof), substitute(flat.stride, prof))
+    # both trees re-nest one valid layout's entries under one profile
+    return _unchecked(Layout, substitute(flat.shape, prof), substitute(flat.stride, prof))
 
 
 def column_major_layout(shape: Nested) -> Layout:
@@ -483,13 +464,15 @@ def standard_representation_nested(layout: Layout) -> NestMorphism:
 def compose_tractable(a: Layout, b: Layout) -> Layout:
     """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
     refines shape(a), before any coalescing."""
-    if a.cosize() > b.size():
+    flat, b_flat = a.flat(), b.flat()
+    if flat.cosize() > b_flat.size():
         raise NotComposableError(
-            f"cosize {a.cosize()} of the first layout exceeds size {b.size()} "
+            f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
             f"of the second"
         )
-    f = standard_representation_nested(a)
-    g = standard_representation_nested(b.coalesce())
+    fmap = standard_representation(flat)
+    f = _unchecked(NestMorphism, a.shape, fmap.codomain, fmap)
+    g = standard_representation_nested(Layout.of_flat(b_flat.coalesce()))
 
     mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
     if mr is None:

@@ -93,6 +93,18 @@ class _Scanner:
         self.take(")")
         return tuple(items)
 
+    def layout(self) -> Tuple[Nested, Nested]:
+        shape = self.nested()
+        self.take(":")
+        return shape, self.nested()
+
+    def morphism(self) -> Tuple[Nested, Nested, Tuple[int, ...]]:
+        domain = self.nested()
+        self.take("--(")
+        amap = self.map() if self.peek() != ")" else ()
+        self.take(")-->")
+        return domain, self.nested(), amap
+
     def done(self) -> None:
         if self.peek():
             raise NotationError(
@@ -101,9 +113,12 @@ class _Scanner:
 
 
 def _parse(text: str, read):
-    """What the scanner method ``read`` reads from the whole of ``text``."""
+    """What ``read`` reads from all of ``text``; nesting too deep to read is malformed."""
     sc = _Scanner(text)
-    out = read(sc)
+    try:
+        out = read(sc)
+    except RecursionError:
+        raise NotationError("nesting too deep") from None
     sc.done()
     return out
 
@@ -113,22 +128,10 @@ def parse_nested(text: str) -> Nested:
 
 
 def parse_layout(text: str) -> Layout:
-    sc = _Scanner(text)
-    shape = sc.nested()
-    sc.take(":")
-    stride = sc.nested()
-    sc.done()
-    # malformed text raises NotationError above; a well-formed description
-    # of an invalid layout (e.g. incongruent trees) stays a domain error
-    return Layout(shape, stride)
+    # malformed text raises NotationError; a well-formed description of an
+    # invalid layout (e.g. incongruent trees) stays a domain error
+    return Layout(*_parse(text, _Scanner.layout))
 
 
 def parse_morphism(text: str) -> NestMorphism:
-    sc = _Scanner(text)
-    domain = sc.nested()
-    sc.take("--(")
-    amap = sc.map() if sc.peek() != ")" else ()
-    sc.take(")-->")
-    codomain = sc.nested()
-    sc.done()
-    return nest_morphism(domain, codomain, amap)
+    return nest_morphism(*_parse(text, _Scanner.morphism))

@@ -40,12 +40,8 @@ class FunctionTable:
         return sorted(self.values) == list(range(len(self.values)))
 
 
-def _flat(layout: LayoutLike) -> FlatLayout:
-    return layout.flat() if isinstance(layout, Layout) else layout
-
-
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    flat = _flat(layout)
+    flat = layout.flat()
     n = flat.size()
     if n > cap:
         raise OracleCapError(f"table of size {n} exceeds cap {cap}")
@@ -61,7 +57,7 @@ def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
 
 
 def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> bool:
-    fa, fb = _flat(a), _flat(b)
+    fa, fb = a.flat(), b.flat()
     if fa.size() != fb.size():
         return False
     return table_of(fa, cap) == table_of(fb, cap)
@@ -88,7 +84,7 @@ def check_compose(
         la = a if isinstance(a, Layout) else Layout.of_flat(a)
         lb = b if isinstance(b, Layout) else Layout.of_flat(b)
         composite = la.compose(lb)
-    fa, fb, fc = _flat(a), _flat(b), _flat(composite)
+    fa, fb, fc = a.flat(), b.flat(), composite.flat()
     xs = table_of(fa, cap).values
     if fc.size() != len(xs):
         return False
@@ -130,10 +126,10 @@ def check_complement(
 ) -> bool:
     """Check that ``b`` (engine result when omitted) completes ``a`` to a
     bijection onto [0, size(a)*size(b)), of total size ``n`` when given."""
-    fa = _flat(a)
+    fa = a.flat()
     if b is None:
         b = fa.complement(n)
-    fb = _flat(b)
+    fb = b.flat()
     total = fa.size() * fb.size()
     if n is not None and total != n:
         return False
@@ -155,7 +151,7 @@ def exhaustive_complement_search(
     divisor of n — so the survivors are decided purely by the bijectivity
     table.
     """
-    fa = _flat(a)
+    fa = a.flat()
     if n > cap:
         raise OracleCapError(f"search space of size {n} exceeds cap {cap}")
     if n < 1 or n % fa.size() != 0:

@@ -50,8 +50,42 @@ def _returns(op, *args):
         return op(*args)
 
 
-class _Predicates:
-    """The predicates of flat and nested layouts, each answered by its operation."""
+class _LayoutFunction:
+    """Flat and nested layouts: each question about the function is answered
+    once, on the flat form (a flat layout is its own), each predicate by its operation."""
+
+    def size(self) -> int:
+        return size(self.shape)  # the product of the leaves, nested or not
+
+    def cosize(self) -> int:
+        flat = self.flat()
+        total = 1
+        for s, d in zip(flat.shape, flat.stride):
+            total = checked_add(total, checked_mul(s - 1, d))
+        return total
+
+    def eval_coord(self, coord: Sequence[int]) -> int:
+        flat = self.flat()
+        if len(coord) != flat.rank:
+            raise LayoutError(f"coordinate rank {len(coord)} != {flat.rank}")
+        _check_ints(coord, "coordinate", tuple(coord))
+        out = 0
+        for c, s, d in zip(coord, flat.shape, flat.stride):
+            if not 0 <= c < s:
+                raise LayoutError(f"coordinate {tuple(coord)} out of range for {flat.shape}")
+            out = checked_add(out, checked_mul(c, d))
+        return out
+
+    def __call__(self, x: int) -> int:
+        flat = self.flat()
+        return flat.eval_coord(colex_inv(flat.shape, x))
+
+    def is_tractable(self) -> bool:
+        """Whether the layout has a standard representation, i.e. is the layout
+        of a tuple morphism.  Unit modes count: a morphism gives every mode it
+        carries the product of the codomain entries before it, so the strides
+        of ``(4,1):(1,3)`` would have to form a chain, and they do not."""
+        return _standard_modes(self.flat()) is not None
 
     def is_coalesced(self) -> bool:
         return _returns(self.coalesce) == self
@@ -67,9 +101,12 @@ class _Predicates:
     def is_n_complementable(self, n: int) -> bool:
         return _returns(self.complement, n) is not None
 
+    def __str__(self) -> str:
+        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
+
 
 @dataclass(frozen=True)
-class FlatLayout(_Predicates):
+class FlatLayout(_LayoutFunction):
     """A pair of equal-length flat tuples ``shape:stride``.
 
     Shape entries are positive; stride entries are non-negative; both fit in
@@ -93,30 +130,8 @@ class FlatLayout(_Predicates):
     def rank(self) -> int:
         return len(self.shape)
 
-    def size(self) -> int:
-        return size(self.shape)
-
-    def cosize(self) -> int:
-        total = 1
-        for s, d in zip(self.shape, self.stride):
-            total = checked_add(total, checked_mul(s - 1, d))
-        return total
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_coord(self, coord: Sequence[int]) -> int:
-        if len(coord) != self.rank:
-            raise LayoutError(f"coordinate rank {len(coord)} != {self.rank}")
-        _check_ints(coord, "coordinate", tuple(coord))
-        out = 0
-        for c, s, d in zip(coord, self.shape, self.stride):
-            if not 0 <= c < s:
-                raise LayoutError(f"coordinate {tuple(coord)} out of range for {self.shape}")
-            out = checked_add(out, checked_mul(c, d))
-        return out
-
-    def __call__(self, x: int) -> int:
-        return self.eval_coord(colex_inv(self.shape, x))
+    def flat(self) -> "FlatLayout":
+        return self
 
     # -- restrictions ------------------------------------------------------
 
@@ -126,44 +141,39 @@ class FlatLayout(_Predicates):
         for i in idx:
             if not 0 <= i < self.rank:
                 raise LayoutError(f"mode index {i} out of range for rank {self.rank}")
+        return self._take(idx)
+
+    def _take(self, idx: Sequence[int]) -> "FlatLayout":
+        """:meth:`restrict` to mode indices already known to be valid."""
         shape = tuple(self.shape[i] for i in idx)
         return _unchecked(FlatLayout, shape, tuple(self.stride[i] for i in idx))
 
     def squeeze(self) -> "FlatLayout":
-        return self.restrict([i for i, s in enumerate(self.shape) if s != 1])
+        return self._take([i for i, s in enumerate(self.shape) if s != 1])
 
     def filter_zeros(self) -> "FlatLayout":
-        return self.restrict([i for i, d in enumerate(self.stride) if d != 0])
+        return self._take([i for i, d in enumerate(self.stride) if d != 0])
 
     def permute(self, sigma: Sequence[int]) -> "FlatLayout":
         """Mode ``i`` of the result is mode ``sigma[i]`` of ``self``."""
         _check_ints(sigma, "mode index", tuple(sigma))
         if sorted(sigma) != list(range(self.rank)):
             raise LayoutError(f"{tuple(sigma)} is not a permutation of 0..{self.rank - 1}")
-        return self.restrict(list(sigma))
+        return self._take(sigma)
 
     # -- sorting and coalescing --------------------------------------------
 
     def sort(self) -> "FlatLayout":
         """The modes ordered by (stride, shape)."""
-        modes = sorted(zip(self.stride, self.shape))
-        return _unchecked(
-            FlatLayout, tuple(s for _, s in modes), tuple(d for d, _ in modes)
-        )
+        order = sorted(range(self.rank), key=lambda i: (self.stride[i], self.shape[i]))
+        return self._take(order)
 
     def coalesce(self) -> "FlatLayout":
         """The unique minimal-rank flat layout with the same layout function:
         drop unit modes, then merge adjacent modes with s_i*d_i == d_{i+1}."""
         return _unchecked(FlatLayout, *_coalesce_modes(self.shape, self.stride))
 
-    # -- predicates --------------------------------------------------------
-
-    def is_tractable(self) -> bool:
-        """Whether the layout has a standard representation, i.e. is the layout
-        of a tuple morphism.  Unit modes count: a morphism gives every mode it
-        carries the product of the codomain entries before it, so the strides
-        of ``(4,1):(1,3)`` would have to form a chain, and they do not."""
-        return _standard_modes(self) is not None
+    # -- complement --------------------------------------------------------
 
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
         """The coalesced sorted layout B with self ⋆ B compact (of total size
@@ -185,11 +195,6 @@ class FlatLayout(_Predicates):
             _check_entries((n,), 1, "complement size", self)
             f = _unchecked(TupleMorphism, f.domain, cod + (n // total,), f.amap)
         return layout_of(complement_m(f)).coalesce()
-
-    # -- misc --------------------------------------------------------------
-
-    def __str__(self) -> str:
-        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
 
 
 def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple, tuple]:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from layoutkit import Layout
 from layoutkit.cli import main
 from layoutkit.notation import format_nested
 
@@ -446,6 +447,8 @@ class TestCheckAndExitCodes:
             ),
             (("mutual-refine", "(4)", "(4)", "(4)"), "mutual-refine takes two tuples, got 3"),
             (("complement", "(2)--(1)-->(2)", "8"), "expected exactly one morphism argument"),
+            (("layout-of", "(2)", "--map", "1"), "--map needs exactly two tuple arguments"),
+            (("check", "frob", "4:1"), "unknown check target 'frob'"),
         ],
     )
     def test_wrong_arity_exit_2(self, capsys, argv, wanted):
@@ -489,6 +492,15 @@ class TestCheckAndExitCodes:
         code, _, err = run(capsys, "tractable", deep + ":" + deep.replace("2", "1"))
         assert code == 2
         assert err.startswith("parse-error:")
+
+    # the parsers refuse text nested too deep to read; a tree they accept
+    # may still be too deep for the engine's walkers, and exits 2 alike
+    def test_engine_recursion_exit_2(self, capsys, monkeypatch):
+        def too_deep(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(Layout, "is_tractable", too_deep)
+        assert run(capsys, "tractable", "4:1") == (2, "", "parse-error: nesting too deep")
 
     # well-formed layouts nested below the recursion limit are computed,
     # not refused as too deep

@@ -33,6 +33,7 @@ class TestConstruction:
         l = FlatLayout((7, 2), (2, 1))
         assert l.size() == 14
         assert l.cosize() == 14
+        assert l.flat() is l  # a flat layout is its own flat form
         empty = FlatLayout((), ())
         assert empty.size() == 1
         assert empty.cosize() == 1
@@ -53,6 +54,8 @@ class TestEvaluation:
             FlatLayout((2, 3), (1, 5)).eval_coord((2, 0))
         with pytest.raises(LayoutError):
             FlatLayout((2, 3), (1, 5))(6)
+        with pytest.raises(LayoutError, match="coordinate rank 2 != 1"):
+            FlatLayout((2,), (1,)).eval_coord((0, 0))
 
 
     # a coordinate, an index or a mode index is checked where it enters, like
@@ -84,6 +87,8 @@ class TestEvaluation:
 class TestRestriction:
     def test_restrict(self):
         assert FlatLayout((3, 6), (10, 5)).restrict([1]) == FlatLayout((6,), (5,))
+        with pytest.raises(LayoutError, match="mode index 3 out of range for rank 2"):
+            FlatLayout((3, 6), (10, 5)).restrict((3,))
 
     def test_squeeze(self):
         assert FlatLayout((64, 64, 1), (1, 64, 0)).squeeze() == FlatLayout(

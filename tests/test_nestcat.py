@@ -8,6 +8,7 @@ from layoutkit import (
     Layout,
     LayoutError,
     MutualRefinement,
+    NestMorphism,
     NotComposableError,
     NotRefinementError,
     Refinement,
@@ -19,6 +20,7 @@ from layoutkit import (
     concat_nm,
     divides,
     flatten,
+    identity,
     is_admissible_for_composition,
     layout_of_nested,
     logical_divide_m,
@@ -44,6 +46,17 @@ class TestNestMorphism:
     def test_entries_range_checked(self):
         with pytest.raises(LayoutError, match="non-positive domain entry"):
             nest_morphism((0,), (0,), (1,))
+
+    def test_trees_must_flatten_to_the_tuple_morphism(self):
+        assert NestMorphism(((2,), 2), (2, (2,)), identity((2, 2))).fmap == identity((2, 2))
+        with pytest.raises(LayoutError, match=r"domain \(2, 3\) does not flatten"):
+            NestMorphism((2, 3), (2, 2), identity((2, 2)))
+        with pytest.raises(LayoutError, match="codomain 4 does not flatten"):
+            NestMorphism((2, 2), 4, identity((2, 2)))
+
+    def test_non_degenerate(self):
+        assert nest_morphism((2, (1, 2)), (2, 2), (1, 0, 2)).is_non_degenerate()
+        assert not nest_morphism((2, (1, 2)), (2, 1, 2), (1, 2, 3)).is_non_degenerate()
 
     def test_layout_of_transcript(self):
         f = nest_morphism(((5, 5), 8), (5, 8, 5), (1, 3, 2))
@@ -101,6 +114,13 @@ class TestRefinementTransport:
         assert g.fmap.amap == (2, 3, 5, 6)
         assert cod_ref.coarse == f.codomain
         assert g.realize() == f.realize()
+
+    def test_refinement_must_lie_over_the_morphism(self):
+        f = nest_morphism((64, 32), (4, 64, 4, 32), (2, 4))
+        with pytest.raises(LayoutError, match="is not the codomain"):
+            pullback(f, Refinement(((8, 8), (4, 8)), f.domain))
+        with pytest.raises(LayoutError, match="is not the domain"):
+            pushforward(f, Refinement(((2, 2), (8, 8), 4, 32), f.codomain))
 
     @given(tractable_layouts(), seeds())
     @settings(deadline=None)
@@ -229,6 +249,8 @@ class TestComposition:
         composite = compose_nest(f2, g2)
         la, lc = layout_of_nested(f), layout_of_nested(composite)
         assert check_compose(la, b, lc)
+        with pytest.raises(LayoutError, match="does not lie over"):
+            make_composable(g, f, mr)
 
     @given(tractable_layouts(), tractable_layouts())
     @settings(deadline=None)
@@ -253,6 +275,10 @@ class TestMorphismOps:
         assert fc.fmap.amap == (2, 4)
         both = concat_nm([f, fc])
         assert both.domain == ((4, 4), (8, 8))
+        with pytest.raises(LayoutError, match="zero morphisms"):
+            concat_nm([])
+        with pytest.raises(LayoutError, match="common codomain"):
+            concat_nm([f, nest_morphism((4, 4), ((4, 8), (4, 8)), (1, 3))])
 
     def test_divide_transcript(self):
         f = nest_morphism((4, 8, 4, 8), (4, 8, 4, 8), (1, 2, 3, 4))
@@ -300,4 +326,8 @@ class TestAdmissibility:
         # stride 3 does not nest between the prefix products 1, 8, 64
         assert not is_admissible_for_composition(
             FlatLayout((2,), (3,)), FlatLayout((8, 8), (8, 1))
+        )
+        # both modes nest, but their stride intervals overlap at 1
+        assert not is_admissible_for_composition(
+            FlatLayout((2, 2), (1, 1)), FlatLayout((4,), (1,))
         )

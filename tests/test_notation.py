@@ -68,6 +68,20 @@ class TestParse:
             with pytest.raises(NotationError):
                 parse_morphism(text)
 
+    # text nested beyond the interpreter's recursion limit is malformed input
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_nested, "(" * 3000 + "2" + ")" * 3000),
+            (parse_layout, "(" * 3000 + "2" + ")" * 3000 + ":1"),
+            (parse_morphism, "(" * 3000 + "2" + ")" * 3000 + "--(1)-->(2)"),
+        ],
+        ids=["nested", "layout", "morphism"],
+    )
+    def test_too_deep_refused(self, parse, text):
+        with pytest.raises(NotationError, match="nesting too deep"):
+            parse(text)
+
     def test_well_formed_but_invalid_is_domain_error(self):
         with pytest.raises(LayoutError):
             parse_layout("(2,2):(1,(2,1))")

@@ -69,6 +69,8 @@ class TestChecks:
         b = Layout((8, 64), (64, 1))
         assert check_compose(a, b)
         assert not check_compose(a, b, a)
+        # a composite of the wrong size is no composite
+        assert not check_compose(Layout(4, 1), Layout(8, 1), Layout(2, 1))
 
     def test_check_complement(self):
         a = FlatLayout((2, 2), (2, 8))
@@ -77,6 +79,8 @@ class TestChecks:
         assert check_complement(a, FlatLayout((2, 2), (1, 4)))
         assert not check_complement(a, FlatLayout((2, 2), (1, 2)))
         assert not check_complement(a, FlatLayout((2, 2), (1, 4)), n=64)
+        with pytest.raises(OracleCapError):
+            check_complement(a, n=64, cap=32)
 
 
 def _flat(shape, stride):
@@ -156,6 +160,12 @@ class TestExhaustiveSearch:
     def test_empty_when_nothing_fits(self):
         assert exhaustive_complement_search(FlatLayout((3,), (1,)), 7) == []
         assert exhaustive_complement_search(FlatLayout((2,), (3,)), 4) == []
+        # cosize 6 exceeds n = 4, although n is a multiple of the size
+        assert exhaustive_complement_search(FlatLayout((2, 2), (1, 4)), 4) == []
+
+    def test_cap(self):
+        with pytest.raises(OracleCapError):
+            exhaustive_complement_search(FlatLayout((2,), (1,)), 64, cap=32)
 
     def test_full_cover(self):
         # the complement of a compact layout of full size is trivial

@@ -1,21 +1,31 @@
 """Tuple morphisms: the engine encoding tractable flat layouts."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from layoutkit import (
     ArithmeticOverflowError,
     FlatLayout,
+    Layout,
     LayoutError,
     NestMorphism,
+    NotComplementableError,
+    NotComposableError,
     NotTractableError,
     TupleMorphism,
     coalesce_m,
     complement_m,
     compose_morphisms,
+    concat_layouts,
     concat_morphisms,
+    functions_equal,
     identity,
     layout_of,
+    layout_of_nested,
+    logical_divide_m,
     logical_product_m,
     realize,
     sort_m,
@@ -29,6 +39,8 @@ from generators import (
     morphisms_with_units,
     non_degenerate,
     random_composable_pair,
+    random_layout,
+    random_morphism,
     seeds,
     standard_morphisms,
     tractable_flats,
@@ -150,6 +162,12 @@ class TestOperations:
         with pytest.raises(LayoutError):
             concat_morphisms([f, f])
 
+    def test_concat_requires_operands_with_one_codomain(self):
+        with pytest.raises(LayoutError, match="zero morphisms"):
+            concat_morphisms([])
+        with pytest.raises(LayoutError, match="common codomain"):
+            concat_morphisms([identity((2,)), identity((3,))])
+
     def test_squeeze_sort_preserve_layout(self):
         f = TupleMorphism((2, 1, 3), (1, 3, 2), (3, 1, 2))
         assert layout_of(squeeze_m(f)) == layout_of(f).squeeze()
@@ -238,3 +256,75 @@ def _random_subinclusion(rng, codomain):
     return TupleMorphism(
         tuple(codomain[j - 1] for j in positions), tuple(codomain), tuple(positions)
     )
+
+
+def _agreement(layout, morphism_side):
+    """How the layout ``layout()`` relates to the layout of the morphism
+    operation: identical, or the same function and the same coalesce."""
+    try:
+        got = layout()
+    except LayoutError as exc:
+        return type(exc)
+    want = layout_of_nested(morphism_side)
+    if got == want:
+        return "identical"
+    assert functions_equal(got, want) and got.coalesce() == want.coalesce()
+    return "same"
+
+
+class TestCompatibleWithLayoutOperations:
+    """Each morphism operation computes its layout operation wherever the
+    layout side is defined; the classes where only the morphism side is
+    defined are pinned, and none of them is empty."""
+
+    def test_divide(self):
+        # f, and an injective g into f's domain: the layout side refuses only
+        # a tiler whose unit mode breaks the chain of (B, B*)
+        seen = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            f = random_morphism(rng)
+            nf, ng = _flat_nm(f), _flat_nm(_random_subinclusion(rng, f.domain))
+            a, b = layout_of_nested(nf), layout_of_nested(ng)
+            seen[_agreement(lambda: a.logical_divide(b), logical_divide_m(nf, ng))] += 1
+        assert set(seen) == {"identical", "same", NotTractableError}
+        with pytest.raises(NotTractableError, match=r"\(1,3,6\):\(3,6,1\) is not tractable"):
+            Layout(18, 1).logical_divide(Layout((1, 3), (3, 6)))
+
+    def test_product(self):
+        # an injective f, and g into the domain of complement(f): the layout
+        # side refuses where size(A)*cosize(B) is no multiple of A's extent,
+        # or where B does not compose with that complement
+        seen = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            f = random_morphism(rng)
+            while not f.is_injective():
+                f = random_morphism(rng)
+            g = _random_subinclusion(rng, complement_m(f).domain)
+            nf, ng = _flat_nm(f), _flat_nm(g)
+            a, b = layout_of_nested(nf), layout_of_nested(ng)
+            seen[_agreement(lambda: a.logical_product(b), logical_product_m(nf, ng))] += 1
+        assert set(seen) <= {"identical", "same", NotComplementableError, NotComposableError}
+        assert {"identical", NotComplementableError, NotComposableError} <= set(seen)
+
+    def test_compose_distributes_over_concatenation(self):
+        # (a1, a2) then b is (a1 then b, a2 then b) wherever both parts compose
+        # and the whole does; the whole may be refused as not tractable, or
+        # as not composable when its cosize exceeds size(b)
+        seen = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            a1, a2, b = random_layout(rng), random_layout(rng), random_layout(rng)
+            try:
+                parts = concat_layouts([a1.compose(b), a2.compose(b)])
+            except LayoutError:
+                continue
+            try:
+                whole = concat_layouts([a1, a2]).compose(b)
+            except LayoutError as exc:
+                seen[type(exc)] += 1
+                continue
+            assert whole == parts
+            seen["exact"] += 1
+        assert set(seen) == {"exact", NotTractableError, NotComposableError}

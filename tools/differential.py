@@ -136,7 +136,7 @@ def flat_battery(c: Corpus, lk, f, g) -> None:
     rng = c.rng
     F, G = _F(f), _F(g)
     for name in (
-        "__str__", "rank", "size", "cosize", "squeeze", "filter_zeros", "sort",
+        "__str__", "flat", "rank", "size", "cosize", "squeeze", "filter_zeros", "sort",
         "coalesce", "is_coalesced", "is_tractable", "complement", "is_complementable",
         "is_compact",
     ):
