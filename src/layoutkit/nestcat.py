@@ -16,6 +16,7 @@ they are taken; what the engine derives from valid values skips validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComposableError, NotRefinementError
@@ -326,9 +327,7 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
         if not (nests(d) and nests(s * d)):
             return False
 
-    bound = 1
-    for s in a.shape[:-1]:
-        bound *= s
+    bound = prod(a.shape[:-1])
     spans = []
     for s, d in zip(a.shape, a.stride):
         lo, hi = max(d, 1), min(d * (s - 1), bound - 1)
@@ -472,9 +471,10 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
         )
     fmap = standard_representation(flat)
     f = _unchecked(NestMorphism, a.shape, fmap.codomain, fmap)
-    g = standard_representation_nested(Layout.of_flat(b_flat.coalesce()))
+    gmap = standard_representation(b_flat.coalesce())
+    g = _unchecked(NestMorphism, _as_tree(gmap.domain), gmap.codomain, gmap)
 
-    mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
+    mr = mutual_refinement(f.fmap.codomain, g.domain)
     if mr is None:
         raise NotComposableError(
             f"no mutual refinement of {f.fmap.codomain} and {g.domain}"

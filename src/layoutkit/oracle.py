@@ -81,9 +81,7 @@ def check_compose(
     composite are held, so the cap counts ``size(a)`` alone.
     """
     if composite is None:
-        la = a if isinstance(a, Layout) else Layout.of_flat(a)
-        lb = b if isinstance(b, Layout) else Layout.of_flat(b)
-        composite = la.compose(lb)
+        composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
     fa, fb, fc = a.flat(), b.flat(), composite.flat()
     xs = table_of(fa, cap).values
     if fc.size() != len(xs):

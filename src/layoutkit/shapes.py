@@ -13,6 +13,7 @@ they are taken.  Leaving the range raises
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Sequence, Tuple, Union
 
 from .errors import ArithmeticOverflowError, LayoutError, NotRefinementError
@@ -73,12 +74,7 @@ def flatten(x: Nested) -> Tuple[int, ...]:
 
 
 def profile(x: Nested) -> Profile:
-    if not isinstance(x, tuple):
-        return STAR
-    out = []
-    for c in x:
-        out.append(profile(c))
-    return tuple(out)
+    return _substitute(x, repeat(STAR))
 
 
 def congruent(a: Nested, b: Nested) -> bool:
@@ -185,31 +181,42 @@ def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
-    """Linearize ``coord`` against a flat ``shape``, first axis fastest."""
+def _check_coord(shape: Sequence[int], coord: Sequence[int]) -> None:
+    """Refuse a coordinate of the wrong rank, entry type or range for ``shape``."""
     if len(coord) != len(shape):
-        raise LayoutError(f"coordinate rank {len(coord)} != shape rank {len(shape)}")
+        raise LayoutError(f"coordinate rank {len(coord)} != {len(shape)}")
     _check_ints(coord, "coordinate", tuple(coord))
-    x = 0
-    scale = 1
     for c, s in zip(coord, shape):
         if not 0 <= c < s:
             raise LayoutError(f"coordinate {tuple(coord)} out of range for {tuple(shape)}")
-        x = checked_add(x, checked_mul(c, scale))
-        scale = checked_mul(scale, s)
+
+
+def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
+    """The layout function: the checked sum of each coordinate times its weight."""
+    out = 0
+    for c, w in zip(coord, weights):
+        out = checked_add(out, checked_mul(c, w))
+    return out
+
+
+def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
+    """Linearize ``coord``, first axis fastest, by Horner's rule: no partial exceeds the answer."""
+    _check_coord(shape, coord)
+    x = 0
+    for c, s in zip(reversed(coord), reversed(shape)):
+        x = checked_add(checked_mul(x, s), c)
     return x
 
 
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
-    """Inverse of :func:`colex`."""
+    """Inverse of :func:`colex`, dividing ``x`` down: no product of the whole shape."""
     _check_ints((x,), "index", tuple(shape))
-    total = 1
-    for s in shape:
-        total = checked_mul(total, s)
-    if not 0 <= x < total:
-        raise LayoutError(f"index {x} out of range for shape {tuple(shape)}")
     coord = []
+    rest = x
     for s in shape:
-        coord.append(x % s)
-        x //= s
+        coord.append(rest % s)
+        rest //= s
+    if x < 0 or rest:
+        raise LayoutError(f"index {x} out of range for shape {tuple(shape)}")
+    _check_entries((x,), 0, "index", tuple(shape))  # in range: only the 64-bit check is left
     return tuple(coord)

@@ -23,9 +23,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import LayoutError, NotComplementableError, NotTractableError
 from .shapes import (
     Nested,
+    _check_coord,
     _check_entries,
     _check_ints,
-    checked_add,
+    _dot,
     checked_mul,
     colex,
     colex_inv,
@@ -58,27 +59,18 @@ class _LayoutFunction:
         return size(self.shape)  # the product of the leaves, nested or not
 
     def cosize(self) -> int:
+        """One more than the value at the last coordinate: the sum with a leading term 1*1."""
         flat = self.flat()
-        total = 1
-        for s, d in zip(flat.shape, flat.stride):
-            total = checked_add(total, checked_mul(s - 1, d))
-        return total
+        return _dot([1] + [s - 1 for s in flat.shape], (1,) + flat.stride)
 
     def eval_coord(self, coord: Sequence[int]) -> int:
         flat = self.flat()
-        if len(coord) != flat.rank:
-            raise LayoutError(f"coordinate rank {len(coord)} != {flat.rank}")
-        _check_ints(coord, "coordinate", tuple(coord))
-        out = 0
-        for c, s, d in zip(coord, flat.shape, flat.stride):
-            if not 0 <= c < s:
-                raise LayoutError(f"coordinate {tuple(coord)} out of range for {flat.shape}")
-            out = checked_add(out, checked_mul(c, d))
-        return out
+        _check_coord(flat.shape, coord)
+        return _dot(coord, flat.stride)
 
     def __call__(self, x: int) -> int:
         flat = self.flat()
-        return flat.eval_coord(colex_inv(flat.shape, x))
+        return _dot(colex_inv(flat.shape, x), flat.stride)
 
     def is_tractable(self) -> bool:
         """Whether the layout has a standard representation, i.e. is the layout

@@ -62,6 +62,9 @@ class TestLayoutVerbs:
 
     def test_eval(self, capsys):
         assert run(capsys, "eval", "(2,3):(1,5)", "3") == (0, "6", "")
+        # the shape's product exceeds 2^63-1, but the index and the value do not
+        layout = "(4611686018427387904,4):(1,2305843009213693952)"
+        assert run(capsys, "eval", layout, "1") == (0, "1", "")
 
 
 class TestMorphismVerbs:

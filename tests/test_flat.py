@@ -1,9 +1,12 @@
 """Flat layouts: evaluation, restriction, sorting, coalescing, complements."""
 
+from math import prod
+
 import pytest
 from hypothesis import given
 
 from layoutkit import (
+    ArithmeticOverflowError,
     FlatLayout,
     Layout,
     LayoutError,
@@ -40,6 +43,14 @@ class TestConstruction:
         assert concat_flat([FlatLayout((3,), (5,)), FlatLayout((5,), (1,))]).cosize() == 15
 
 
+def _outcome(call, *args):
+    """The result of ``call(*args)``, or the type of the :class:`LayoutError` it raised."""
+    try:
+        return call(*args)
+    except LayoutError as exc:
+        return type(exc)
+
+
 class TestEvaluation:
     def test_eval_coord(self):
         assert FlatLayout((2, 3), (1, 5)).eval_coord((1, 2)) == 11
@@ -56,6 +67,57 @@ class TestEvaluation:
             FlatLayout((2, 3), (1, 5))(6)
         with pytest.raises(LayoutError, match="coordinate rank 2 != 1"):
             FlatLayout((2,), (1,)).eval_coord((0, 0))
+
+    # shapes whose product exceeds 2^63-1: each reader agrees with exact
+    # Python-int arithmetic wherever the index and the answer fit in 64 bits,
+    # and refuses otherwise
+    @pytest.mark.parametrize(
+        "shape, stride",
+        [
+            ((2**62, 4), (1, 2**61)),
+            ((2**62, 4), (3, 1)),
+            ((4, 2**62), (2**61, 1)),
+            ((2**61, 2, 4), (2, 2**62, 1)),
+        ],
+    )
+    def test_beyond_a_64_bit_product(self, shape, stride):
+        top, n = 2**63 - 1, prod(shape)
+        layouts = (FlatLayout(shape, stride), Layout(shape, stride))
+        for x in (0, 1, n // shape[-1] - 1, n - 1, top, top + 1, n, -1):
+            if not 0 <= x < n:
+                assert _outcome(colex_inv, shape, x) is LayoutError  # out of range
+                assert [_outcome(l, x) for l in layouts] == [LayoutError] * 2
+                continue
+            coord = tuple(x // prod(shape[:i]) % s for i, s in enumerate(shape))
+            value = sum(c * d for c, d in zip(coord, stride))
+            fits = x <= top
+            assert _outcome(colex_inv, shape, x) == (coord if fits else ArithmeticOverflowError)
+            assert _outcome(colex, shape, coord) == (x if fits else ArithmeticOverflowError)
+            want = value if value <= top else ArithmeticOverflowError
+            for l in layouts:
+                assert _outcome(l.eval_coord, coord) == want
+                assert _outcome(l, x) == (want if fits else ArithmeticOverflowError)
+
+    def test_beyond_a_64_bit_product_examples(self):
+        assert colex((2**62, 4), (1, 0)) == 1
+        assert colex((4, 2**62), (3, 1)) == 7
+        assert colex_inv((2**62, 4), 5) == (5, 0)
+        assert Layout((2**62, 4), (1, 2**61))(1) == 1
+        with pytest.raises(
+            ArithmeticOverflowError,
+            match=r"index 9223372036854775808 in \(4611686018427387904, 4\) exceeds",
+        ):
+            colex_inv((2**62, 4), 2**63)
+
+    def test_colex_takes_no_product_of_the_whole_shape(self):
+        # a rank-100,000 shape: Horner's rule keeps every partial value at
+        # most the answer, so no multi-million-bit integer is built
+        shape = (2,) * 100_000
+        coord = (1,) + (0,) * (len(shape) - 1)
+        assert colex(shape, coord) == 1
+        assert colex_inv(shape, 1) == coord
+        with pytest.raises(ArithmeticOverflowError):
+            colex(shape, (0,) * 63 + (1,) + (0,) * (len(shape) - 64))
 
 
     # a coordinate, an index or a mode index is checked where it enters, like

@@ -186,14 +186,14 @@ def test_a_tuple_is_the_only_node():
 
 def test_profiles_are_built_only_to_compare_trees():
     # the engine re-nests what it derives with the tree it already holds, so
-    # a profile is built only by congruent (and by profile, recursively)
+    # a profile is built only by congruent
     callers = set()
     for path, tree in _source_trees():
         for name, scope in _scopes(tree):
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call) and _called_name(node) == "profile":
                     callers.add(f"{path.stem}.{name}")
-    assert callers == {"shapes.congruent", "shapes.profile"}
+    assert callers == {"shapes.congruent"}
 
 
 def test_every_public_method_of_an_export_is_named_in_a_test():

@@ -133,7 +133,7 @@ class TestColex:
     def test_out_of_range(self):
         with pytest.raises(LayoutError):
             colex((2, 3), (2, 0))
-        with pytest.raises(LayoutError):
+        with pytest.raises(LayoutError, match=r"coordinate rank 1 != 2"):
             colex((2, 3), (0,))
         with pytest.raises(LayoutError):
             colex_inv((2, 3), 6)

@@ -17,8 +17,10 @@ from layoutkit import (
     NotTractableError,
     TupleMorphism,
     coalesce_m,
+    coalesce_nm,
     complement_m,
     compose_morphisms,
+    compose_nest,
     concat_layouts,
     concat_morphisms,
     functions_equal,
@@ -28,6 +30,7 @@ from layoutkit import (
     logical_divide_m,
     logical_product_m,
     realize,
+    size,
     sort_m,
     squeeze_m,
     standard_representation,
@@ -276,6 +279,49 @@ class TestCompatibleWithLayoutOperations:
     """Each morphism operation computes its layout operation wherever the
     layout side is defined; the classes where only the morphism side is
     defined are pinned, and none of them is empty."""
+
+    def test_coalesce(self):
+        # the sides differ only where f coalesces to rank 0: the layout side
+        # gives 1:0, the morphism side ():()
+        seen = Counter()
+        for seed in range(2000):
+            nf = _flat_nm(random_morphism(random.Random(seed)))
+            a = layout_of_nested(nf)
+            seen[_agreement(a.coalesce, coalesce_nm(nf))] += 1
+        assert set(seen) == {"identical", "same"}
+        nf = _flat_nm(TupleMorphism((), (5,), ()))
+        assert (layout_of_nested(nf).coalesce(), layout_of_nested(coalesce_nm(nf))) == (
+            Layout(1, 0),
+            Layout((), ()),
+        )
+
+    def test_complement(self):
+        # an injective f: the complement of its layout in the size of its
+        # codomain (never refused) is the layout of its complement, up to
+        # coalescing
+        seen = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            f = random_morphism(rng)
+            while not f.is_injective():
+                f = random_morphism(rng)
+            flat = layout_of(f).complement(size(f.codomain))
+            got = Layout(flat.shape, flat.stride)  # flat trees, as layout_of_nested gives
+            seen[_agreement(lambda: got, _flat_nm(complement_m(f)))] += 1
+        assert set(seen) == {"identical", "same"}
+        f = TupleMorphism((3,), (3, 3, 2), (1,))
+        assert layout_of(f).complement(18) == FlatLayout((6,), (3,))
+        assert layout_of(complement_m(f)) == FlatLayout((3, 2), (3, 9))
+
+    def test_compose(self):
+        # a composable pair: the composite of the layouts is the layout of
+        # the composite, exactly
+        seen = Counter()
+        for seed in range(2000):
+            nf, ng = map(_flat_nm, random_composable_pair(random.Random(seed)))
+            a, b = layout_of_nested(nf), layout_of_nested(ng)
+            seen[_agreement(lambda: a.compose(b), compose_nest(nf, ng))] += 1
+        assert set(seen) == {"identical"}
 
     def test_divide(self):
         # f, and an injective g into f's domain: the layout side refuses only

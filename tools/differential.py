@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import pickle
 import random
@@ -43,6 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 EDGE = (0, -1, 2**61, 2**62, 2**63 - 1, 2**63, 2**64)
 #: values of the wrong type where an integer is expected
 NOT_INT = (2.5, 2.0, True, "2", None)
+#: layouts whose shape's product exceeds 2^63-1, to evaluate at the edges
+WIDE_EVAL = (
+    ((2**62, 4), (1, 2**61)),
+    ((4, 2**62), (2**61, 1)),
+    ((2**61, 2, 4), (2, 2**62, 1)),
+)
 #: nesting depths: within the interpreter's recursion limit, and beyond it
 DEEP = (50, 900, 3000)
 #: the longest outcome kept whole; a longer one keeps its start and a hash
@@ -292,6 +299,20 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("colex_inv", lit((2**62, 4)), V)
         c.add("parse_layout", lit(f"({v},2):(1,{v})"))
         c.add("nest_morphism", lit((v, 2)), lit((2, v)), lit((2, 1)))
+    for shape, stride in WIDE_EVAL:
+        n = math.prod(shape)
+        text = f"({','.join(map(str, shape))}):({','.join(map(str, stride))})"
+        layouts = [(cls, lit(shape), lit(stride)) for cls in ("Layout", "FlatLayout")]
+        for x in (0, 1, n // shape[-1] - 1, n - 1, 2**63 - 1, 2**63, n):
+            coord = tuple(x // math.prod(shape[:i]) % s for i, s in enumerate(shape))
+            c.add("colex_inv", lit(shape), lit(x))
+            c.add("colex", lit(shape), lit(coord))
+            for L in layouts:
+                c.add(f"{L[0]}.__call__", L, lit(x))
+                c.add(f"{L[0]}.eval_coord", L, lit(coord))
+            c.cli(("eval", text, str(x)))
+        for L in layouts:
+            c.add(f"{L[0]}.cosize", L)
     for v in NOT_INT:
         V = lit(v)
         c.add("Layout.__call__", ("Layout", lit(4), lit(1)), V)
