@@ -3,12 +3,11 @@
 A :class:`Layout` pairs a nested shape tuple with a congruent nested stride
 tuple.  Its function is that of the flattened layout; the nesting groups
 the results of composition, division and product.  A nest morphism is a
-tuple morphism between the flattenings of two nested tuples.  Refining
-either side along a refinement of its tree induces a new morphism with the
-same realized function (pullback along a codomain refinement, pushforward
-along a domain refinement).  Composition of layouts refines the middle
-trees of two standard representations until one is a flat prefix of the
-other.  Entries are range-checked where they enter (the constructors,
+tuple morphism between the flattenings of two nested tuples.  Refining a
+side along a refinement of its tree keeps the realized function (pullback
+refines the codomain, pushforward the domain); that transport is written
+once, on flat pieces, and composition runs it on tuple morphisms and nests
+once.  Entries are range-checked where they enter (the constructors,
 :func:`nest_morphism` and :func:`mutual_refinement`) and products where
 they are taken; what the engine derives from valid values skips validation.
 """
@@ -16,6 +15,7 @@ they are taken; what the engine derives from valid values skips validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from math import prod
 from typing import List, Optional, Sequence, Tuple
 
@@ -130,59 +130,52 @@ def _as_tree(entries: Sequence[int]) -> Nested:
 # -- refinement transport --------------------------------------------------
 
 
-def _joined(pieces: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], List[range]]:
-    """The concatenation of flat pieces, and the 1-based positions of each in it."""
-    flat: Tuple[int, ...] = ()
-    spans: List[range] = []
-    for p in pieces:
-        spans.append(range(len(flat) + 1, len(flat) + 1 + len(p)))
-        flat += p
-    return flat, spans
+def _cut(f: TupleMorphism, dom: Sequence, cod: Sequence) -> TupleMorphism:
+    """``f`` with domain entry ``i`` cut into the flat pieces ``dom[i]``, and
+    codomain entry ``j`` into ``cod[j]``; a hit entry is cut as its image."""
+    ends = list(accumulate(map(len, cod), initial=0))  # entry j ends at ends[j]
+    amap: List[int] = []
+    for a, p in zip(f.amap, dom):
+        amap.extend(range(ends[a - 1] + 1, ends[a] + 1) if a else [0] * len(p))
+    domain, codomain = tuple(chain.from_iterable(dom)), tuple(chain.from_iterable(cod))
+    return _unchecked(TupleMorphism, domain, codomain, tuple(amap))
+
+
+def _onto(f: TupleMorphism, parts: Sequence, cod: Sequence) -> list:
+    """``cod`` with each entry ``f`` hits replaced by the hitting entry's part."""
+    out = list(cod)
+    for a, part in zip(f.amap, parts):
+        if a:
+            out[a - 1] = part
+    return out
+
+
+def _transport(f: NestMorphism, dom_fine: Nested, cod_fine: Nested) -> NestMorphism:
+    """``f`` across refinements of both trees, each refining sub-tree flattened once."""
+    dom = [flatten(sub) for sub in _relative_modes(dom_fine, f.domain)]
+    cod = [flatten(sub) for sub in _relative_modes(cod_fine, f.codomain)]
+    return _unchecked(NestMorphism, dom_fine, cod_fine, _cut(f.fmap, dom, cod))
 
 
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
-    """Refine the codomain along ``tref`` and split each domain entry into
-    the flat block it now covers; the layout function is unchanged.  Each
-    refining sub-tree is flattened once, and the flat morphism read off them."""
+    """Refine the codomain along ``tref`` and each hit domain entry as its
+    image, keeping the layout function; the flat morphism is :func:`_cut`'s."""
     if tref.coarse != f.codomain:
         raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
     rel = _relative_modes(tref.fine, f.codomain)
-    pieces = [flatten(sub) for sub in rel]
-    codomain, spans = _joined(pieces)
-    parts: List[Nested] = []
-    domain: List[int] = []
-    amap: List[int] = []
-    for s, a in zip(f.fmap.domain, f.fmap.amap):
-        parts.append(rel[a - 1] if a else s)
-        domain.extend(pieces[a - 1] if a else (s,))
-        amap.extend(spans[a - 1] if a else (0,))
+    parts = [rel[a - 1] if a else s for s, a in zip(f.fmap.domain, f.fmap.amap)]
     dom_fine = _substitute(f.domain, iter(parts))
-    fmap = _unchecked(TupleMorphism, tuple(domain), codomain, tuple(amap))
-    fine = _unchecked(NestMorphism, dom_fine, tref.fine, fmap)
-    return fine, _unchecked(Refinement, dom_fine, f.domain)
+    return _transport(f, dom_fine, tref.fine), _unchecked(Refinement, dom_fine, f.domain)
 
 
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
-    """Refine the domain along ``sref`` and replace each hit codomain entry
-    by the refining sub-tree; the layout function is unchanged.  Each
-    refining sub-tree is flattened once, and the flat morphism read off them."""
+    """Refine the domain along ``sref`` and each hit codomain entry as the
+    entry hitting it, keeping the layout function; the flat morphism is :func:`_cut`'s."""
     if sref.coarse != f.domain:
         raise LayoutError(f"{sref.coarse} is not the domain of {f}")
     rel = _relative_modes(sref.fine, f.domain)
-    pieces = [flatten(sub) for sub in rel]
-    cod_parts: List[Nested] = list(f.fmap.codomain)
-    cod_pieces = [(t,) for t in f.fmap.codomain]
-    for a, sub, piece in zip(f.fmap.amap, rel, pieces):
-        if a != 0:
-            cod_parts[a - 1], cod_pieces[a - 1] = sub, piece
-    cod_fine = _substitute(f.codomain, iter(cod_parts))
-    codomain, spans = _joined(cod_pieces)
-    amap: List[int] = []
-    for a, piece in zip(f.fmap.amap, pieces):
-        amap.extend(spans[a - 1] if a else [0] * len(piece))
-    fmap = _unchecked(TupleMorphism, _joined(pieces)[0], codomain, tuple(amap))
-    fine = _unchecked(NestMorphism, sref.fine, cod_fine, fmap)
-    return fine, _unchecked(Refinement, cod_fine, f.codomain)
+    cod_fine = _substitute(f.codomain, iter(_onto(f.fmap, rel, f.fmap.codomain)))
+    return _transport(f, sref.fine, cod_fine), _unchecked(Refinement, cod_fine, f.codomain)
 
 
 # -- mutual refinement -----------------------------------------------------
@@ -195,44 +188,46 @@ def divides(fine_a: Nested, fine_b: Nested) -> bool:
     return fb[: len(fa)] == fa
 
 
-def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
-    """Refinements T' of ``t`` and U' of ``u`` with T' a flat prefix of U';
-    None when the greedy entry-splitting strategy finds no such pair.
-
-    Works through the flat entries with two pointers, splitting off the
-    smaller current entry as a piece of both whenever it divides the larger.
-    Raises :class:`LayoutError` for an entry below 1 and
-    :class:`ArithmeticOverflowError` for one beyond the signed 64-bit range;
-    the refinements returned are valid by construction.
-    """
-    x = list(flatten(t))
-    y = list(flatten(u))
-    _check_entries(x, 1, "entry", t)
-    _check_entries(y, 1, "entry", u)
+def _refine(x: Sequence[int], y: Sequence[int]) -> Optional[Tuple[list, list]]:
+    """Each entry's flat pieces in the greedy mutual refinement of ``x`` and
+    ``y``, or None: two pointers split off the smaller current entry as a
+    piece of both whenever it divides the larger."""
+    x, y = list(x), list(y)
     x_pieces: List[List[int]] = [[] for _ in x]
     y_pieces: List[List[int]] = [[] for _ in y]
     i = j = 0
-    while j < len(y):
-        if i < len(x):
-            piece = min(x[i], y[j])
-            if max(x[i], y[j]) % piece != 0:
-                return None
-            x_pieces[i].append(piece)
-            x[i] //= piece
-            if x[i] == 1:
-                i += 1
-        else:
-            piece = y[j]
+    while i < len(x) and j < len(y):
+        piece = min(x[i], y[j])
+        if max(x[i], y[j]) % piece != 0:
+            return None
+        x_pieces[i].append(piece)
         y_pieces[j].append(piece)
+        x[i] //= piece
         y[j] //= piece
+        if x[i] == 1:
+            i += 1
         if y[j] == 1:
             j += 1
-    if i < len(x):
+    for k in range(j, len(y)):  # beyond x, what is left of each entry of y is one piece
+        y_pieces[k].append(y[k])
+    return (x_pieces, y_pieces) if i == len(x) else None
+
+
+def mutual_refinement(t: Nested, u: Nested) -> Optional[MutualRefinement]:
+    """Refinements T' of ``t`` and U' of ``u`` with T' a flat prefix of U',
+    each entry re-nested as its :func:`_refine` pieces; None where there are
+    none.  Raises :class:`LayoutError` for an entry below 1 and
+    :class:`ArithmeticOverflowError` for one beyond the signed 64-bit range."""
+    x, y = flatten(t), flatten(u)
+    _check_entries(x, 1, "entry", t)
+    _check_entries(y, 1, "entry", u)
+    pieces = _refine(x, y)
+    if pieces is None:
         return None
     return _unchecked(
         MutualRefinement,
-        _unchecked(Refinement, _substitute(t, map(_as_tree, x_pieces)), t),
-        _unchecked(Refinement, _substitute(u, map(_as_tree, y_pieces)), u),
+        _unchecked(Refinement, _substitute(t, map(_as_tree, pieces[0])), t),
+        _unchecked(Refinement, _substitute(u, map(_as_tree, pieces[1])), u),
     )
 
 
@@ -462,22 +457,26 @@ def standard_representation_nested(layout: Layout) -> NestMorphism:
 
 def compose_tractable(a: Layout, b: Layout) -> Layout:
     """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
-    refines shape(a), before any coalescing."""
+    refines shape(a), before any coalescing.  It cuts the standard
+    representations along :func:`_refine`, composes them as tuple morphisms
+    and nests the result once, each leaf of shape(a) as its pieces."""
     flat, b_flat = a.flat(), b.flat()
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
             f"of the second"
         )
-    fmap = standard_representation(flat)
-    f = _unchecked(NestMorphism, a.shape, fmap.codomain, fmap)
-    gmap = standard_representation(b_flat.coalesce())
-    g = _unchecked(NestMorphism, _as_tree(gmap.domain), gmap.codomain, gmap)
-
-    mr = mutual_refinement(f.fmap.codomain, g.domain)
-    if mr is None:
+    f = standard_representation(flat)
+    g = standard_representation(b_flat.coalesce())
+    pieces = _refine(f.codomain, g.domain)
+    if pieces is None:
         raise NotComposableError(
-            f"no mutual refinement of {f.fmap.codomain} and {g.domain}"
+            f"no mutual refinement of {f.codomain} and {_as_tree(g.domain)}"
         )
-    f_fine, g_fine = make_composable(f, g, mr)
-    return layout_of_nested(compose_nest(f_fine, g_fine))
+    f_cod, g_dom = pieces
+    f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(f.domain, f.amap)]
+    g_fine = _cut(g, g_dom, _onto(g, g_dom, [(t,) for t in g.codomain]))
+    rest = g_fine.domain[sum(map(len, f_cod)) :]  # g's pieces beyond f's: hit by nothing
+    composite = layout_of(compose_morphisms(_cut(f, f_dom, f_cod + [rest]), g_fine))
+    shape = _substitute(a.shape, map(_as_tree, f_dom))
+    return _unchecked(Layout, shape, _substitute(shape, iter(composite.stride)))

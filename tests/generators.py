@@ -8,7 +8,8 @@ decorated with broadcast (stride-0) and unit modes, then shuffled.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from math import prod
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from layoutkit import (
     Layout,
     Nested,
     TupleMorphism,
+    flatten,
     profile,
     substitute,
 )
@@ -88,6 +90,37 @@ def random_tree(rng: random.Random, entries: Tuple[int, ...], depth: int = 0) ->
         out.append(random_tree(rng, entries[prev:c], depth + 1))
         prev = c
     return tuple(out)
+
+
+def random_refinement(
+    rng: random.Random, coarse: Nested, flat: Optional[Sequence[int]] = None
+) -> Nested:
+    """A random tree refining ``coarse``.  Its leaves are ``flat`` when that
+    is given (the flattening of a refinement of ``coarse``, unit entries
+    inserted anywhere), else a random factorization of each entry with unit
+    leaves among them.  Each entry of ``coarse`` takes at least one leaf,
+    then leaves until their product is the entry, and the last takes the
+    rest; its sub-tree is a :func:`random_tree` of them, up to three deep."""
+    entries = flatten(coarse)
+    if flat is None:
+        flat = []
+        for e in entries:
+            for d in (2, 3, 5, 7):
+                while e % d == 0 and e > d and rng.random() < 0.6:
+                    flat.append(d)
+                    e //= d
+            flat.append(e)
+        for _ in range(rng.randrange(3) if entries else 0):
+            flat.insert(rng.randint(0, len(flat)), 1)
+    parts = []
+    k = 0
+    for n, e in enumerate(entries, start=1):
+        run: List[int] = []
+        while not run or prod(run) < e or (n == len(entries) and k < len(flat)):
+            run.append(flat[k])
+            k += 1
+        parts.append(random_tree(rng, tuple(run), rng.randrange(2)))
+    return substitute(parts, profile(coarse))
 
 
 def random_layout(rng: random.Random, **kwargs) -> Layout:

@@ -169,6 +169,68 @@ def _called_name(node):
     return getattr(func, "id", getattr(func, "attr", None))
 
 
+def _reached(scopes, roots):
+    """The scopes reached from ``roots`` through calls: a function by its
+    name, a ``Layout`` method by its attribute."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(scopes[name]):
+            if isinstance(node, ast.Call):
+                called = _called_name(node)
+                todo += [n for n in (called, f"Layout.{called}") if n in scopes]
+    return reached
+
+
+def _nestcat_scopes():
+    path = Path(layoutkit.__file__).parent / "nestcat.py"
+    return dict(_scopes(ast.parse(path.read_text())))
+
+
+def test_layout_operations_run_on_tuple_morphisms():
+    # a layout operation runs on tuple morphisms and nests its result once:
+    # compose_tractable, every Layout method and whatever they reach build no
+    # Nest-category object, directly or through _unchecked, and call none of
+    # the Nest-category operations
+    nest = {"NestMorphism", "Refinement", "MutualRefinement"}
+    nest |= {"mutual_refinement", "make_composable", "pullback", "pushforward"}
+    nest |= {"compose_nest", "layout_of_nested"}
+    scopes = _nestcat_scopes()
+    roots = ["compose_tractable"] + [name for name in scopes if name.startswith("Layout.")]
+    reached = _reached(scopes, roots)
+    assert {"_refine", "_cut", "_onto"} <= reached
+    offenders = sorted(
+        f"{name}: {node.id}"
+        for name in reached
+        for node in ast.walk(scopes[name])
+        if isinstance(node, ast.Name) and node.id in nest
+    )
+    assert offenders == []
+
+
+def test_the_transport_is_written_once():
+    # one flat helper writes the transport's index map and one computes the
+    # greedy pieces; the Nest-category operations and compose reach them
+    scopes = _nestcat_scopes()
+    for root in ("pullback", "pushforward", "compose_tractable"):
+        assert "_cut" in _reached(scopes, [root])
+    for root in ("mutual_refinement", "compose_tractable"):
+        assert "_refine" in _reached(scopes, [root])
+    builders = {
+        name
+        for name, scope in scopes.items()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "_unchecked"
+        and getattr(node.args[0], "id", None) == "TupleMorphism"
+    }
+    # make_composable only retargets the refined f, keeping its map
+    assert builders == {"_cut", "make_composable"}
+
+
 def test_a_tuple_is_the_only_node():
     # every walker in shapes asks whether a value is a tuple, never whether
     # it is an int: anything but a tuple is a leaf, which the entry checks

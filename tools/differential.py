@@ -84,6 +84,8 @@ class Corpus:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        # refinements draw from a stream of their own, so no other call moves
+        self.refinements = random.Random(seed + 1)
         self.calls: list = []
 
     def add(self, target: str, *args) -> None:
@@ -209,8 +211,11 @@ def morphism_battery(c: Corpus, lk, gens, f, g) -> None:
         c.add("logical_product_m", Nf, _N(fc, fc, range(1, len(fc) + 1)))
 
 
-def composition_battery(c: Corpus, lk, a, b) -> None:
-    """The composition pipeline of ``a`` then ``b``, step by step."""
+def composition_battery(c: Corpus, lk, gens, a, b) -> None:
+    """The composition pipeline of ``a`` then ``b``, step by step, and the
+    transports along refinements whose sub-trees nest deeper and have unit
+    leaves, as well as along the greedy ones."""
+    rng = c.refinements
     try:
         f = lk.standard_representation_nested(a)
         g = lk.standard_representation_nested(b.coalesce())
@@ -219,14 +224,19 @@ def composition_battery(c: Corpus, lk, a, b) -> None:
     t, u = tuple(f.fmap.codomain), g.domain
     c.add("mutual_refinement", lit(t), lit(u))
     c.add("divides", lit(t), lit(u))
+    Nf = ("standard_representation_nested", _L(a))
+    Ng = ("standard_representation_nested", ("Layout.coalesce", _L(b)))
+    for N, m in ((Nf, f), (Ng, g)):
+        for transport, tree in (("pullback", m.codomain), ("pushforward", m.domain)):
+            R = ("Refinement", lit(gens.random_refinement(rng, tree)), lit(tree))
+            c.add(*R)
+            c.add(transport, N, R)
     mr = lk.mutual_refinement(t, u)
     if mr is None:
         return
     R1 = ("Refinement", lit(mr.t_ref.fine), lit(mr.t_ref.coarse))
     R2 = ("Refinement", lit(mr.u_ref.fine), lit(mr.u_ref.coarse))
     MR = ("MutualRefinement", R1, R2)
-    Nf = ("standard_representation_nested", _L(a))
-    Ng = ("standard_representation_nested", ("Layout.coalesce", _L(b)))
     c.add("make_composable", Nf, Ng, MR)
     c.add("make_composable", Ng, Nf, MR)
     c.add("pullback", Nf, R1)
@@ -234,6 +244,17 @@ def composition_battery(c: Corpus, lk, a, b) -> None:
     c.add("pullback", Ng, R1)
     c.add("divides", lit(mr.t_ref.fine), lit(mr.u_ref.fine))
     c.add("MutualRefinement", R2, R1)
+    # the greedy pieces regrouped deeper, with unit leaves at common flat positions
+    tp, up = lk.flatten(mr.t_ref.fine), lk.flatten(mr.u_ref.fine)
+    for _ in range(rng.randrange(3) if tp else 0):
+        k = rng.randint(0, len(tp))
+        tp, up = tp[:k] + (1,) + tp[k:], up[:k] + (1,) + up[k:]
+    R3 = ("Refinement", lit(gens.random_refinement(rng, t, tp)), lit(t))
+    R4 = ("Refinement", lit(gens.random_refinement(rng, u, up)), lit(u))
+    c.add("MutualRefinement", R3, R4)
+    c.add("make_composable", Nf, Ng, ("MutualRefinement", R3, R4))
+    c.add("pullback", Nf, R3)
+    c.add("pushforward", Ng, R4)
 
 
 def shapes_battery(c: Corpus, lk, gen, x, y) -> None:
@@ -422,7 +443,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
             for kind in ("compose", "logical_divide", "logical_product"):
                 (a, b), _ = gen.operands(kind)
                 layout_battery(c, lk, a, b)
-                composition_battery(c, lk, a, b)
+                composition_battery(c, lk, gens, a, b)
             (a, n), _ = gen.operands("complement")
             c.add("Layout.complement", _L(a), lit(n))
             c.add("check_complement", _L(a), lit(None), lit(n))
@@ -431,7 +452,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
             shapes_battery(c, lk, gen, a.shape, bar)
         a, b = gens.random_layout(rng), gens.random_layout(rng)
         layout_battery(c, lk, a, b)
-        composition_battery(c, lk, a, b)
+        composition_battery(c, lk, gens, a, b)
         if a.size() <= 4096 and b.size() <= 4096:
             oracle_battery(c, lk, a, b)
         for f, g in (
