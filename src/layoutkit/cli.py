@@ -246,8 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the parsers refuse text nested too deep to read, but the engine's
-        # tree walkers and tuple comparison still recurse on trees they read
+        # the parsers refuse text nested too deep to read, and the engine's
+        # tree walkers keep their own stacks, but tuple == and repr still
+        # recurse in C on the trees a command reads
         print("parse-error: nesting too deep", file=sys.stderr)
         return 2
 

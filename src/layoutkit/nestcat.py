@@ -25,6 +25,7 @@ from .shapes import (
     _check_entries,
     _check_ints,
     _relative_modes,
+    _str,
     _substitute,
     congruent,
     depth,
@@ -63,11 +64,11 @@ class NestMorphism:
         domain, codomain = flatten(self.domain), flatten(self.codomain)
         if domain != self.fmap.domain:
             raise LayoutError(
-                f"domain {self.domain} does not flatten to {self.fmap.domain}"
+                f"domain {_str(self.domain)} does not flatten to {self.fmap.domain}"
             )
         if codomain != self.fmap.codomain:
             raise LayoutError(
-                f"codomain {self.codomain} does not flatten to {self.fmap.codomain}"
+                f"codomain {_str(self.codomain)} does not flatten to {self.fmap.codomain}"
             )
         _check_entries(domain + codomain, 1, "entry", self)
 
@@ -93,7 +94,7 @@ class Refinement:
         fine = flatten(self.fine)
         _check_ints(fine + flatten(self.coarse), "entry", self)
         if not refines(self.fine, self.coarse):
-            raise NotRefinementError(f"{self.fine} does not refine {self.coarse}")
+            raise NotRefinementError(f"{_str(self.fine)} does not refine {_str(self.coarse)}")
         # refines() took each coarse entry as a checked product of fine ones
         _check_entries(fine, 1, "entry", self.fine)
 
@@ -106,7 +107,7 @@ class MutualRefinement:
     def __post_init__(self) -> None:
         if not divides(self.t_ref.fine, self.u_ref.fine):
             raise LayoutError(
-                f"{self.t_ref.fine} is not a flat prefix of {self.u_ref.fine}"
+                f"{_str(self.t_ref.fine)} is not a flat prefix of {_str(self.u_ref.fine)}"
             )
 
 
@@ -346,7 +347,7 @@ class Layout(_LayoutFunction):
     def __post_init__(self) -> None:
         if not congruent(self.shape, self.stride):
             raise LayoutError(
-                f"shape {self.shape} and stride {self.stride} are not congruent"
+                f"shape {_str(self.shape)} and stride {_str(self.stride)} are not congruent"
             )
         # the entry checks of FlatLayout, with its messages
         shape, stride = flatten(self.shape), flatten(self.stride)
@@ -384,12 +385,8 @@ class Layout(_LayoutFunction):
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
-        shapes = relative_modes(self.shape, shape_bar)
-        strides = _relative_modes(self.stride, shape_bar)
-        for i, (s, d) in enumerate(zip(shapes, strides)):
-            shapes[i], strides[i] = _unflat(*_coalesce_modes(flatten(s), flatten(d)))
-        shape = _substitute(shape_bar, iter(shapes))
-        return _unchecked(Layout, shape, _substitute(shape_bar, iter(strides)))
+        pieces = [flatten(s) for s in relative_modes(self.shape, shape_bar)]
+        return _coalesced(shape_bar, pieces, flatten(self.stride))
 
     # -- complement --------------------------------------------------------
 
@@ -400,8 +397,8 @@ class Layout(_LayoutFunction):
 
     def compose(self, other: "Layout") -> "Layout":
         """The layout of ``Φ_other ∘ Φ_self``: the weak composite coalesced
-        relative to the shape of ``self``."""
-        return compose_tractable(self, other).coalesce_relative(self.shape)
+        relative to the shape of ``self``, each leaf's pieces where they are cut."""
+        return _coalesced(self.shape, *_composite(self, other))
 
     def logical_divide(self, tiler: "Layout") -> "Layout":
         return concat_layouts(
@@ -416,6 +413,18 @@ class Layout(_LayoutFunction):
 def _unflat(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[Nested, Nested]:
     """Shape and stride of :meth:`Layout.of_flat`."""
     return (_as_tree(shape), _as_tree(stride)) if shape else (1, 0)
+
+
+def _coalesced(tree: Nested, pieces: Sequence[Sequence[int]], stride: Sequence[int]) -> Layout:
+    """The layout nested like ``tree`` whose leaf ``i`` is the coalesce of the
+    flat modes ``pieces[i]``, strides taken in order from ``stride``."""
+    shapes, strides, k = [], [], 0
+    for p in pieces:
+        s, d = _unflat(*_coalesce_modes(p, stride[k : k + len(p)]))
+        shapes.append(s)
+        strides.append(d)
+        k += len(p)
+    return _unchecked(Layout, _substitute(tree, iter(shapes)), _substitute(tree, iter(strides)))
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
@@ -457,9 +466,17 @@ def standard_representation_nested(layout: Layout) -> NestMorphism:
 
 def compose_tractable(a: Layout, b: Layout) -> Layout:
     """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
-    refines shape(a), before any coalescing.  It cuts the standard
-    representations along :func:`_refine`, composes them as tuple morphisms
-    and nests the result once, each leaf of shape(a) as its pieces."""
+    refines shape(a), before any coalescing, each leaf of shape(a) nested
+    as its pieces."""
+    pieces, stride = _composite(a, b)
+    shape = _substitute(a.shape, map(_as_tree, pieces))
+    return _unchecked(Layout, shape, _substitute(shape, iter(stride)))
+
+
+def _composite(a: Layout, b: Layout) -> Tuple[list, Tuple[int, ...]]:
+    """Each leaf of shape(a) as its flat pieces, and the flat strides of the
+    composite over them: the standard representations cut along
+    :func:`_refine` and composed as tuple morphisms."""
     flat, b_flat = a.flat(), b.flat()
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
@@ -477,6 +494,4 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
     f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(f.domain, f.amap)]
     g_fine = _cut(g, g_dom, _onto(g, g_dom, [(t,) for t in g.codomain]))
     rest = g_fine.domain[sum(map(len, f_cod)) :]  # g's pieces beyond f's: hit by nothing
-    composite = layout_of(compose_morphisms(_cut(f, f_dom, f_cod + [rest]), g_fine))
-    shape = _substitute(a.shape, map(_as_tree, f_dom))
-    return _unchecked(Layout, shape, _substitute(shape, iter(composite.stride)))
+    return f_dom, layout_of(compose_morphisms(_cut(f, f_dom, f_cod + [rest]), g_fine)).stride

@@ -4,6 +4,8 @@ A nested tuple is represented directly as a Python value: an ``int`` at depth
 0, or a tuple of nested tuples.  A bare integer ``n`` and the length-1 tuple
 ``(n,)`` are distinct values.  A tuple is the only node: anything else is a
 leaf, so a profile is a tree with the sentinel :data:`STAR` at the leaves.
+Every walk keeps its own stack of iterators, one per open tuple, so no tree
+is too deep to walk, and a refusal writes a tree's text the same way.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
@@ -45,7 +47,8 @@ def _check_ints(entries: Sequence[object], noun: str, whole: object) -> None:
     """Refuse an entry whose type is not ``int``, ``bool`` included."""
     for e in entries:
         if type(e) is not int:
-            raise LayoutError(f"{noun} {e!r} in {whole} is not an integer")
+            shown = _text(e, repr, ", ", ",)")  # repr(e), a tuple of any depth included
+            raise LayoutError(f"{noun} {shown} in {_str(whole)} is not an integer")
 
 
 def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object) -> None:
@@ -53,24 +56,29 @@ def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object)
     :class:`LayoutError`, and one beyond 2^63-1 with :class:`ArithmeticOverflowError`."""
     _check_ints(entries, noun, whole)
     if entries and min(entries) < floor:
-        raise LayoutError(f"{'non-positive' if floor else 'negative'} {noun} in {whole}")
+        raise LayoutError(f"{'non-positive' if floor else 'negative'} {noun} in {_str(whole)}")
     if entries and max(entries) > INT64_MAX:
         raise ArithmeticOverflowError(
-            f"{noun} {max(entries)} in {whole} exceeds the signed 64-bit range"
+            f"{noun} {max(entries)} in {_str(whole)} exceeds the signed 64-bit range"
         )
-
-
-def _leaves(x: Nested) -> Iterator[int]:
-    if isinstance(x, tuple):
-        for c in x:
-            yield from _leaves(c)
-    else:
-        yield x
 
 
 def flatten(x: Nested) -> Tuple[int, ...]:
     """Flat tuple of entries; a depth-0 integer flattens to a 1-tuple."""
-    return tuple(_leaves(x))
+    if not isinstance(x, tuple):
+        return (x,)
+    out, stack, it = [], [], iter(x)
+    while True:
+        for c in it:
+            if isinstance(c, tuple):
+                stack.append(it)
+                it = iter(c)
+                break
+            out.append(c)
+        else:
+            if not stack:
+                return tuple(out)
+            it = stack.pop()
 
 
 def profile(x: Nested) -> Profile:
@@ -78,7 +86,11 @@ def profile(x: Nested) -> Profile:
 
 
 def congruent(a: Nested, b: Nested) -> bool:
-    return profile(a) == profile(b)
+    """Whether both trees have the same profile."""
+    for x, y in _frontier(a, b):
+        if isinstance(x, tuple) or isinstance(y, tuple):
+            return False
+    return True
 
 
 def length(x: Nested) -> int:
@@ -91,31 +103,55 @@ def rank(x: Nested) -> int:
 
 
 def depth(x: Nested) -> int:
-    if not isinstance(x, tuple):
-        return 0
-    # the deepest child starts at -1, so depth(()) == 0
-    d = -1
-    for c in x:
-        d = max(d, depth(c))
-    return 1 + d
+    # the deepest leaf or empty tuple, so depth(()) == 0
+    d = 0
+    stack = [iter((x,))]
+    while stack:
+        for c in stack[-1]:
+            if isinstance(c, tuple) and c:
+                stack.append(iter(c))
+                break
+            d = max(d, len(stack) - 1)
+        else:
+            stack.pop()
+    return d
 
 
 def size(x: Nested) -> int:
     """Product of the leaves; it checks no leaf, as the engine calls it on checked trees."""
     total = 1
-    for e in _leaves(x):
+    for e in flatten(x):
         total = checked_mul(total, e)
     return total
 
 
 def format_nested(x: Nested) -> str:
     """Canonical text of a nested tuple: ``4`` or ``(2,(3,4))``."""
-    if not isinstance(x, tuple):
-        return str(x)
-    parts = []
-    for c in x:
-        parts.append(format_nested(c))
-    return "(" + ",".join(parts) + ")"
+    return _text(x, str, ",", ")")
+
+
+def _str(x: object) -> str:
+    """``str(x)``, which the built-in writes for a tuple with one C frame per level."""
+    return _text(x, repr, ", ", ",)") if isinstance(x, tuple) else str(x)
+
+
+def _text(x: object, leaf, sep: str, single: str) -> str:
+    """Each leaf as ``leaf`` writes it, a tuple's children joined by ``sep``
+    and a 1-tuple closed by ``single``."""
+    out: list = []
+    stack = [(enumerate((x,)), "")]
+    while stack:
+        for i, c in stack[-1][0]:
+            if i:
+                out.append(sep)
+            if isinstance(c, tuple):
+                out.append("(")
+                stack.append((enumerate(c), single if len(c) == 1 else ")"))
+                break
+            out.append(leaf(c))
+        else:
+            out.append(stack.pop()[1])
+    return "".join(out)
 
 
 def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
@@ -131,24 +167,44 @@ def _substitute(tree: Nested, parts: Iterator[Nested]) -> Nested:
     """:func:`substitute` unchecked, for the trees the engine re-nests."""
     if not isinstance(tree, tuple):
         return next(parts)
-    out = []
-    for c in tree:
-        out.append(_substitute(c, parts))
-    return tuple(out)
+    stack, it, out = [], iter(tree), []
+    while True:
+        for c in it:
+            if isinstance(c, tuple):
+                stack.append((it, out))
+                it, out = iter(c), []
+                break
+            out.append(next(parts))
+        else:
+            if not stack:
+                return tuple(out)
+            done = tuple(out)
+            it, out = stack.pop()
+            out.append(done)
+
+
+def _frontier(a: Nested, b: Nested) -> Iterator[Tuple[Nested, Nested]]:
+    """The pairs of sub-trees of ``a`` and ``b`` in the same place, in order,
+    where the two trees stop being tuples of one length."""
+    stack, it = [], zip((a,), (b,))
+    while True:
+        for x, y in it:
+            if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
+                stack.append(it)
+                it = zip(x, y)
+                break
+            yield x, y
+        else:
+            if not stack:
+                return
+            it = stack.pop()
 
 
 def refines(fine: Nested, coarse: Nested) -> bool:
     """Whether ``fine`` may be obtained from ``coarse`` by replacing each
     entry with a nested tuple of the same size.  It checks no leaf, as the
     engine calls it on checked trees."""
-    if not isinstance(coarse, tuple):
-        return size(fine) == coarse
-    if not isinstance(fine, tuple) or len(fine) != len(coarse):
-        return False
-    for f, c in zip(fine, coarse):
-        if not refines(f, c):
-            return False
-    return True
+    return all(not isinstance(c, tuple) and size(f) == c for f, c in _frontier(fine, coarse))
 
 
 def relative_modes(fine: Nested, coarse: Nested) -> list:
@@ -159,17 +215,12 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
     the engine calls it on checked trees.
     """
     if not refines(fine, coarse):
-        raise NotRefinementError(f"{fine} does not refine {coarse}")
+        raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
     return _relative_modes(fine, coarse)
 
 
 def _relative_modes(fine: Nested, coarse: Nested) -> list:
-    if not isinstance(coarse, tuple):
-        return [fine]
-    out: list = []
-    for f, c in zip(fine, coarse):
-        out += _relative_modes(f, c)
-    return out
+    return [f for f, _ in _frontier(fine, coarse)]
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:

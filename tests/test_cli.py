@@ -496,8 +496,9 @@ class TestCheckAndExitCodes:
         assert code == 2
         assert err.startswith("parse-error:")
 
-    # the parsers refuse text nested too deep to read; a tree they accept
-    # may still be too deep for the engine's walkers, and exits 2 alike
+    # the parsers refuse text nested too deep to read; the engine's walkers
+    # take any depth, but tuple == and repr recurse in C, so a RecursionError
+    # from a tree the parsers accept exits 2 alike
     def test_engine_recursion_exit_2(self, capsys, monkeypatch):
         def too_deep(*args):
             raise RecursionError

@@ -199,7 +199,8 @@ def test_layout_operations_run_on_tuple_morphisms():
     nest |= {"mutual_refinement", "make_composable", "pullback", "pushforward"}
     nest |= {"compose_nest", "layout_of_nested"}
     scopes = _nestcat_scopes()
-    roots = ["compose_tractable"] + [name for name in scopes if name.startswith("Layout.")]
+    roots = ["compose_tractable", "_composite"]
+    roots += [name for name in scopes if name.startswith("Layout.")]
     reached = _reached(scopes, roots)
     assert {"_refine", "_cut", "_onto"} <= reached
     offenders = sorted(
@@ -215,9 +216,9 @@ def test_the_transport_is_written_once():
     # one flat helper writes the transport's index map and one computes the
     # greedy pieces; the Nest-category operations and compose reach them
     scopes = _nestcat_scopes()
-    for root in ("pullback", "pushforward", "compose_tractable"):
+    for root in ("pullback", "pushforward", "compose_tractable", "_composite"):
         assert "_cut" in _reached(scopes, [root])
-    for root in ("mutual_refinement", "compose_tractable"):
+    for root in ("mutual_refinement", "compose_tractable", "_composite"):
         assert "_refine" in _reached(scopes, [root])
     builders = {
         name
@@ -247,15 +248,15 @@ def test_a_tuple_is_the_only_node():
 
 
 def test_profiles_are_built_only_to_compare_trees():
-    # the engine re-nests what it derives with the tree it already holds, so
-    # a profile is built only by congruent
+    # the engine re-nests what it derives with the tree it already holds, and
+    # congruent walks both trees in step, so the engine builds no profile
     callers = set()
     for path, tree in _source_trees():
         for name, scope in _scopes(tree):
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call) and _called_name(node) == "profile":
                     callers.add(f"{path.stem}.{name}")
-    assert callers == {"shapes.congruent"}
+    assert callers == set()
 
 
 def test_every_public_method_of_an_export_is_named_in_a_test():

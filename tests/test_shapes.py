@@ -6,14 +6,21 @@ from hypothesis import given, strategies as st
 from layoutkit import (
     STAR,
     ArithmeticOverflowError,
+    FlatLayout,
+    Layout,
     LayoutError,
+    NotComposableError,
     NotRefinementError,
+    Refinement,
     colex,
     colex_inv,
     congruent,
     depth,
     flatten,
+    format_nested,
     length,
+    mutual_refinement,
+    nest_morphism,
     prefix_products,
     profile,
     rank,
@@ -22,7 +29,7 @@ from layoutkit import (
     size,
     substitute,
 )
-from layoutkit.shapes import checked_add, checked_mul
+from layoutkit.shapes import _str, checked_add, checked_mul
 
 from generators import nested_tuples, random_tree, seeds
 
@@ -121,6 +128,86 @@ class TestRefinement:
         b = refine_once(c, rng1)
         a = refine_once(b, rng2)
         assert refines(b, c) and refines(a, b) and refines(a, c)
+
+
+def _wrapped(leaf, n=10_000):
+    """``leaf`` inside ``n`` one-tuples: a tree built in code, which no parser
+    refuses as too deep."""
+    for _ in range(n):
+        leaf = (leaf,)
+    return leaf
+
+
+class TestDeepTrees:
+    # Every walker keeps its own stack, so a tree nested far beyond the
+    # interpreter's recursion limit gets a result or a LayoutError, never a
+    # RecursionError.  prefix_products, colex, colex_inv and the checked
+    # arithmetic take flat entries, not trees.  Comparing two deep trees
+    # with == still recurses in C, so the assertions compare flattenings.
+    def test_shapes_functions(self):
+        t, u, ones = _wrapped(2), _wrapped(4), _wrapped(1)
+        assert flatten(t) == (2,)
+        assert flatten(profile(t)) == (STAR,) and depth(profile(t)) == 10_000
+        assert congruent(t, u) and not congruent(t, _wrapped(2, 9_999))
+        assert (length(t), rank(t), depth(t), size(t)) == (1, 1, 10_000, 2)
+        assert format_nested(t) == "(" * 10_000 + "2" + ")" * 10_000
+        assert flatten(substitute([3], t)) == (3,) and depth(substitute([3], t)) == 10_000
+        with pytest.raises(LayoutError, match="needs 1 parts"):
+            substitute([3, 4], t)
+        assert refines(t, t) and refines(t, 2) and refines(ones, u) is False
+        assert refines(2, t) is False and refines(t, ones) is False
+        assert relative_modes(t, t) == [2] and relative_modes(t, 2)[0] is t
+        with pytest.raises(NotRefinementError) as refused:
+            relative_modes(t, 4)
+        assert str(refused.value) == "(" * 10_000 + "2" + ",)" * 10_000 + " does not refine 4"
+
+    def test_layouts(self):
+        t, ones = _wrapped(2), _wrapped(1)
+        a = Layout(t, ones)
+        assert str(a) == format_nested(t) + ":" + format_nested(ones)
+        assert (a.size(), a.cosize(), a.depth(), a(1), a.is_tractable()) == (2, 2, 10_000, 1, True)
+        assert a.flat() == FlatLayout((2,), (1,)) and a.coalesce() == Layout(2, 1)
+        for got in (a.compose(Layout(4, 1)), a.coalesce_relative(t)):
+            assert flatten(got.shape) == (2,) and depth(got.shape) == 10_000
+        assert Layout(2, 1).compose(a) == a.coalesce_relative(2) == Layout(2, 1)
+        assert str(a.complement(4)) == "2:2"
+        assert Layout(2, 1).logical_divide(a).flat() == FlatLayout((2, 1), (1, 0))
+        assert a.logical_product(Layout(2, 1)).flat() == FlatLayout((2, 2), (1, 2))
+        with pytest.raises(NotComposableError, match="cosize 4"):
+            Layout(4, 1).compose(a)
+        with pytest.raises(LayoutError) as refused:
+            Layout(t, 1)
+        assert str(refused.value) == f"shape {'(' * 10_000}2{',)' * 10_000} and stride 1 are not congruent"
+        with pytest.raises(LayoutError, match="is not an integer"):
+            FlatLayout(t, t)
+
+    def test_morphisms_and_refinements(self):
+        t, u, zero = _wrapped(2), _wrapped(4), _wrapped(0)
+        assert str(nest_morphism(t, (2,), (1,))).endswith("2" + ")" * 10_000 + "--(1)-->(2)")
+        assert not nest_morphism((2,), t, (1,)).is_standard_form()
+        with pytest.raises(LayoutError, match="entry mismatch"):
+            nest_morphism(t, (4,), (1,))
+        assert flatten(Refinement(t, 2).fine) == (2,)
+        with pytest.raises(NotRefinementError, match="does not refine 4$"):
+            Refinement(t, 4)
+        with pytest.raises(LayoutError, match="non-positive entry"):
+            Refinement(zero, zero)
+        mr = mutual_refinement(t, u)
+        assert (flatten(mr.t_ref.fine), flatten(mr.u_ref.fine)) == ((2,), (2, 2))
+        assert mutual_refinement(t, 3) is None
+        with pytest.raises(LayoutError, match="non-positive entry"):
+            mutual_refinement(zero, 2)
+
+    @given(nested_tuples())
+    def test_messages_show_a_tree_as_str_does(self, x):
+        # a refusal names a tree as f"{tree}" and f"{tree!r}" do, without the
+        # built-ins' recursion
+        for tree in (x, (x,), ("a", (2.5, None, True)), (), ((),), "a", 3):
+            assert _str(tree) == str(tree)
+            if type(tree) is not int:
+                with pytest.raises(LayoutError) as refused:
+                    FlatLayout((1, tree), (0, 0))
+                assert str(refused.value) == f"shape entry {tree!r} in {(1, tree)} is not an integer"
 
 
 class TestColex:
