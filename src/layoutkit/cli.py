@@ -246,9 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the parsers refuse text nested too deep to read, and the engine's
-        # tree walkers keep their own stacks, but tuple == and repr still
-        # recurse in C on the trees a command reads
+        # the parsers refuse text nested too deep to read, and the engine
+        # walks and compares trees on its own stacks, but repr of an engine
+        # object still recurses in C on the trees a command reads
         print("parse-error: nesting too deep", file=sys.stderr)
         return 2
 

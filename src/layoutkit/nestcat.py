@@ -6,8 +6,8 @@ the results of composition, division and product.  A nest morphism is a
 tuple morphism between the flattenings of two nested tuples.  Refining a
 side along a refinement of its tree keeps the realized function (pullback
 refines the codomain, pushforward the domain); that transport is written
-once, on flat pieces, and composition runs it on tuple morphisms and nests
-once.  Entries are range-checked where they enter (the constructors,
+once, on flat pieces, and composition, divide and product run it on tuple
+morphisms of flat forms and nest once.  Entries are range-checked where they enter (the constructors,
 :func:`nest_morphism` and :func:`mutual_refinement`) and products where
 they are taken; what the engine derives from valid values skips validation.
 """
@@ -25,6 +25,7 @@ from .shapes import (
     _check_entries,
     _check_ints,
     _relative_modes,
+    _same,
     _str,
     _substitute,
     congruent,
@@ -46,6 +47,7 @@ from .tuplecat import (
     coalesce_m,
     complement_m,
     compose_morphisms,
+    concat_flat,
     concat_morphisms,
     column_major,
     layout_of,
@@ -161,8 +163,8 @@ def _transport(f: NestMorphism, dom_fine: Nested, cod_fine: Nested) -> NestMorph
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the codomain along ``tref`` and each hit domain entry as its
     image, keeping the layout function; the flat morphism is :func:`_cut`'s."""
-    if tref.coarse != f.codomain:
-        raise LayoutError(f"{tref.coarse} is not the codomain of {f}")
+    if not _same(tref.coarse, f.codomain):
+        raise LayoutError(f"{_str(tref.coarse)} is not the codomain of {f}")
     rel = _relative_modes(tref.fine, f.codomain)
     parts = [rel[a - 1] if a else s for s, a in zip(f.fmap.domain, f.fmap.amap)]
     dom_fine = _substitute(f.domain, iter(parts))
@@ -172,8 +174,8 @@ def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinemen
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the domain along ``sref`` and each hit codomain entry as the
     entry hitting it, keeping the layout function; the flat morphism is :func:`_cut`'s."""
-    if sref.coarse != f.domain:
-        raise LayoutError(f"{sref.coarse} is not the domain of {f}")
+    if not _same(sref.coarse, f.domain):
+        raise LayoutError(f"{_str(sref.coarse)} is not the domain of {f}")
     rel = _relative_modes(sref.fine, f.domain)
     cod_fine = _substitute(f.codomain, iter(_onto(f.fmap, rel, f.fmap.codomain)))
     return _transport(f, sref.fine, cod_fine), _unchecked(Refinement, cod_fine, f.codomain)
@@ -246,7 +248,7 @@ def make_composable(
     ``g``, so the refined ``f`` keeps its map and takes that domain as its
     codomain.
     """
-    if mr.t_ref.coarse != f.codomain or mr.u_ref.coarse != g.domain:
+    if not (_same(mr.t_ref.coarse, f.codomain) and _same(mr.u_ref.coarse, g.domain)):
         raise LayoutError(
             "mutual refinement does not lie over (codomain(f), domain(g))"
         )
@@ -264,7 +266,7 @@ def concat_nm(fs: Sequence[NestMorphism]) -> NestMorphism:
     disjoint and the codomains equal; the tuple morphisms' concatenation
     refuses zero operands."""
     for f in fs[1:]:
-        if f.codomain != fs[0].codomain:
+        if not _same(f.codomain, fs[0].codomain):
             raise LayoutError("concatenation requires a common codomain")
     fmap = concat_morphisms([f.fmap for f in fs])
     return _unchecked(NestMorphism, tuple(f.domain for f in fs), fs[0].codomain, fmap)
@@ -357,7 +359,8 @@ class Layout(_LayoutFunction):
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout: rank 0 becomes 1:0, rank 1 becomes depth 0."""
-        return _unchecked(Layout, *_unflat(flat.shape, flat.stride))
+        flat = _padded(flat)
+        return _unchecked(Layout, _as_tree(flat.shape), _as_tree(flat.stride))
 
     # -- attributes --------------------------------------------------------
 
@@ -386,7 +389,7 @@ class Layout(_LayoutFunction):
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
         pieces = [flatten(s) for s in relative_modes(self.shape, shape_bar)]
-        return _coalesced(shape_bar, pieces, flatten(self.stride))
+        return _unchecked(Layout, *_coalesced(shape_bar, pieces, flatten(self.stride)))
 
     # -- complement --------------------------------------------------------
 
@@ -398,33 +401,45 @@ class Layout(_LayoutFunction):
     def compose(self, other: "Layout") -> "Layout":
         """The layout of ``Φ_other ∘ Φ_self``: the weak composite coalesced
         relative to the shape of ``self``, each leaf's pieces where they are cut."""
-        return _coalesced(self.shape, *_composite(self, other))
+        return _unchecked(Layout, *_coalesced(self.shape, *_composite(self.flat(), other.flat())))
 
     def logical_divide(self, tiler: "Layout") -> "Layout":
-        return concat_layouts(
-            [tiler, tiler.complement(self.size())]
-        ).compose(self)
+        """``self ∘ (tiler, tiler*)``, tiler* the complement in size(self): one flat
+        composition, nested once as (shape(tiler), the complement's tree)."""
+        flat, t = self.flat(), tiler.flat()
+        c = _padded(t.complement(flat.size()))
+        tree = (tiler.shape, _as_tree(c.shape))
+        return _unchecked(Layout, *_coalesced(tree, *_composite(concat_flat([t, c]), flat)))
 
     def logical_product(self, other: "Layout") -> "Layout":
-        comp = self.complement(self.size() * other.cosize())
-        return concat_layouts([self, other.compose(comp)])
+        """``(self, self* ∘ other)``, self* the complement in size(self)·cosize(other):
+        one flat composition, nested once as (shape(self), shape(other))."""
+        flat, b = self.flat(), other.flat()
+        c = _padded(flat.complement(flat.size() * b.cosize()))
+        shape, stride = _coalesced(other.shape, *_composite(b, c))
+        return _unchecked(Layout, (self.shape, shape), (self.stride, stride))
 
 
-def _unflat(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[Nested, Nested]:
-    """Shape and stride of :meth:`Layout.of_flat`."""
-    return (_as_tree(shape), _as_tree(stride)) if shape else (1, 0)
+def _padded(flat: FlatLayout) -> FlatLayout:
+    """``flat``, or 1:0 in place of rank 0."""
+    return flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
 
 
-def _coalesced(tree: Nested, pieces: Sequence[Sequence[int]], stride: Sequence[int]) -> Layout:
-    """The layout nested like ``tree`` whose leaf ``i`` is the coalesce of the
-    flat modes ``pieces[i]``, strides taken in order from ``stride``."""
+def _coalesced(tree: Nested, pieces: Sequence, stride: Sequence[int]) -> Tuple[Nested, Nested]:
+    """Shape and stride nested like ``tree`` whose leaf ``i`` is the coalesce of the
+    flat modes ``pieces[i]``, strides taken in order from ``stride``: one piece is its
+    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
     shapes, strides, k = [], [], 0
     for p in pieces:
-        s, d = _unflat(*_coalesce_modes(p, stride[k : k + len(p)]))
+        if len(p) == 1:
+            s, d = (p[0], stride[k]) if p[0] != 1 else (1, 0)
+        else:
+            s, d = _coalesce_modes(p, stride[k : k + len(p)])
+            s, d = (_as_tree(s), _as_tree(d)) if s else (1, 0)
         shapes.append(s)
         strides.append(d)
         k += len(p)
-    return _unchecked(Layout, _substitute(tree, iter(shapes)), _substitute(tree, iter(strides)))
+    return _substitute(tree, iter(shapes)), _substitute(tree, iter(strides))
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
@@ -468,16 +483,15 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
     """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
     refines shape(a), before any coalescing, each leaf of shape(a) nested
     as its pieces."""
-    pieces, stride = _composite(a, b)
+    pieces, stride = _composite(a.flat(), b.flat())
     shape = _substitute(a.shape, map(_as_tree, pieces))
     return _unchecked(Layout, shape, _substitute(shape, iter(stride)))
 
 
-def _composite(a: Layout, b: Layout) -> Tuple[list, Tuple[int, ...]]:
-    """Each leaf of shape(a) as its flat pieces, and the flat strides of the
-    composite over them: the standard representations cut along
-    :func:`_refine` and composed as tuple morphisms."""
-    flat, b_flat = a.flat(), b.flat()
+def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
+    """Each mode of ``flat`` as its pieces, and the strides over them of the composite
+    with ``b_flat``: the standard representations cut along :func:`_refine` and composed
+    as tuple morphisms.  Each operand comes flat, as its caller flattened it once."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "

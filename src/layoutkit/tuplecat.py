@@ -168,25 +168,27 @@ class FlatLayout(_LayoutFunction):
     # -- complement --------------------------------------------------------
 
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
-        """The coalesced sorted layout B with self ⋆ B compact (of total size
-        ``n`` when given): the layout of the complement of the standard
-        representation of the non-unit modes, whose codomain first grows by
-        the entry ``n`` over its product when ``n`` is given."""
+        """The coalesced sorted layout B with self ⋆ B compact (of total size ``n`` when
+        given), read off the walk of the non-unit modes: each codomain entry it misses,
+        at the product of the entries before it, ``n`` over their product appended first."""
         f = _standard_modes(self.squeeze())
         if f is None or not f.is_injective():
             raise NotComplementableError(f"{self} is not complementable")
+        cod = f.codomain
         if n is not None:
             _check_ints((n,), "complement size", self)
             # the product before the last entry is the last stride, in range
-            cod = f.codomain
             total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
             if n < 1 or n % total != 0:
                 raise NotComplementableError(
                     f"{self} is not {n}-complementable: {n} is not a positive multiple of {total}"
                 )
             _check_entries((n,), 1, "complement size", self)
-            f = _unchecked(TupleMorphism, f.domain, cod + (n // total,), f.amap)
-        return layout_of(complement_m(f)).coalesce()
+            cod += (n // total,)
+        pre = prefix_products(cod[:-1])  # each entry's stride: no product of them all
+        shape = [t for j, t in enumerate(cod, 1) if j not in f.amap]
+        stride = [p for j, p in enumerate(pre, 1) if j not in f.amap]
+        return _unchecked(FlatLayout, *_coalesce_modes(shape, stride))
 
 
 def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple, tuple]:

@@ -496,9 +496,9 @@ class TestCheckAndExitCodes:
         assert code == 2
         assert err.startswith("parse-error:")
 
-    # the parsers refuse text nested too deep to read; the engine's walkers
-    # take any depth, but tuple == and repr recurse in C, so a RecursionError
-    # from a tree the parsers accept exits 2 alike
+    # the parsers refuse text nested too deep to read; the engine walks and
+    # compares trees of any depth, but repr of an engine object recurses in
+    # C, so a RecursionError from a tree the parsers accept exits 2 alike
     def test_engine_recursion_exit_2(self, capsys, monkeypatch):
         def too_deep(*args):
             raise RecursionError

@@ -6,11 +6,16 @@ equivalence gate's corpus calls every export and every CLI verb."""
 import ast
 import importlib.util
 import inspect
+import random
 import re
+import sys
 from pathlib import Path
 
 import layoutkit
 from layoutkit.cli import _VERBS
+from layoutkit.nestcat import _composite
+
+from generators import random_layout
 
 # scopes that run in a frame of their own (comprehensions too, before 3.12)
 _NESTED_SCOPES = (
@@ -169,9 +174,9 @@ def _called_name(node):
     return getattr(func, "id", getattr(func, "attr", None))
 
 
-def _reached(scopes, roots):
+def _reached(scopes, roots, classes=("Layout",)):
     """The scopes reached from ``roots`` through calls: a function by its
-    name, a ``Layout`` method by its attribute."""
+    name, a method of any of ``classes`` by its attribute."""
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -181,12 +186,13 @@ def _reached(scopes, roots):
         for node in ast.walk(scopes[name]):
             if isinstance(node, ast.Call):
                 called = _called_name(node)
-                todo += [n for n in (called, f"Layout.{called}") if n in scopes]
+                names = [called] + [f"{c}.{called}" for c in classes]
+                todo += [n for n in names if n in scopes]
     return reached
 
 
-def _nestcat_scopes():
-    path = Path(layoutkit.__file__).parent / "nestcat.py"
+def _module_scopes(stem):
+    path = Path(layoutkit.__file__).parent / f"{stem}.py"
     return dict(_scopes(ast.parse(path.read_text())))
 
 
@@ -198,7 +204,7 @@ def test_layout_operations_run_on_tuple_morphisms():
     nest = {"NestMorphism", "Refinement", "MutualRefinement"}
     nest |= {"mutual_refinement", "make_composable", "pullback", "pushforward"}
     nest |= {"compose_nest", "layout_of_nested"}
-    scopes = _nestcat_scopes()
+    scopes = _module_scopes("nestcat")
     roots = ["compose_tractable", "_composite"]
     roots += [name for name in scopes if name.startswith("Layout.")]
     reached = _reached(scopes, roots)
@@ -215,7 +221,7 @@ def test_layout_operations_run_on_tuple_morphisms():
 def test_the_transport_is_written_once():
     # one flat helper writes the transport's index map and one computes the
     # greedy pieces; the Nest-category operations and compose reach them
-    scopes = _nestcat_scopes()
+    scopes = _module_scopes("nestcat")
     for root in ("pullback", "pushforward", "compose_tractable", "_composite"):
         assert "_cut" in _reached(scopes, [root])
     for root in ("mutual_refinement", "compose_tractable", "_composite"):
@@ -230,6 +236,51 @@ def test_the_transport_is_written_once():
     }
     # make_composable only retargets the refined f, keeping its map
     assert builders == {"_cut", "make_composable"}
+
+
+def test_divide_and_product_build_no_intermediate_layouts():
+    # divide and product compose flat forms and nest once: over the worked
+    # examples and seeded pairs, refusals included, nothing they run enters
+    # Layout.compose, Layout.complement, Layout.of_flat or concat_layouts
+    Layout = layoutkit.Layout
+    barred = {Layout.compose, Layout.complement, Layout.of_flat, layoutkit.concat_layouts}
+    barred = {f.__code__: f.__qualname__ for f in barred}
+    pairs = [
+        (Layout((64, 32), (32, 1)), Layout((4, 4), (1, 64))),
+        (Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))),
+        (Layout(16, 1), Layout((4, 4), (1, 4))),
+    ]
+    for seed in range(200):
+        rng = random.Random(seed)
+        pairs.append((random_layout(rng), random_layout(rng)))
+    entered = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profiler)
+    try:
+        for a, b in pairs:
+            for op in (Layout.logical_divide, Layout.logical_product):
+                try:
+                    op(a, b)
+                except layoutkit.LayoutError:
+                    pass
+    finally:
+        sys.setprofile(None)
+    assert _composite.__code__ in entered
+    assert sorted(barred[c] for c in entered if c in barred) == []
+
+
+def test_the_complement_is_read_off_the_walk():
+    # FlatLayout.complement builds neither the complement's morphism nor
+    # its layout: every call it makes, to any function or method of the
+    # Tuple category, reaches neither complement_m nor layout_of
+    classes = ("FlatLayout", "TupleMorphism", "_LayoutFunction")
+    reached = _reached(_module_scopes("tuplecat"), ["FlatLayout.complement"], classes)
+    assert {"_standard_modes", "_coalesce_modes"} <= reached
+    assert reached.isdisjoint({"complement_m", "layout_of"})
 
 
 def test_a_tuple_is_the_only_node():

@@ -1,5 +1,6 @@
 """Nested morphisms, refinement transport, mutual refinement, composition."""
 
+import math
 import random
 
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 
 from layoutkit import (
     ArithmeticOverflowError,
+    FlatLayout,
     Layout,
     LayoutError,
     MutualRefinement,
     NestMorphism,
+    NotComplementableError,
     NotComposableError,
     NotRefinementError,
+    NotTractableError,
     Refinement,
     TupleMorphism,
     check_compose,
     coalesce_nm,
+    complement_m,
     complement_nm,
     compose_nest,
     compose_tractable,
@@ -26,6 +31,7 @@ from layoutkit import (
     flatten,
     identity,
     is_admissible_for_composition,
+    layout_of,
     layout_of_nested,
     logical_divide_m,
     logical_product_m,
@@ -35,9 +41,12 @@ from layoutkit import (
     pullback,
     pushforward,
     refines,
+    standard_representation,
     standard_representation_nested,
     table_of,
 )
+
+from layoutkit.shapes import checked_mul
 
 from generators import (
     random_layout,
@@ -335,6 +344,72 @@ class TestComposition:
             else:
                 classes[next(k for k in classes if k in got[1])] += 1
         assert all(classes.values()), classes
+
+    def test_divide_product_and_complement_equal_their_definitions(self):
+        # divide and product compose flat forms and nest once, and the
+        # complement is read off the walk; each gives what its definition on
+        # Layouts and morphisms gives, or refuses with the same message
+        def complement(flat, n=None):  # the layout of the walk's complement, coalesced
+            try:
+                f = standard_representation(flat.squeeze())
+            except NotTractableError:
+                f = None
+            if f is None or not f.is_injective():
+                raise NotComplementableError(f"{flat} is not complementable")
+            if n is not None:
+                cod = f.codomain
+                total = checked_mul(cod[-1], math.prod(cod[:-1])) if cod else 1
+                if n < 1 or n % total != 0:
+                    raise NotComplementableError(
+                        f"{flat} is not {n}-complementable: {n} is not a positive multiple of {total}"
+                    )
+                if n > 2**63 - 1:
+                    raise ArithmeticOverflowError(
+                        f"complement size {n} in {flat} exceeds the signed 64-bit range"
+                    )
+                f = TupleMorphism(f.domain, cod + (n // total,), f.amap)
+            return layout_of(complement_m(f)).coalesce()
+
+        def divide(a, b):
+            return concat_layouts([b, b.complement(a.size())]).compose(a)
+
+        def product(a, b):
+            return concat_layouts([a, b.compose(a.complement(a.size() * b.cosize()))])
+
+        def outcome(op, *args):
+            try:
+                return op(*args)
+            except LayoutError as e:
+                return type(e).__name__, str(e)
+
+        pairs = [  # the worked examples, then a divide whose complement is empty
+            (Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))),
+            (Layout((64, 32), (32, 1)), Layout((4, 4), (1, 64))),
+            (Layout((8, 8), (8, 1)), Layout((2, 2), (1, 4))),
+            (Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))),
+            (Layout((3, 10, 10), (200, 1, 20)), Layout((2, 2), (1, 2))),
+            (Layout(16, 1), Layout((4, 4), (1, 4))),
+        ]
+        for seed in range(2000):
+            rng = random.Random(seed)
+            pairs.append((random_layout(rng), random_layout(rng)))
+        assert Layout(16, 1).logical_divide(Layout((4, 4), (1, 4))) == Layout(
+            ((4, 4), 1), ((1, 4), 0)
+        )
+        accepted = {"divide": 0, "product": 0, "complement": 0}
+        for a, b in pairs:
+            got = outcome(Layout.logical_divide, a, b)
+            assert got == outcome(divide, a, b), (a, b)
+            accepted["divide"] += isinstance(got, Layout)
+            got = outcome(Layout.logical_product, a, b)
+            assert got == outcome(product, a, b), (a, b)
+            accepted["product"] += isinstance(got, Layout)
+            for flat in (a.flat(), b.flat()):
+                for n in (None, a.size(), a.size() * b.cosize()):
+                    got = outcome(flat.complement, n)
+                    assert got == outcome(complement, flat, n), (flat, n)
+                    accepted["complement"] += isinstance(got, FlatLayout)
+        assert all(accepted.values()), accepted
 
     @given(tractable_layouts(), tractable_layouts())
     @settings(deadline=None)

@@ -14,15 +14,20 @@ from layoutkit import (
     Refinement,
     colex,
     colex_inv,
+    compose_nest,
+    concat_nm,
     congruent,
     depth,
     flatten,
     format_nested,
     length,
+    make_composable,
     mutual_refinement,
     nest_morphism,
     prefix_products,
     profile,
+    pullback,
+    pushforward,
     rank,
     refines,
     relative_modes,
@@ -197,6 +202,30 @@ class TestDeepTrees:
         assert mutual_refinement(t, 3) is None
         with pytest.raises(LayoutError, match="non-positive entry"):
             mutual_refinement(zero, 2)
+
+    def test_nest_category_operations(self):
+        # pullback, pushforward, make_composable and concat_nm compare two
+        # trees built apart on the paired walk, where == would recurse
+        t, t2, short = _wrapped(2), _wrapped(2), _wrapped(2, 9_999)
+        f, h = nest_morphism((2,), t, (1,)), nest_morphism(t, (2,), (1,))
+        pulled, _ = pullback(f, Refinement(t2, t2))
+        pushed, _ = pushforward(h, Refinement(t2, t2))
+        assert depth(pulled.codomain) == depth(pushed.domain) == 10_000
+        f2, h2 = make_composable(f, h, mutual_refinement(_wrapped(2), _wrapped(2)))
+        assert compose_nest(f2, h2).realize() == [0, 1]
+        pair = [nest_morphism(2, _wrapped((2, 2)), (j,)) for j in (1, 2)]
+        assert str(concat_nm(pair).fmap) == "(2,2)--(1,2)-->(2,2)"
+        shown = "(" * 9_999 + "2" + ",)" * 9_999
+        with pytest.raises(LayoutError) as refused:
+            pullback(f, Refinement(short, short))
+        assert str(refused.value) == f"{shown} is not the codomain of {f}"
+        with pytest.raises(LayoutError) as refused:
+            pushforward(h, Refinement(short, short))
+        assert str(refused.value) == f"{shown} is not the domain of {h}"
+        with pytest.raises(LayoutError, match="does not lie over"):
+            make_composable(f, h, mutual_refinement(_wrapped(2), short))
+        with pytest.raises(LayoutError, match="requires a common codomain"):
+            concat_nm([pair[0], nest_morphism(2, _wrapped((2, 2), 9_999), (2,))])
 
     @given(nested_tuples())
     def test_messages_show_a_tree_as_str_does(self, x):
