@@ -14,7 +14,7 @@ they are taken; what the engine derives from valid values skips validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import prod
 from typing import List, Optional, Sequence, Tuple
@@ -24,11 +24,12 @@ from .shapes import (
     Nested,
     _check_entries,
     _check_ints,
+    _flat_pair,
     _relative_modes,
     _same,
     _str,
     _substitute,
-    congruent,
+    _text,
     depth,
     flatten,
     length,
@@ -99,6 +100,10 @@ class Refinement:
             raise NotRefinementError(f"{_str(self.fine)} does not refine {_str(self.coarse)}")
         # refines() took each coarse entry as a checked product of fine ones
         _check_entries(fine, 1, "entry", self.fine)
+
+    def __str__(self) -> str:  # repr, each tree written on a stack, where the built-in recurses
+        fine, coarse = (_text(x, repr, ", ", ",)") for x in (self.fine, self.coarse))
+        return f"Refinement(fine={fine}, coarse={coarse})"
 
 
 @dataclass(frozen=True)
@@ -343,29 +348,34 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
 
 @dataclass(frozen=True)
 class Layout(_LayoutFunction):
+    """Congruent trees ``shape:stride`` that keep the flat form they are built with (no
+    cache: the constructor's paired walk makes it, the engine passes on the one it holds)."""
+
     shape: Nested
     stride: Nested
+    _flat: FlatLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not congruent(self.shape, self.stride):
+        flat = _flat_pair(self.shape, self.stride)
+        if flat is None:
             raise LayoutError(
                 f"shape {_str(self.shape)} and stride {_str(self.stride)} are not congruent"
             )
-        # the entry checks of FlatLayout, with its messages
-        shape, stride = flatten(self.shape), flatten(self.stride)
-        _check_entries(shape, 1, "shape entry", shape)
-        _check_entries(stride, 0, "stride entry", stride)
+        object.__setattr__(self, "_flat", FlatLayout(*flat))  # its entry checks and messages
 
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
-        """Wrap a flat layout: rank 0 becomes 1:0, rank 1 becomes depth 0."""
+        """Wrap a flat layout, kept as tuples: rank 0 becomes 1:0, rank 1 becomes depth 0."""
         flat = _padded(flat)
-        return _unchecked(Layout, _as_tree(flat.shape), _as_tree(flat.stride))
+        if not type(flat.shape) is type(flat.stride) is tuple:
+            flat = _unchecked(FlatLayout, tuple(flat.shape), tuple(flat.stride))
+        return _unchecked(Layout, _as_tree(flat.shape), _as_tree(flat.stride), flat)
 
     # -- attributes --------------------------------------------------------
 
     def flat(self) -> FlatLayout:
-        return _unchecked(FlatLayout, flatten(self.shape), flatten(self.stride))
+        """The flat form, kept since the layout was built."""
+        return self._flat
 
     def length(self) -> int:
         return length(self.shape)
@@ -389,7 +399,7 @@ class Layout(_LayoutFunction):
         """Coalesce each group of modes lying over an entry of ``shape_bar``
         (which the shape must refine), keeping the coarse grouping."""
         pieces = [flatten(s) for s in relative_modes(self.shape, shape_bar)]
-        return _unchecked(Layout, *_coalesced(shape_bar, pieces, flatten(self.stride)))
+        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride))
 
     # -- complement --------------------------------------------------------
 
@@ -416,8 +426,8 @@ class Layout(_LayoutFunction):
         one flat composition, nested once as (shape(self), shape(other))."""
         flat, b = self.flat(), other.flat()
         c = _padded(flat.complement(flat.size() * b.cosize()))
-        shape, stride = _coalesced(other.shape, *_composite(b, c))
-        return _unchecked(Layout, (self.shape, shape), (self.stride, stride))
+        s, d, part = _coalesced(other.shape, *_composite(b, c))
+        return _unchecked(Layout, (self.shape, s), (self.stride, d), concat_flat([flat, part]))
 
 
 def _padded(flat: FlatLayout) -> FlatLayout:
@@ -425,28 +435,34 @@ def _padded(flat: FlatLayout) -> FlatLayout:
     return flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
 
 
-def _coalesced(tree: Nested, pieces: Sequence, stride: Sequence[int]) -> Tuple[Nested, Nested]:
-    """Shape and stride nested like ``tree`` whose leaf ``i`` is the coalesce of the
-    flat modes ``pieces[i]``, strides taken in order from ``stride``: one piece is its
-    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
-    shapes, strides, k = [], [], 0
+def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, Nested, FlatLayout]:
+    """Shape and stride nested like ``tree`` whose leaf ``i`` is the coalesce of the flat
+    modes ``pieces[i]`` (strides in order from ``stride``), and their flat form: one piece
+    is its own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
+    shapes, strides, flat_s, flat_d, k = [], [], [], [], 0
     for p in pieces:
         if len(p) == 1:
             s, d = (p[0], stride[k]) if p[0] != 1 else (1, 0)
+            flat_s.append(s)
+            flat_d.append(d)
         else:
             s, d = _coalesce_modes(p, stride[k : k + len(p)])
-            s, d = (_as_tree(s), _as_tree(d)) if s else (1, 0)
+            s, d = (s, d) if s else ((1,), (0,))
+            flat_s += s
+            flat_d += d
+            s, d = _as_tree(s), _as_tree(d)
         shapes.append(s)
         strides.append(d)
         k += len(p)
-    return _substitute(tree, iter(shapes)), _substitute(tree, iter(strides))
+    shape, stride = _substitute(tree, iter(shapes)), _substitute(tree, iter(strides))
+    flat = (shape, stride) if shape == tuple(flat_s) else (tuple(flat_s), tuple(flat_d))
+    return shape, stride, _unchecked(FlatLayout, *flat)
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
     """(A, B, ...) as one layout with one mode per operand."""
-    return _unchecked(
-        Layout, tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
-    )
+    shape, stride = tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
+    return _unchecked(Layout, shape, stride, concat_flat([l.flat() for l in layouts]))
 
 
 def substitute_profile(layout: Layout, prof) -> Layout:
@@ -454,13 +470,13 @@ def substitute_profile(layout: Layout, prof) -> Layout:
     length."""
     flat = layout.flat()
     # both trees re-nest one valid layout's entries under one profile
-    return _unchecked(Layout, substitute(flat.shape, prof), substitute(flat.stride, prof))
+    return _unchecked(Layout, substitute(flat.shape, prof), substitute(flat.stride, prof), flat)
 
 
 def column_major_layout(shape: Nested) -> Layout:
     """The compact layout with the given shape, first entry fastest."""
-    stride = column_major(flatten(shape)).stride
-    return _unchecked(Layout, shape, _substitute(shape, iter(stride)))
+    flat = column_major(flatten(shape))
+    return _unchecked(Layout, shape, _substitute(shape, iter(flat.stride)), flat)
 
 
 # -- conversion to and from nest morphisms ----------------------------------
@@ -469,7 +485,7 @@ def column_major_layout(shape: Nested) -> Layout:
 def layout_of_nested(f: NestMorphism) -> Layout:
     """The layout encoded by ``f``, nested like its domain."""
     flat = layout_of(f.fmap)
-    return _unchecked(Layout, f.domain, _substitute(f.domain, iter(flat.stride)))
+    return _unchecked(Layout, f.domain, _substitute(f.domain, iter(flat.stride)), flat)
 
 
 def standard_representation_nested(layout: Layout) -> NestMorphism:
@@ -485,13 +501,14 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
     as its pieces."""
     pieces, stride = _composite(a.flat(), b.flat())
     shape = _substitute(a.shape, map(_as_tree, pieces))
-    return _unchecked(Layout, shape, _substitute(shape, iter(stride)))
+    flat = _unchecked(FlatLayout, tuple(chain.from_iterable(pieces)), stride)
+    return _unchecked(Layout, shape, _substitute(shape, iter(stride)), flat)
 
 
 def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
     """Each mode of ``flat`` as its pieces, and the strides over them of the composite
     with ``b_flat``: the standard representations cut along :func:`_refine` and composed
-    as tuple morphisms.  Each operand comes flat, as its caller flattened it once."""
+    as tuple morphisms.  Each operand comes flat, as its layout keeps it."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "

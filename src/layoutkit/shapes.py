@@ -9,14 +9,17 @@ is too deep to walk, and a refusal writes a tree's text the same way.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
-they are taken.  Leaving the range raises
+they are taken, a sum or product of many once, on the result.  Leaving the range raises
 :class:`~layoutkit.errors.ArithmeticOverflowError` instead of wrapping.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterator, Sequence, Tuple, Union
+from functools import reduce
+from itertools import accumulate, repeat
+from math import prod
+from operator import mul
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import ArithmeticOverflowError, LayoutError, NotRefinementError
 
@@ -43,6 +46,15 @@ def checked_add(a: int, b: int) -> int:
     return r
 
 
+def checked_prod(entries: Sequence[int]) -> int:
+    """The product of ``entries`` checked once, as a nonzero integer one bounds each
+    partial; past the range, or at 0, it is taken again by :func:`checked_mul`."""
+    r = prod(entries)
+    if type(r) is not int or not r or not -INT64_MAX - 1 <= r <= INT64_MAX:
+        r = reduce(checked_mul, entries, 1)
+    return r
+
+
 def _check_ints(entries: Sequence[object], noun: str, whole: object) -> None:
     """Refuse an entry whose type is not ``int``, ``bool`` included."""
     for e in entries:
@@ -64,20 +76,20 @@ def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object)
 
 
 def flatten(x: Nested) -> Tuple[int, ...]:
-    """Flat tuple of entries; a depth-0 integer flattens to a 1-tuple."""
+    """Flat tuple of entries, a flat tuple itself; a depth-0 integer flattens to a 1-tuple."""
     if not isinstance(x, tuple):
         return (x,)
-    out, stack, it = [], [], iter(x)
+    out, stack, it, deep = [], [], iter(x), False
     while True:
         for c in it:
             if isinstance(c, tuple):
                 stack.append(it)
-                it = iter(c)
+                it, deep = iter(c), True
                 break
             out.append(c)
         else:
             if not stack:
-                return tuple(out)
+                return x if not deep and type(x) is tuple else tuple(out)
             it = stack.pop()
 
 
@@ -87,10 +99,28 @@ def profile(x: Nested) -> Profile:
 
 def congruent(a: Nested, b: Nested) -> bool:
     """Whether both trees have the same profile."""
-    for x, y in _frontier(a, b):
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            return False
-    return True
+    return _flat_pair(a, b) is not None
+
+
+def _flat_pair(a: Nested, b: Nested) -> Optional[Tuple[tuple, tuple]]:
+    """``(flatten(a), flatten(b))`` in one paired walk, or None where they are not congruent."""
+    if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)):
+        return None if isinstance(a, tuple) or isinstance(b, tuple) else ((a,), (b,))
+    xs, ys, stack, it, copy = [], [], [], zip(a, b), not type(a) is type(b) is tuple
+    while True:
+        for x, y in it:
+            if isinstance(x, tuple) or isinstance(y, tuple):
+                if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y)):
+                    return None
+                stack.append(it)
+                it, copy = zip(x, y), True
+                break
+            xs.append(x)
+            ys.append(y)
+        else:
+            if not stack:  # flat tuples are their own flattening
+                return (tuple(xs), tuple(ys)) if copy else (a, b)
+            it = stack.pop()
 
 
 def _same(a: Nested, b: Nested) -> bool:
@@ -123,11 +153,8 @@ def depth(x: Nested) -> int:
 
 
 def size(x: Nested) -> int:
-    """Product of the leaves; it checks no leaf, as the engine calls it on checked trees."""
-    total = 1
-    for e in flatten(x):
-        total = checked_mul(total, e)
-    return total
+    """Product of the leaves by :func:`checked_prod`; it checks no leaf, as the engine's are."""
+    return checked_prod(flatten(x))
 
 
 def format_nested(x: Nested) -> str:
@@ -229,12 +256,10 @@ def _relative_modes(fine: Nested, coarse: Nested) -> list:
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
-    """Exclusive prefix products (1, e1, e1*e2, ...); it checks no entry, as
-    the engine calls it on checked ones."""
-    out = [1]
-    for e in entries:
-        out.append(checked_mul(out[-1], e))
-    return tuple(out)
+    """Exclusive prefix products (1, e1, e1*e2, ...), bounded by the product of all;
+    it checks no entry, as the engine calls it on checked ones."""
+    checked_prod(entries)
+    return tuple(accumulate(entries, mul, initial=1))
 
 
 def _check_coord(shape: Sequence[int], coord: Sequence[int]) -> None:
@@ -248,11 +273,10 @@ def _check_coord(shape: Sequence[int], coord: Sequence[int]) -> None:
 
 
 def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
-    """The layout function: the checked sum of each coordinate times its weight."""
-    out = 0
-    for c, w in zip(coord, weights):
-        out = checked_add(out, checked_mul(c, w))
-    return out
+    """The layout function: the sum of each coordinate times its weight, checked once,
+    as no term is negative; past the range it is taken again by the checked steps."""
+    out = sum(map(mul, coord, weights))
+    return out if out <= INT64_MAX else reduce(checked_add, map(checked_mul, coord, weights), 0)
 
 
 def colex(shape: Sequence[int], coord: Sequence[int]) -> int:

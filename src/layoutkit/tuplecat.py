@@ -28,6 +28,7 @@ from .shapes import (
     _check_ints,
     _dot,
     checked_mul,
+    checked_prod,
     colex,
     colex_inv,
     format_nested,
@@ -37,10 +38,10 @@ from .shapes import (
 
 
 def _unchecked(cls, *values):
-    """The frozen dataclass ``cls`` with these field values, skipping its
+    """The frozen dataclass ``cls`` with these field values, in order, skipping its
     ``__post_init__``: only for values the engine derives from valid ones."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
+    for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -56,7 +57,7 @@ class _LayoutFunction:
     once, on the flat form (a flat layout is its own), each predicate by its operation."""
 
     def size(self) -> int:
-        return size(self.shape)  # the product of the leaves, nested or not
+        return checked_prod(self.flat().shape)
 
     def cosize(self) -> int:
         """One more than the value at the last coordinate: the sum with a leading term 1*1."""

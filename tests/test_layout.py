@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from layoutkit import (
     check_compose,
     column_major_layout,
     compose_nest,
+    compose_tractable,
     concat_layouts,
     layout_of_nested,
     make_composable,
@@ -33,7 +35,7 @@ from layoutkit import (
     substitute_profile,
     table_of,
 )
-from layoutkit.shapes import STAR, refines
+from layoutkit.shapes import STAR, flatten, refines
 
 from generators import random_layout, seeds, tractable_layouts
 
@@ -101,6 +103,10 @@ class TestConstruction:
         assert l.complexity() == 5
         assert Layout(100, 2).depth() == 0
         assert Layout(100, 2)(3) == 6
+        # a flat layout given in lists is kept as tuples, as the trees are
+        w = Layout.of_flat(FlatLayout([4, 2], [2, 8]))
+        assert w == Layout((4, 2), (2, 8)) and w.flat() == FlatLayout((4, 2), (2, 8))
+        assert w.cosize() == 15 and w.flat().shape is w.shape
 
     def test_concat(self):
         assert concat_layouts(
@@ -298,9 +304,8 @@ def _revalidated(x):
     """``x`` rebuilt with every dataclass inside it passed through its
     validating constructor again."""
     if dataclasses.is_dataclass(x):
-        return dataclasses.replace(
-            x, **{f.name: _revalidated(getattr(x, f.name)) for f in dataclasses.fields(x)}
-        )
+        fields = [f.name for f in dataclasses.fields(x) if f.init]  # Layout makes its flat form
+        return dataclasses.replace(x, **{f: _revalidated(getattr(x, f)) for f in fields})
     if isinstance(x, tuple):
         return tuple(_revalidated(c) for c in x)
     return x
@@ -322,12 +327,14 @@ class TestEngineOutputIsValid:
         for _ in range(400):
             a, b = random_layout(rng), random_layout(rng)
             values += [a.flat(), a.coalesce(), a.coalesce_relative(_coarsening(rng, a.shape))]
+            values += [concat_layouts([a, b]), column_major_layout(a.shape), Layout.of_flat(b.flat())]
+            values.append(substitute_profile(a, (STAR,) * a.length()))
             for n in (None, a.cosize() * 4):
                 try:
                     values.append(a.complement(n))
                 except NotComplementableError:
                     pass
-            for op in (a.compose, a.logical_divide, a.logical_product):
+            for op in (a.compose, a.logical_divide, a.logical_product, partial(compose_tractable, a)):
                 try:
                     values.append(op(b))
                 except (NotComposableError, NotComplementableError):
@@ -352,3 +359,6 @@ class TestEngineOutputIsValid:
         assert composed >= 50
         for x in values:
             assert _revalidated(x) == x, x
+            if isinstance(x, Layout):
+                flat = FlatLayout(flatten(x.shape), flatten(x.stride))
+                assert x.flat() == flat == _revalidated(x).flat(), x

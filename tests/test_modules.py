@@ -155,7 +155,8 @@ def test_validating_constructors_run_only_at_the_boundary():
         "MutualRefinement",
         "Layout",
     }
-    boundary = {"identity", "nest_morphism"}
+    # a Layout checks its entries by building its flat form, where they enter
+    boundary = {"identity", "nest_morphism", "Layout.__post_init__"}
     callers = set()
     for path, tree in _source_trees():
         if path.stem not in {"tuplecat", "nestcat"}:
@@ -271,6 +272,37 @@ def test_divide_and_product_build_no_intermediate_layouts():
         sys.setprofile(None)
     assert _composite.__code__ in entered
     assert sorted(barred[c] for c in entered if c in barred) == []
+
+
+def test_operations_on_built_layouts_flatten_nothing():
+    # a layout keeps the flat form it is built with and the engine passes on
+    # the one it holds: on the README operands, built beforehand, compose,
+    # divide, product, complement and coalesce enter flatten 0 times
+    Layout = layoutkit.Layout
+    a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
+    m, tiler = Layout((64, 32), (32, 1)), Layout((4, 4), (1, 64))
+    p, q = Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))
+    c = Layout(((16, 4), 64), ((1, 16), 64))
+    ops = {
+        "compose": lambda: a.compose(b),
+        "logical_divide": lambda: m.logical_divide(tiler),
+        "logical_product": lambda: p.logical_product(q),
+        "complement": lambda: c.complement(8192),
+        "coalesce": lambda: a.coalesce(),
+    }
+    counts = dict.fromkeys(ops, 0)
+    for name, op in ops.items():
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is layoutkit.flatten.__code__:
+                counts[name] += 1
+
+        sys.setprofile(profiler)
+        try:
+            op()
+        finally:
+            sys.setprofile(None)
+    assert counts == dict.fromkeys(ops, 0)
 
 
 def test_the_complement_is_read_off_the_walk():

@@ -12,6 +12,7 @@ from layoutkit import (
     NotComposableError,
     NotRefinementError,
     Refinement,
+    TupleMorphism,
     colex,
     colex_inv,
     compose_nest,
@@ -20,6 +21,7 @@ from layoutkit import (
     depth,
     flatten,
     format_nested,
+    layout_of,
     length,
     make_composable,
     mutual_refinement,
@@ -197,6 +199,14 @@ class TestDeepTrees:
             Refinement(t, 4)
         with pytest.raises(LayoutError, match="non-positive entry"):
             Refinement(zero, zero)
+        # the refusal writes the refinement on a stack, as repr writes a shallow one
+        with pytest.raises(LayoutError) as refused:
+            Refinement(_wrapped("a"), 2)
+        shown = "(" * 10_000 + "'a'" + ",)" * 10_000
+        assert str(refused.value) == f"entry 'a' in Refinement(fine={shown}, coarse=2) is not an integer"
+        with pytest.raises(LayoutError) as refused:
+            Refinement(("a",), 2)
+        assert str(refused.value) == "entry 'a' in Refinement(fine=('a',), coarse=2) is not an integer"
         mr = mutual_refinement(t, u)
         assert (flatten(mr.t_ref.fine), flatten(mr.u_ref.fine)) == ((2,), (2, 2))
         assert mutual_refinement(t, 3) is None
@@ -281,3 +291,25 @@ class TestCheckedArithmetic:
         with pytest.raises(ArithmeticOverflowError):
             checked_add(2**63 - 1, 1)
         assert checked_mul(2**31, 2**31) == 2**62
+        # a product or sum taken at once names the first partial out of range,
+        # as one taken step by step does, a 0 after it included
+        e = 2**62
+        refused = [
+            (lambda: size((e, 4)), f"{e} * 4"),
+            (lambda: size((e, 4, 0)), f"{e} * 4"),
+            (lambda: Layout((e, 4), (1, 0)).size(), f"{e} * 4"),
+            (lambda: FlatLayout((2, e, 4), (1, 0, 0)).size(), f"2 * {e}"),
+            (lambda: Layout((e, 4), (2, 1)).cosize(), f"{2**63 - 1} + 3"),
+            (lambda: FlatLayout((e,), (4,)).cosize(), f"{e - 1} * 4"),
+            (lambda: Layout((4, e), (2**61, 2))(e + 3), f"{3 * 2**61} + {2**61}"),
+            (lambda: Layout((4, e), (2**61, 2)).eval_coord((3, e - 1)), f"{3 * 2**61} + {2**63 - 2}"),
+            (lambda: layout_of(TupleMorphism((2, e), (e, 4, 2), (3, 1))), f"{e} * 4"),
+            (lambda: prefix_products((e, 4, 0)), f"{e} * 4"),
+            (lambda: prefix_products((1, 2**63)), f"1 * {2**63}"),
+        ]
+        for call, text in refused:
+            with pytest.raises(ArithmeticOverflowError) as raised:
+                call()
+            assert str(raised.value) == f"64-bit overflow in {text}"
+        assert size((e, 1, 0)) == 0 and prefix_products((e, 0, 4)) == (1, e, 0, 0)
+        assert size((2.0, 3)) == 6.0 and prefix_products((2, 0.5)) == (1, 2, 1.0)
