@@ -19,13 +19,13 @@ from itertools import accumulate, chain
 from math import prod
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import LayoutError, NotComposableError, NotRefinementError
+from .errors import LayoutError, NotComposableError
 from .shapes import (
     Nested,
     _check_entries,
     _check_ints,
     _flat_pair,
-    _relative_modes,
+    _pieces,
     _same,
     _str,
     _substitute,
@@ -34,8 +34,6 @@ from .shapes import (
     flatten,
     length,
     rank,
-    refines,
-    relative_modes,
     substitute,
 )
 from .tuplecat import (
@@ -90,15 +88,15 @@ class NestMorphism:
 
 @dataclass(frozen=True)
 class Refinement:
+    """A refinement of ``coarse``, as :func:`~layoutkit.shapes._pieces` reads and refuses it."""
+
     fine: Nested
     coarse: Nested
 
     def __post_init__(self) -> None:
         fine = flatten(self.fine)
         _check_ints(fine + flatten(self.coarse), "entry", self)
-        if not refines(self.fine, self.coarse):
-            raise NotRefinementError(f"{_str(self.fine)} does not refine {_str(self.coarse)}")
-        # refines() took each coarse entry as a checked product of fine ones
+        _pieces(self.fine, self.coarse)  # each coarse entry a checked product of fine ones
         _check_entries(fine, 1, "entry", self.fine)
 
     def __str__(self) -> str:  # repr, each tree written on a stack, where the built-in recurses
@@ -158,32 +156,27 @@ def _onto(f: TupleMorphism, parts: Sequence, cod: Sequence) -> list:
     return out
 
 
-def _transport(f: NestMorphism, dom_fine: Nested, cod_fine: Nested) -> NestMorphism:
-    """``f`` across refinements of both trees, each refining sub-tree flattened once."""
-    dom = [flatten(sub) for sub in _relative_modes(dom_fine, f.domain)]
-    cod = [flatten(sub) for sub in _relative_modes(cod_fine, f.codomain)]
-    return _unchecked(NestMorphism, dom_fine, cod_fine, _cut(f.fmap, dom, cod))
-
-
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
-    """Refine the codomain along ``tref`` and each hit domain entry as its
-    image, keeping the layout function; the flat morphism is :func:`_cut`'s."""
+    """Refine the codomain along ``tref`` and each hit domain entry as its image,
+    keeping the layout function: :func:`_cut` on the flat pieces of both."""
     if not _same(tref.coarse, f.codomain):
         raise LayoutError(f"{_str(tref.coarse)} is not the codomain of {f}")
-    rel = _relative_modes(tref.fine, f.codomain)
-    parts = [rel[a - 1] if a else s for s, a in zip(f.fmap.domain, f.fmap.amap)]
-    dom_fine = _substitute(f.domain, iter(parts))
-    return _transport(f, dom_fine, tref.fine), _unchecked(Refinement, dom_fine, f.domain)
+    rel, cod = _pieces(tref.fine, f.codomain)
+    hit = list(zip(f.fmap.domain, f.fmap.amap))
+    fine = _substitute(f.domain, iter([rel[a - 1] if a else s for s, a in hit]))
+    fmap = _cut(f.fmap, [cod[a - 1] if a else (s,) for s, a in hit], cod)
+    return _unchecked(NestMorphism, fine, tref.fine, fmap), _unchecked(Refinement, fine, f.domain)
 
 
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
-    """Refine the domain along ``sref`` and each hit codomain entry as the
-    entry hitting it, keeping the layout function; the flat morphism is :func:`_cut`'s."""
+    """Refine the domain along ``sref`` and each hit codomain entry as the entry
+    hitting it, keeping the layout function: :func:`_cut` on the flat pieces of both."""
     if not _same(sref.coarse, f.domain):
         raise LayoutError(f"{_str(sref.coarse)} is not the domain of {f}")
-    rel = _relative_modes(sref.fine, f.domain)
-    cod_fine = _substitute(f.codomain, iter(_onto(f.fmap, rel, f.fmap.codomain)))
-    return _transport(f, sref.fine, cod_fine), _unchecked(Refinement, cod_fine, f.codomain)
+    rel, dom = _pieces(sref.fine, f.domain)
+    fine = _substitute(f.codomain, iter(_onto(f.fmap, rel, f.fmap.codomain)))
+    fmap = _cut(f.fmap, dom, _onto(f.fmap, dom, [(t,) for t in f.fmap.codomain]))
+    return _unchecked(NestMorphism, sref.fine, fine, fmap), _unchecked(Refinement, fine, f.codomain)
 
 
 # -- mutual refinement -----------------------------------------------------
@@ -367,8 +360,6 @@ class Layout(_LayoutFunction):
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout, kept as tuples: rank 0 becomes 1:0, rank 1 becomes depth 0."""
         flat = _padded(flat)
-        if not type(flat.shape) is type(flat.stride) is tuple:
-            flat = _unchecked(FlatLayout, tuple(flat.shape), tuple(flat.stride))
         return _unchecked(Layout, _as_tree(flat.shape), _as_tree(flat.stride), flat)
 
     # -- attributes --------------------------------------------------------
@@ -396,9 +387,9 @@ class Layout(_LayoutFunction):
         return Layout.of_flat(self.flat().coalesce())
 
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
-        """Coalesce each group of modes lying over an entry of ``shape_bar``
-        (which the shape must refine), keeping the coarse grouping."""
-        pieces = [flatten(s) for s in relative_modes(self.shape, shape_bar)]
+        """Coalesce each group of modes over an entry of ``shape_bar`` (which the shape
+        must refine), keeping the coarse grouping; the walk that checks it gives the groups."""
+        pieces = _pieces(self.shape, shape_bar)[1]
         return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride))
 
     # -- complement --------------------------------------------------------

@@ -4,8 +4,10 @@ A nested tuple is represented directly as a Python value: an ``int`` at depth
 0, or a tuple of nested tuples.  A bare integer ``n`` and the length-1 tuple
 ``(n,)`` are distinct values.  A tuple is the only node: anything else is a
 leaf, so a profile is a tree with the sentinel :data:`STAR` at the leaves.
-Every walk keeps its own stack of iterators, one per open tuple, so no tree
-is too deep to walk, and a refusal writes a tree's text the same way.
+Five walkers keep their own stack of iterators, one per open tuple, so no tree
+is too deep to walk: :func:`flatten`, :func:`_flat_pair`, :func:`_frontier` (on
+which :func:`_pieces` reads a refinement), :func:`_substitute` (which
+:func:`depth` reads off) and :func:`_text`, with which a refusal writes a tree.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
@@ -138,18 +140,9 @@ def rank(x: Nested) -> int:
 
 
 def depth(x: Nested) -> int:
-    # the deepest leaf or empty tuple, so depth(()) == 0
-    d = 0
-    stack = [iter((x,))]
-    while stack:
-        for c in stack[-1]:
-            if isinstance(c, tuple) and c:
-                stack.append(iter(c))
-                break
-            d = max(d, len(stack) - 1)
-        else:
-            stack.pop()
-    return d
+    """The deepest leaf or empty tuple, read off the build walk: ``depth(()) == 0``."""
+    # not max(ds, default=-1): the keyword argument makes depth about twice as slow
+    return _substitute(x, repeat(0), lambda ds: 1 + max(ds) if ds else 0)
 
 
 def size(x: Nested) -> int:
@@ -195,8 +188,8 @@ def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
     return _substitute(prof, iter(parts))
 
 
-def _substitute(tree: Nested, parts: Iterator[Nested]) -> Nested:
-    """:func:`substitute` unchecked, for the trees the engine re-nests."""
+def _substitute(tree: Nested, parts: Iterator[Nested], close=tuple):
+    """:func:`substitute` unchecked, each tuple built by ``close`` from its children."""
     if not isinstance(tree, tuple):
         return next(parts)
     stack, it, out = [], iter(tree), []
@@ -209,8 +202,8 @@ def _substitute(tree: Nested, parts: Iterator[Nested]) -> Nested:
             out.append(next(parts))
         else:
             if not stack:
-                return tuple(out)
-            done = tuple(out)
+                return close(out)
+            done = close(out)
             it, out = stack.pop()
             out.append(done)
 
@@ -234,9 +227,13 @@ def _frontier(a: Nested, b: Nested) -> Iterator[Tuple[Nested, Nested]]:
 
 def refines(fine: Nested, coarse: Nested) -> bool:
     """Whether ``fine`` may be obtained from ``coarse`` by replacing each
-    entry with a nested tuple of the same size.  It checks no leaf, as the
-    engine calls it on checked trees."""
-    return all(not isinstance(c, tuple) and size(f) == c for f, c in _frontier(fine, coarse))
+    entry with a nested tuple of the same size: whether :func:`_pieces`
+    accepts it.  An overflowing product still raises."""
+    try:
+        _pieces(fine, coarse)
+    except NotRefinementError:
+        return False
+    return True
 
 
 def relative_modes(fine: Nested, coarse: Nested) -> list:
@@ -246,13 +243,21 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
     ``substitute(result, profile(coarse)) == fine``.  It checks no leaf, as
     the engine calls it on checked trees.
     """
-    if not refines(fine, coarse):
-        raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
-    return _relative_modes(fine, coarse)
+    return _pieces(fine, coarse)[0]
 
 
-def _relative_modes(fine: Nested, coarse: Nested) -> list:
-    return [f for f, _ in _frontier(fine, coarse)]
+def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
+    """For each entry of ``coarse``, the sub-tree of ``fine`` over it and its flat entries,
+    whose :func:`checked_prod` must be the entry, or :class:`NotRefinementError` refuses
+    ``fine``: one paired walk that flattens each sub-tree once and checks no leaf."""
+    subs, pieces = [], []
+    for f, c in _frontier(fine, coarse):
+        p = flatten(f)
+        if isinstance(c, tuple) or checked_prod(p) != c:
+            raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
+        subs.append(f)
+        pieces.append(p)
+    return subs, pieces
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:

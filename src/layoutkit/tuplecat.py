@@ -46,6 +46,15 @@ def _unchecked(cls, *values):
     return obj
 
 
+def _as_tuples(obj) -> None:
+    """Store each field given as a list as a tuple, and refuse any other non-tuple."""
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if not isinstance(value, (tuple, list)):
+            raise LayoutError(f"{name} must be a tuple or list, not {type(value).__name__}")
+        object.__setattr__(obj, name, tuple(value))
+
+
 def _returns(op, *args):
     """The result of ``op(*args)``, or None where the operation is undefined."""
     with suppress(LayoutError):
@@ -100,7 +109,7 @@ class _LayoutFunction:
 
 @dataclass(frozen=True)
 class FlatLayout(_LayoutFunction):
-    """A pair of equal-length flat tuples ``shape:stride``.
+    """A pair of equal-length flat tuples ``shape:stride`` (lists are stored as tuples).
 
     Shape entries are positive; stride entries are non-negative; both fit in
     the signed 64-bit range.
@@ -110,6 +119,8 @@ class FlatLayout(_LayoutFunction):
     stride: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not type(self.shape) is type(self.stride) is tuple:
+            _as_tuples(self)
         if len(self.shape) != len(self.stride):
             raise LayoutError(
                 f"shape rank {len(self.shape)} != stride rank {len(self.stride)}"
@@ -251,6 +262,7 @@ class TupleMorphism:
     amap: Tuple[int, ...]  # 0 = basepoint, else 1-based codomain position
 
     def __post_init__(self) -> None:
+        _as_tuples(self)
         m, n = len(self.domain), len(self.codomain)
         if len(self.amap) != m:
             raise LayoutError(f"map length {len(self.amap)} != domain rank {m}")

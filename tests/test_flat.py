@@ -32,6 +32,24 @@ class TestConstruction:
         with pytest.raises(LayoutError):
             FlatLayout((2,), (-1,))
 
+    def test_lists_are_kept_as_tuples(self):
+        l = FlatLayout([4, 2], [2, 8])
+        assert type(l.shape) is type(l.stride) is tuple
+        assert l == FlatLayout((4, 2), (2, 8)) and hash(l) == hash(FlatLayout((4, 2), (2, 8)))
+        assert str(l) == "(4,2):(2,8)" and l.cosize() == 15
+        assert concat_flat([l, FlatLayout([3], [1])]) == FlatLayout((4, 2, 3), (2, 8, 1))
+        assert hash(FlatLayout([4], [1])) == hash(FlatLayout((4,), (1,)))
+        # anything else that is not a tuple is refused before its length is taken
+        refused = [
+            ((4, 2), "shape must be a tuple or list, not int"),
+            ((None, None), "shape must be a tuple or list, not NoneType"),
+            (((4,), 2), "stride must be a tuple or list, not int"),
+        ]
+        for args, text in refused:
+            with pytest.raises(LayoutError) as raised:
+                FlatLayout(*args)
+            assert type(raised.value) is LayoutError and str(raised.value) == text
+
     def test_size_cosize(self):
         l = FlatLayout((7, 2), (2, 1))
         assert l.size() == 14

@@ -305,6 +305,52 @@ def test_operations_on_built_layouts_flatten_nothing():
     assert counts == dict.fromkeys(ops, 0)
 
 
+def test_coalesce_relative_flattens_each_group_once():
+    # the refinement's one paired walk flattens each sub-tree over an entry
+    # of shape_bar once, for its check and its pieces both (flatten is
+    # counted, not _frontier: a generator's resumes are call events too)
+    a = layoutkit.Layout(((2, 2), (3, 3), (5, 5)), ((1, 2), (4, 12), (36, 180)))
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is layoutkit.flatten.__code__:
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        a.coalesce_relative(((2, 2), 9, 25))
+    finally:
+        sys.setprofile(None)
+    assert count == 4
+
+
+def test_a_refinement_is_read_once():
+    # whether a tree refines another, its refusal and each entry's flat
+    # pieces come from shapes._pieces: it alone builds NotRefinementError,
+    # and no second transport walks the trees again
+    builders = set()
+    for path, tree in _source_trees():
+        assert "_transport" not in path.read_text()
+        for name, scope in _scopes(tree):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and _called_name(node) == "NotRefinementError":
+                    builders.add(f"{path.stem}.{name}")
+    assert builders == {"shapes._pieces"}
+
+
+def test_shapes_has_one_stack_walker_per_job():
+    # flatten, the paired flattening, the paired frontier, the build walk
+    # (which depth reads off too) and the text walk: nothing else loops on
+    # a stack of its own
+    walkers = {
+        name
+        for name, scope in _module_scopes("shapes").items()
+        if any(isinstance(node, ast.While) for node in ast.walk(scope))
+    }
+    assert walkers == {"flatten", "_flat_pair", "_frontier", "_substitute", "_text"}
+
+
 def test_the_complement_is_read_off_the_walk():
     # FlatLayout.complement builds neither the complement's morphism nor
     # its layout: every call it makes, to any function or method of the

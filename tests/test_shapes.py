@@ -182,6 +182,9 @@ class TestDeepTrees:
         assert a.logical_product(Layout(2, 1)).flat() == FlatLayout((2, 2), (1, 2))
         with pytest.raises(NotComposableError, match="cosize 4"):
             Layout(4, 1).compose(a)
+        with pytest.raises(NotRefinementError) as refused:
+            a.coalesce_relative(4)
+        assert str(refused.value) == "(" * 10_000 + "2" + ",)" * 10_000 + " does not refine 4"
         with pytest.raises(LayoutError) as refused:
             Layout(t, 1)
         assert str(refused.value) == f"shape {'(' * 10_000}2{',)' * 10_000} and stride 1 are not congruent"
@@ -306,6 +309,12 @@ class TestCheckedArithmetic:
             (lambda: layout_of(TupleMorphism((2, e), (e, 4, 2), (3, 1))), f"{e} * 4"),
             (lambda: prefix_products((e, 4, 0)), f"{e} * 4"),
             (lambda: prefix_products((1, 2**63)), f"1 * {2**63}"),
+            # a refinement's products are checked where they are taken, not
+            # read as a refusal
+            (lambda: refines((e, 4), 8), f"{e} * 4"),
+            (lambda: relative_modes((e, 4), 8), f"{e} * 4"),
+            (lambda: Refinement((e, 4), 8), f"{e} * 4"),
+            (lambda: Layout((e, 4), (1, 1)).coalesce_relative(8), f"{e} * 4"),
         ]
         for call, text in refused:
             with pytest.raises(ArithmeticOverflowError) as raised:

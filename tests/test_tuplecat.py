@@ -67,6 +67,19 @@ class TestConstruction:
         with pytest.raises(ArithmeticOverflowError):
             TupleMorphism((2**64,), (2**64,), (1,))
 
+    def test_lists_are_kept_as_tuples(self):
+        f = TupleMorphism([2], [2], [1])
+        assert type(f.domain) is type(f.codomain) is type(f.amap) is tuple
+        assert f == identity((2,)) and hash(f) == hash(identity((2,)))
+        assert str(f) == "(2)--(1)-->(2)"
+        assert compose_morphisms(f, identity((2,))) == identity((2,))
+        with pytest.raises(LayoutError) as raised:
+            TupleMorphism(2, 2, 1)
+        assert type(raised.value) is LayoutError
+        assert str(raised.value) == "domain must be a tuple or list, not int"
+        with pytest.raises(LayoutError, match="^amap must be a tuple or list, not int$"):
+            TupleMorphism((2,), (2,), 1)
+
     def test_predicates(self):
         f = TupleMorphism((2, 2, 2), (2, 2, 2), (1, 2, 3))
         assert f.is_injective() and f.is_standard_form() and f.is_non_degenerate()
