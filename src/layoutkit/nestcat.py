@@ -1,15 +1,15 @@
 """Nested layouts and nest morphisms: the two sides of the Nest category.
 
-A :class:`Layout` pairs a nested shape tuple with a congruent nested stride
-tuple.  Its function is that of the flattened layout; the nesting groups
-the results of composition, division and product.  A nest morphism is a
-tuple morphism between the flattenings of two nested tuples.  Refining a
-side along a refinement of its tree keeps the realized function (pullback
-refines the codomain, pushforward the domain); that transport is written
-once, on flat pieces, and composition, divide and product run it on tuple
-morphisms of flat forms and nest once.  Entries are range-checked where they enter (the constructors,
-:func:`nest_morphism` and :func:`mutual_refinement`) and products where
-they are taken; what the engine derives from valid values skips validation.
+A :class:`Layout` holds congruent ``shape:stride`` trees as a nest morphism
+does: its nesting once, in the shape tree, and its entries once, in a flat
+form, whose function is the layout's.  A nest morphism is a tuple morphism
+between the flattenings of two nested tuples.  Refining a side along a
+refinement of its tree keeps the realized function (pullback refines the
+codomain, pushforward the domain); that transport is written once, on flat
+pieces, and composition, divide and product run it on tuple morphisms of
+flat forms and nest the shape once.  Entries are range-checked where they
+enter (the constructors, :func:`nest_morphism` and :func:`mutual_refinement`)
+and products where they are taken; what the engine derives skips validation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .shapes import (
     _same,
     _str,
     _substitute,
-    _text,
     depth,
     flatten,
     length,
@@ -100,8 +99,7 @@ class Refinement:
         _check_entries(fine, 1, "entry", self.fine)
 
     def __str__(self) -> str:  # repr, each tree written on a stack, where the built-in recurses
-        fine, coarse = (_text(x, repr, ", ", ",)") for x in (self.fine, self.coarse))
-        return f"Refinement(fine={fine}, coarse={coarse})"
+        return f"Refinement(fine={_str(self.fine, repr)}, coarse={_str(self.coarse, repr)})"
 
 
 @dataclass(frozen=True)
@@ -339,28 +337,33 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
 # -- nested layouts --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Layout(_LayoutFunction):
-    """Congruent trees ``shape:stride`` that keep the flat form they are built with (no
-    cache: the constructor's paired walk makes it, the engine passes on the one it holds)."""
+    """Congruent trees ``shape:stride``, held as the shape tree and the flat form that the
+    constructor's paired walk makes (or the engine hands on); ``stride`` is nested on a read."""
 
     shape: Nested
-    stride: Nested
-    _flat: FlatLayout = field(init=False, repr=False, compare=False)
+    _flat: FlatLayout = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        flat = _flat_pair(self.shape, self.stride)
+    def __init__(self, shape: Nested, stride: Nested) -> None:
+        flat = _flat_pair(shape, stride)
         if flat is None:
-            raise LayoutError(
-                f"shape {_str(self.shape)} and stride {_str(self.stride)} are not congruent"
-            )
+            raise LayoutError(f"shape {_str(shape)} and stride {_str(stride)} are not congruent")
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_flat", FlatLayout(*flat))  # its entry checks and messages
+
+    @property
+    def stride(self) -> Nested:
+        return _substitute(self.shape, iter(self._flat.stride))
+
+    def __repr__(self) -> str:
+        return f"Layout(shape={self.shape!r}, stride={self.stride!r})"
 
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout, kept as tuples: rank 0 becomes 1:0, rank 1 becomes depth 0."""
         flat = _padded(flat)
-        return _unchecked(Layout, _as_tree(flat.shape), _as_tree(flat.stride), flat)
+        return _unchecked(Layout, _as_tree(flat.shape), flat)
 
     # -- attributes --------------------------------------------------------
 
@@ -417,8 +420,8 @@ class Layout(_LayoutFunction):
         one flat composition, nested once as (shape(self), shape(other))."""
         flat, b = self.flat(), other.flat()
         c = _padded(flat.complement(flat.size() * b.cosize()))
-        s, d, part = _coalesced(other.shape, *_composite(b, c))
-        return _unchecked(Layout, (self.shape, s), (self.stride, d), concat_flat([flat, part]))
+        s, part = _coalesced(other.shape, *_composite(b, c))
+        return _unchecked(Layout, (self.shape, s), concat_flat([flat, part]))
 
 
 def _padded(flat: FlatLayout) -> FlatLayout:
@@ -426,11 +429,11 @@ def _padded(flat: FlatLayout) -> FlatLayout:
     return flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
 
 
-def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, Nested, FlatLayout]:
-    """Shape and stride nested like ``tree`` whose leaf ``i`` is the coalesce of the flat
-    modes ``pieces[i]`` (strides in order from ``stride``), and their flat form: one piece
-    is its own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
-    shapes, strides, flat_s, flat_d, k = [], [], [], [], 0
+def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, FlatLayout]:
+    """The shape nested like ``tree`` whose leaf ``i`` is the coalesce of the flat modes
+    ``pieces[i]`` (strides in order from ``stride``), and its flat form: one piece is its
+    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
+    leaves, flat_s, flat_d, k = [], [], [], 0
     for p in pieces:
         if len(p) == 1:
             s, d = (p[0], stride[k]) if p[0] != 1 else (1, 0)
@@ -441,33 +444,28 @@ def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, Ne
             s, d = (s, d) if s else ((1,), (0,))
             flat_s += s
             flat_d += d
-            s, d = _as_tree(s), _as_tree(d)
-        shapes.append(s)
-        strides.append(d)
+            s = _as_tree(s)
+        leaves.append(s)
         k += len(p)
-    shape, stride = _substitute(tree, iter(shapes)), _substitute(tree, iter(strides))
-    flat = (shape, stride) if shape == tuple(flat_s) else (tuple(flat_s), tuple(flat_d))
-    return shape, stride, _unchecked(FlatLayout, *flat)
+    shape, flat_s = _substitute(tree, iter(leaves)), tuple(flat_s)
+    return shape, _unchecked(FlatLayout, shape if shape == flat_s else flat_s, tuple(flat_d))
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
     """(A, B, ...) as one layout with one mode per operand."""
-    shape, stride = tuple(l.shape for l in layouts), tuple(l.stride for l in layouts)
-    return _unchecked(Layout, shape, stride, concat_flat([l.flat() for l in layouts]))
+    shape = tuple(l.shape for l in layouts)
+    return _unchecked(Layout, shape, concat_flat([l.flat() for l in layouts]))
 
 
 def substitute_profile(layout: Layout, prof) -> Layout:
-    """Re-nest the entries of ``layout`` under a new profile of the same
-    length."""
-    flat = layout.flat()
-    # both trees re-nest one valid layout's entries under one profile
-    return _unchecked(Layout, substitute(flat.shape, prof), substitute(flat.stride, prof), flat)
+    """Re-nest the entries of ``layout`` under a new profile of the same length:
+    its shape, over the flat form it keeps."""
+    return _unchecked(Layout, substitute(layout.flat().shape, prof), layout.flat())
 
 
 def column_major_layout(shape: Nested) -> Layout:
     """The compact layout with the given shape, first entry fastest."""
-    flat = column_major(flatten(shape))
-    return _unchecked(Layout, shape, _substitute(shape, iter(flat.stride)), flat)
+    return _unchecked(Layout, shape, column_major(flatten(shape)))
 
 
 # -- conversion to and from nest morphisms ----------------------------------
@@ -475,8 +473,7 @@ def column_major_layout(shape: Nested) -> Layout:
 
 def layout_of_nested(f: NestMorphism) -> Layout:
     """The layout encoded by ``f``, nested like its domain."""
-    flat = layout_of(f.fmap)
-    return _unchecked(Layout, f.domain, _substitute(f.domain, iter(flat.stride)), flat)
+    return _unchecked(Layout, f.domain, layout_of(f.fmap))
 
 
 def standard_representation_nested(layout: Layout) -> NestMorphism:
@@ -491,9 +488,8 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
     refines shape(a), before any coalescing, each leaf of shape(a) nested
     as its pieces."""
     pieces, stride = _composite(a.flat(), b.flat())
-    shape = _substitute(a.shape, map(_as_tree, pieces))
     flat = _unchecked(FlatLayout, tuple(chain.from_iterable(pieces)), stride)
-    return _unchecked(Layout, shape, _substitute(shape, iter(stride)), flat)
+    return _unchecked(Layout, _substitute(a.shape, map(_as_tree, pieces)), flat)
 
 
 def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:

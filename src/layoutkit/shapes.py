@@ -7,7 +7,8 @@ leaf, so a profile is a tree with the sentinel :data:`STAR` at the leaves.
 Five walkers keep their own stack of iterators, one per open tuple, so no tree
 is too deep to walk: :func:`flatten`, :func:`_flat_pair`, :func:`_frontier` (on
 which :func:`_pieces` reads a refinement), :func:`_substitute` (which
-:func:`depth` reads off) and :func:`_text`, with which a refusal writes a tree.
+:func:`depth` reads off) and :func:`_text`, on which a refusal writes a tree
+or a refused list leaf, and a layout its shape and strides on one skeleton.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
@@ -61,8 +62,7 @@ def _check_ints(entries: Sequence[object], noun: str, whole: object) -> None:
     """Refuse an entry whose type is not ``int``, ``bool`` included."""
     for e in entries:
         if type(e) is not int:
-            shown = _text(e, repr, ", ", ",)")  # repr(e), a tuple of any depth included
-            raise LayoutError(f"{noun} {shown} in {_str(whole)} is not an integer")
+            raise LayoutError(f"{noun} {_str(e, repr)} in {_str(whole)} is not an integer")
 
 
 def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object) -> None:
@@ -155,16 +155,18 @@ def format_nested(x: Nested) -> str:
     return _text(x, str, ",", ")")
 
 
-def _str(x: object) -> str:
-    """``str(x)``, which the built-in writes for a tuple with one C frame per level."""
-    return _text(x, repr, ", ", ",)") if isinstance(x, tuple) else str(x)
+def _str(x: object, show=str) -> str:
+    """``show(x)`` for ``str`` or ``repr``, which write a tuple or list alike, with one C
+    frame per level: such a tree is written on :func:`_text`'s stack instead."""
+    return _text(x, repr, ", ", ",)") if isinstance(x, (tuple, list)) else show(x)
 
 
 def _text(x: object, leaf, sep: str, single: str) -> str:
     """Each leaf as ``leaf`` writes it, a tuple's children joined by ``sep``
-    and a 1-tuple closed by ``single``."""
+    and a 1-tuple closed by ``single``; with ``repr``, a list is a node too,
+    and ``[...]`` inside itself, as the built-in writes it."""
     out: list = []
-    stack = [(enumerate((x,)), "")]
+    stack, lists = [(enumerate((x,)), "")], {}  # the open lists' ids, innermost last
     while stack:
         for i, c in stack[-1][0]:
             if i:
@@ -173,9 +175,17 @@ def _text(x: object, leaf, sep: str, single: str) -> str:
                 out.append("(")
                 stack.append((enumerate(c), single if len(c) == 1 else ")"))
                 break
-            out.append(leaf(c))
+            if leaf is repr and isinstance(c, list) and id(c) not in lists:
+                out.append("[")
+                lists[id(c)] = None
+                stack.append((enumerate(c), "]"))
+                break
+            out.append("[...]" if leaf is repr and isinstance(c, list) else leaf(c))
         else:
-            out.append(stack.pop()[1])
+            close = stack.pop()[1]
+            out.append(close)
+            if close == "]":
+                lists.popitem()
     return "".join(out)
 
 

@@ -27,6 +27,7 @@ from .shapes import (
     _check_entries,
     _check_ints,
     _dot,
+    _text,
     checked_mul,
     checked_prod,
     colex,
@@ -103,8 +104,9 @@ class _LayoutFunction:
     def is_n_complementable(self, n: int) -> bool:
         return _returns(self.complement, n) is not None
 
-    def __str__(self) -> str:
-        return f"{format_nested(self.shape)}:{format_nested(self.stride)}"
+    def __str__(self) -> str:  # both trees written on one skeleton of the shape tree
+        tree, flat = _text(self.shape, lambda _: "{}", ",", ")"), self.flat()
+        return f"{tree.format(*flat.shape)}:{tree.format(*flat.stride)}"
 
 
 @dataclass(frozen=True)

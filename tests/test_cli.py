@@ -2,9 +2,12 @@
 
 import json
 import random
+import runpy
+import sys
 
 import pytest
 
+import layoutkit.cli
 from layoutkit import Layout
 from layoutkit.cli import main
 from layoutkit.notation import format_nested
@@ -365,6 +368,24 @@ class TestCheckAndExitCodes:
 
     def test_check_coalesce(self, capsys):
         assert run(capsys, "check", "coalesce", "(2,2):(1,2)")[0] == 0
+
+    def test_check_failed_exit_1(self, capsys, monkeypatch):
+        # an oracle that disagrees with the engine exits 1, and --json still
+        # prints the answer
+        monkeypatch.setattr(layoutkit.cli, "check_compose", lambda a, b: False)
+        failed = "check-failed: oracle disagrees with the engine"
+        assert run(capsys, "check", "compose", "4:1", "4:1") == (1, "", failed)
+        assert run(capsys, "--json", "check", "compose", "4:1", "4:1") == (1, '{"ok": false}', failed)
+
+    @pytest.mark.filterwarnings("ignore:'layoutkit.cli' found in sys.modules:RuntimeWarning")
+    def test_run_as_a_module(self, capsys, monkeypatch):
+        # python -m layoutkit.cli exits with main's status
+        argv = ["layoutkit", "compose", "((4,4),4):((16,1),4)", "(8,64):(64,1)"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("layoutkit.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == "((4,4),(2,2)):((2,64),(256,1))\n"
 
     def test_check_arity_exit_2(self, capsys):
         for argv, wanted in (

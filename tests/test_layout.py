@@ -1,7 +1,9 @@
 """Nested layouts: coalescing, complements, composition, division, product."""
 
+import copy
 import dataclasses
 import gc
+import pickle
 import random
 from functools import partial
 
@@ -107,6 +109,18 @@ class TestConstruction:
         w = Layout.of_flat(FlatLayout([4, 2], [2, 8]))
         assert w == Layout((4, 2), (2, 8)) and w.flat() == FlatLayout((4, 2), (2, 8))
         assert w.cosize() == 15 and w.flat().shape is w.shape
+
+    def test_value_semantics(self):
+        # a layout holds its shape and flat form and nests its stride on a
+        # read: text, equality, hashing, copies and pickles are those of
+        # the two trees
+        l = Layout(((4, 4), 4), ((16, 1), 4))
+        assert repr(l) == "Layout(shape=((4, 4), 4), stride=((16, 1), 4))"
+        assert (str(l), str(Layout(4, 1)), str(Layout((), ()))) == ("((4,4),4):((16,1),4)", "4:1", "():()")
+        for x in (copy.deepcopy(l), pickle.loads(pickle.dumps(l)), Layout(shape=l.shape, stride=l.stride)):
+            assert x == l and hash(x) == hash(l) and repr(x) == repr(l) and x.flat() == l.flat()
+        assert l != Layout(((4, 4), 4), ((16, 1), 8)) and l != Layout((4, 4, 4), (16, 1, 4))
+        assert Layout((2,), (1,)) != Layout(2, 1) and len({Layout(4, 1), Layout(4, 1), Layout(4, 2)}) == 2
 
     def test_concat(self):
         assert concat_layouts(
@@ -303,8 +317,10 @@ class TestNoReferenceCycles:
 def _revalidated(x):
     """``x`` rebuilt with every dataclass inside it passed through its
     validating constructor again."""
+    if isinstance(x, Layout):  # it holds its flat form, which replace cannot pass on
+        return Layout(_revalidated(x.shape), _revalidated(x.stride))
     if dataclasses.is_dataclass(x):
-        fields = [f.name for f in dataclasses.fields(x) if f.init]  # Layout makes its flat form
+        fields = [f.name for f in dataclasses.fields(x)]
         return dataclasses.replace(x, **{f: _revalidated(getattr(x, f)) for f in fields})
     if isinstance(x, tuple):
         return tuple(_revalidated(c) for c in x)

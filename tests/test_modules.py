@@ -156,7 +156,7 @@ def test_validating_constructors_run_only_at_the_boundary():
         "Layout",
     }
     # a Layout checks its entries by building its flat form, where they enter
-    boundary = {"identity", "nest_morphism", "Layout.__post_init__"}
+    boundary = {"identity", "nest_morphism", "Layout.__init__"}
     callers = set()
     for path, tree in _source_trees():
         if path.stem not in {"tuplecat", "nestcat"}:
@@ -323,6 +323,56 @@ def test_coalesce_relative_flattens_each_group_once():
     finally:
         sys.setprofile(None)
     assert count == 4
+
+
+def test_a_layout_holds_its_nesting_once():
+    # a Layout holds the shape tree and the flat form, and nests its stride
+    # from them on each read; the engine builds a Layout from (shape, flat)
+    # alone, so an operation nests its result's shape once, or not at all
+    Layout, shapes = layoutkit.Layout, layoutkit.shapes
+    trees = [
+        (((4, 4), 4), ((16, 1), 4)), ((8, 64), (64, 1)), ((64, 32), (32, 1)),
+        ((4, 4), (1, 64)), ((2, 2), (1, 2)), ((5, 5), (5, 1)),
+        (((2, 2), (3, 3), (5, 5)), ((1, 2), (4, 12), (36, 180))),
+    ]
+    layouts = [Layout(s, d) for s, d in trees]
+    assert [x.stride for x in layouts] == [d for _, d in trees]
+    a, b, m, tiler, p, q, r = layouts
+    f = layoutkit.standard_representation_nested(a)
+    ops = {
+        "compose": (lambda: a.compose(b), 1),
+        "logical_divide": (lambda: m.logical_divide(tiler), 1),
+        "logical_product": (lambda: p.logical_product(q), 1),
+        "coalesce_relative": (lambda: r.coalesce_relative(((2, 2), 9, 25)), 1),
+        "compose_tractable": (lambda: layoutkit.compose_tractable(a, b), 1),
+        "substitute_profile": (lambda: layoutkit.substitute_profile(a, (("*", "*"), "*")), 1),
+        "column_major_layout": (lambda: layoutkit.column_major_layout(((4, 4), 4)), 0),
+        "layout_of_nested": (lambda: layoutkit.layout_of_nested(f), 0),
+    }
+    counts, results = dict.fromkeys(ops, 0), list(layouts)
+    for name, (op, _) in ops.items():
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is shapes._substitute.__code__:
+                counts[name] += 1
+
+        sys.setprofile(profiler)
+        try:
+            results.append(op())
+        finally:
+            sys.setprofile(None)
+    assert counts == {name: n for name, (_, n) in ops.items()}
+    assert all(sorted(vars(x)) == ["_flat", "shape"] for x in results)
+    calls = [
+        node
+        for path, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "_unchecked"
+        and getattr(node.args[0], "id", None) == "Layout"
+    ]
+    assert calls and all(
+        len(c.args) == 3 or len(c.args) == 2 and isinstance(c.args[1], ast.Starred) for c in calls
+    )
 
 
 def test_a_refinement_is_read_once():

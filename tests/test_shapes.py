@@ -36,7 +36,7 @@ from layoutkit import (
     size,
     substitute,
 )
-from layoutkit.shapes import _str, checked_add, checked_mul
+from layoutkit.shapes import _same, _str, checked_add, checked_mul
 
 from generators import nested_tuples, random_tree, seeds
 
@@ -171,6 +171,7 @@ class TestDeepTrees:
     def test_layouts(self):
         t, ones = _wrapped(2), _wrapped(1)
         a = Layout(t, ones)
+        assert _same(a.stride, ones) and depth(a.stride) == 10_000  # nested on the read
         assert str(a) == format_nested(t) + ":" + format_nested(ones)
         assert (a.size(), a.cosize(), a.depth(), a(1), a.is_tractable()) == (2, 2, 10_000, 1, True)
         assert a.flat() == FlatLayout((2,), (1,)) and a.coalesce() == Layout(2, 1)
@@ -240,11 +241,36 @@ class TestDeepTrees:
         with pytest.raises(LayoutError, match="requires a common codomain"):
             concat_nm([pair[0], nest_morphism(2, _wrapped((2, 2), 9_999), (2,))])
 
+    def test_deep_lists_are_refused_as_entries(self):
+        # a list is a leaf to every walker, so a deep one is a refused entry,
+        # written on the text walk's stack as repr writes a shallow one
+        x = 2
+        for _ in range(100_000):
+            x = [x]
+        shown = "[" * 100_000 + "2" + "]" * 100_000
+        for build in (lambda: FlatLayout((x,), (1,)), lambda: Layout(x, 1), lambda: Layout((x,), (1,))):
+            with pytest.raises(LayoutError) as refused:
+                build()
+            assert str(refused.value) == f"shape entry {shown} in ({shown},) is not an integer"
+        for build, message in (  # a shallow list is written as the built-in writes it
+            (lambda: Layout(([[[2]]],), (1,)), "shape entry [[[2]]] in ([[[2]]],)"),
+            (lambda: Refinement([2, 2], 4), "entry [2, 2] in Refinement(fine=[2, 2], coarse=4)"),
+            (lambda: mutual_refinement([2], (2,)), "entry [2] in [2]"),
+        ):
+            with pytest.raises(LayoutError) as refused:
+                build()
+            assert str(refused.value) == message + " is not an integer"
+        looped = []
+        looped.append(looped)
+        with pytest.raises(LayoutError) as refused:
+            Layout((looped, 2), (1, 2))
+        assert str(refused.value) == "shape entry [[...]] in ([[...]], 2) is not an integer"
+
     @given(nested_tuples())
     def test_messages_show_a_tree_as_str_does(self, x):
         # a refusal names a tree as f"{tree}" and f"{tree!r}" do, without the
         # built-ins' recursion
-        for tree in (x, (x,), ("a", (2.5, None, True)), (), ((),), "a", 3):
+        for tree in (x, (x,), ("a", (2.5, None, True)), (), ((),), "a", 3, [x, [(x,)]], [], [[]]):
             assert _str(tree) == str(tree)
             if type(tree) is not int:
                 with pytest.raises(LayoutError) as refused:

@@ -16,9 +16,9 @@ printed is a summary, then each outcome that differs follows.  The exit
 status is 0 when no outcome differs and 1 otherwise.
 
 A call is ``(target, args)``.  ``target`` is a public name of
-``layoutkit``, a method or property as ``Class.name``, or ``"cli"`` with
-the argument list as its one argument.  Each argument is a spec: ``("=",
-value)`` is the value itself, ``("deep", n, leaf)`` is ``leaf`` inside
+``layoutkit``, a method, property or field as ``Class.name``, or ``"cli"``
+with the argument list as its one argument.  Each argument is a spec:
+``("=", value)`` is the value itself, ``("deep", n, leaf)`` is ``leaf`` inside
 ``n`` one-tuples, ``("[]", *specs)`` is a list, and ``(target, *specs)`` is
 the result of that call.  So the corpus holds no object of either tree.
 """
@@ -110,7 +110,7 @@ def layout_battery(c: Corpus, lk, a, b) -> None:
     rng = c.rng
     A, B = _L(a), _L(b)
     for name in (
-        "__str__", "flat", "length", "rank", "depth", "complexity", "size", "cosize",
+        "__str__", "stride", "flat", "length", "rank", "depth", "complexity", "size", "cosize",
         "is_tractable", "coalesce", "is_coalesced", "complement", "is_complementable",
         "is_compact",
     ):
@@ -492,6 +492,8 @@ def _build(lk, spec):
 def _call(lk, target, args):
     obj = lk
     for part in target.split("."):
+        if obj is not lk and not hasattr(obj, part):  # a dataclass field: read off the object
+            return getattr(args[0], part)
         obj = getattr(obj, part)
     if isinstance(obj, property):
         return obj.fget(*args)
