@@ -5,11 +5,12 @@ does: its nesting once, in the shape tree, and its entries once, in a flat
 form, whose function is the layout's.  A nest morphism is a tuple morphism
 between the flattenings of two nested tuples.  Refining a side along a
 refinement of its tree keeps the realized function (pullback refines the
-codomain, pushforward the domain); that transport is written once, on flat
-pieces, and composition, divide and product run it on tuple morphisms of
-flat forms and nest the shape once.  Entries are range-checked where they
-enter (the constructors, :func:`nest_morphism` and :func:`mutual_refinement`)
-and products where they are taken; what the engine derives skips validation.
+codomain, pushforward the domain); that transport is written once, as an
+index map over flat pieces.  Pullback and pushforward wrap it as tuple
+morphisms; composition, divide and product read each stride through it.
+Entries are range-checked where they enter (the constructors,
+:func:`nest_morphism` and :func:`mutual_refinement`) and products where they
+are taken; what the engine derives skips validation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .shapes import (
     depth,
     flatten,
     length,
+    prefix_products,
     rank,
     substitute,
 )
@@ -134,21 +136,26 @@ def _as_tree(entries: Sequence[int]) -> Nested:
 # -- refinement transport --------------------------------------------------
 
 
-def _cut(f: TupleMorphism, dom: Sequence, cod: Sequence) -> TupleMorphism:
-    """``f`` with domain entry ``i`` cut into the flat pieces ``dom[i]``, and
-    codomain entry ``j`` into ``cod[j]``; a hit entry is cut as its image."""
+def _cut(amap: Sequence[int], dom: Sequence, cod: Sequence) -> List[int]:
+    """``amap`` with domain entry ``i`` cut into the flat pieces ``dom[i]`` and codomain
+    entry ``j`` into ``cod[j]``, a hit entry as its image: positions among ``cod``'s pieces."""
     ends = list(accumulate(map(len, cod), initial=0))  # entry j ends at ends[j]
-    amap: List[int] = []
-    for a, p in zip(f.amap, dom):
-        amap.extend(range(ends[a - 1] + 1, ends[a] + 1) if a else [0] * len(p))
-    domain, codomain = tuple(chain.from_iterable(dom)), tuple(chain.from_iterable(cod))
-    return _unchecked(TupleMorphism, domain, codomain, tuple(amap))
+    out: List[int] = []
+    for a, p in zip(amap, dom):
+        out.extend(range(ends[a - 1] + 1, ends[a] + 1) if a else [0] * len(p))
+    return out
 
 
-def _onto(f: TupleMorphism, parts: Sequence, cod: Sequence) -> list:
-    """``cod`` with each entry ``f`` hits replaced by the hitting entry's part."""
+def _cut_m(f: TupleMorphism, dom: Sequence, cod: Sequence) -> TupleMorphism:
+    """:func:`_cut` of ``f``'s map, as the morphism between the concatenated pieces."""
+    joined = (tuple(chain.from_iterable(pieces)) for pieces in (dom, cod))
+    return _unchecked(TupleMorphism, *joined, tuple(_cut(f.amap, dom, cod)))
+
+
+def _onto(amap: Sequence[int], parts: Sequence, cod: Sequence) -> list:
+    """``cod`` with each entry that ``amap`` hits replaced by the hitting entry's part."""
     out = list(cod)
-    for a, part in zip(f.amap, parts):
+    for a, part in zip(amap, parts):
         if a:
             out[a - 1] = part
     return out
@@ -156,24 +163,24 @@ def _onto(f: TupleMorphism, parts: Sequence, cod: Sequence) -> list:
 
 def pullback(f: NestMorphism, tref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the codomain along ``tref`` and each hit domain entry as its image,
-    keeping the layout function: :func:`_cut` on the flat pieces of both."""
+    keeping the layout function: :func:`_cut_m` on the flat pieces of both."""
     if not _same(tref.coarse, f.codomain):
         raise LayoutError(f"{_str(tref.coarse)} is not the codomain of {f}")
     rel, cod = _pieces(tref.fine, f.codomain)
     hit = list(zip(f.fmap.domain, f.fmap.amap))
     fine = _substitute(f.domain, iter([rel[a - 1] if a else s for s, a in hit]))
-    fmap = _cut(f.fmap, [cod[a - 1] if a else (s,) for s, a in hit], cod)
+    fmap = _cut_m(f.fmap, [cod[a - 1] if a else (s,) for s, a in hit], cod)
     return _unchecked(NestMorphism, fine, tref.fine, fmap), _unchecked(Refinement, fine, f.domain)
 
 
 def pushforward(f: NestMorphism, sref: Refinement) -> Tuple[NestMorphism, Refinement]:
     """Refine the domain along ``sref`` and each hit codomain entry as the entry
-    hitting it, keeping the layout function: :func:`_cut` on the flat pieces of both."""
+    hitting it, keeping the layout function: :func:`_cut_m` on the flat pieces of both."""
     if not _same(sref.coarse, f.domain):
         raise LayoutError(f"{_str(sref.coarse)} is not the domain of {f}")
     rel, dom = _pieces(sref.fine, f.domain)
-    fine = _substitute(f.codomain, iter(_onto(f.fmap, rel, f.fmap.codomain)))
-    fmap = _cut(f.fmap, dom, _onto(f.fmap, dom, [(t,) for t in f.fmap.codomain]))
+    fine = _substitute(f.codomain, iter(_onto(f.fmap.amap, rel, f.fmap.codomain)))
+    fmap = _cut_m(f.fmap, dom, _onto(f.fmap.amap, dom, [(t,) for t in f.fmap.codomain]))
     return _unchecked(NestMorphism, sref.fine, fine, fmap), _unchecked(Refinement, fine, f.codomain)
 
 
@@ -493,9 +500,9 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
 
 
 def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
-    """Each mode of ``flat`` as its pieces, and the strides over them of the composite
-    with ``b_flat``: the standard representations cut along :func:`_refine` and composed
-    as tuple morphisms.  Each operand comes flat, as its layout keeps it."""
+    """Each mode of ``flat`` as its pieces, and the strides over them of the composite with
+    ``b_flat`` (each operand flat, as its layout keeps it): the standard representations cut
+    along :func:`_refine`, each piece's stride read through both cut maps, no morphism built."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
@@ -510,6 +517,7 @@ def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, .
         )
     f_cod, g_dom = pieces
     f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(f.domain, f.amap)]
-    g_fine = _cut(g, g_dom, _onto(g, g_dom, [(t,) for t in g.codomain]))
-    rest = g_fine.domain[sum(map(len, f_cod)) :]  # g's pieces beyond f's: hit by nothing
-    return f_dom, layout_of(compose_morphisms(_cut(f, f_dom, f_cod + [rest]), g_fine)).stride
+    g_cod = _onto(g.amap, g_dom, [(t,) for t in g.codomain])
+    g_map = [0] + _cut(g.amap, g_dom, g_cod)  # f's cut codomain is a prefix of g's cut domain
+    pre = (0,) + prefix_products(tuple(chain.from_iterable(g_cod))[:-1])  # 0: the basepoint
+    return f_dom, tuple(pre[g_map[a]] for a in _cut(f.amap, f_dom, f_cod))

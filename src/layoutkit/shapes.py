@@ -162,25 +162,27 @@ def _str(x: object, show=str) -> str:
 
 
 def _text(x: object, leaf, sep: str, single: str) -> str:
-    """Each leaf as ``leaf`` writes it, a tuple's children joined by ``sep``
-    and a 1-tuple closed by ``single``; with ``repr``, a list is a node too,
-    and ``[...]`` inside itself, as the built-in writes it."""
+    """Each leaf as ``leaf`` writes it, a tuple's children joined by ``sep`` and a 1-tuple
+    closed by ``single``; a list is a node too, as the built-ins write it: each item inside
+    it as ``repr`` writes it, joined by ``", "``, and ``[...]`` inside itself."""
     out: list = []
     stack, lists = [(enumerate((x,)), "")], {}  # the open lists' ids, innermost last
-    while stack:
+    outside, inside = (leaf, sep, single), (repr, ", ", ",)")
+    while stack:  # each push and pop comes back here, so whether a list is open is known
+        show, comma, one = inside if lists else outside
         for i, c in stack[-1][0]:
             if i:
-                out.append(sep)
+                out.append(comma)
             if isinstance(c, tuple):
                 out.append("(")
-                stack.append((enumerate(c), single if len(c) == 1 else ")"))
+                stack.append((enumerate(c), one if len(c) == 1 else ")"))
                 break
-            if leaf is repr and isinstance(c, list) and id(c) not in lists:
+            if isinstance(c, list) and id(c) not in lists:
                 out.append("[")
                 lists[id(c)] = None
                 stack.append((enumerate(c), "]"))
                 break
-            out.append("[...]" if leaf is repr and isinstance(c, list) else leaf(c))
+            out.append("[...]" if isinstance(c, list) else show(c))
         else:
             close = stack.pop()[1]
             out.append(close)

@@ -27,6 +27,7 @@ from .shapes import (
     _check_entries,
     _check_ints,
     _dot,
+    _str,
     _text,
     checked_mul,
     checked_prod,
@@ -279,9 +280,9 @@ class TupleMorphism:
                 raise LayoutError(f"map hits codomain position {a} twice")
             seen.add(a)
             if self.domain[i] != self.codomain[a - 1]:
-                raise LayoutError(
-                    f"entry mismatch: domain[{i}]={self.domain[i]} but "
-                    f"codomain[{a - 1}]={self.codomain[a - 1]}"
+                raise LayoutError(  # each entry written on a stack, a refused tree too
+                    f"entry mismatch: domain[{i}]={_str(self.domain[i])} but "
+                    f"codomain[{a - 1}]={_str(self.codomain[a - 1])}"
                 )
         _check_entries(self.domain, 1, "domain entry", self.domain)
         _check_entries(self.codomain, 1, "codomain entry", self.codomain)

@@ -13,6 +13,7 @@ from layoutkit.cli import main
 from layoutkit.notation import format_nested
 
 from generators import random_layout, random_morphism, random_nested_tuple
+from test_acceptance import GOLDEN
 
 
 def run(capsys, *argv):
@@ -354,6 +355,18 @@ class TestJson:
         wanted = wanted.replace("(", "[").replace(")", "]")
         assert capsys.readouterr() == (wanted, "")
         assert len(wanted) == 3626
+
+
+class TestInProcessCalls:
+    def test_golden_transcripts_forward_then_reverse(self, capsys):
+        # main keeps no state between calls in one process: every golden
+        # transcript, text and --json, gives its exit code, stdout and stderr
+        # whichever calls ran before it
+        calls = [(list(argv), out) for argv, out in GOLDEN]
+        calls += [(["--json", *argv], out) for argv, out in _JSON_TRANSCRIPTS.values()]
+        for argv, stdout in calls + calls[::-1]:
+            assert main(argv) == 0, argv
+            assert capsys.readouterr() == (stdout + "\n", ""), argv
 
 
 class TestCheckAndExitCodes:

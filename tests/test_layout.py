@@ -236,6 +236,14 @@ class TestCompose:
         assert a.compose(b) == Layout(4, 4)
         assert check_compose(a, b)
 
+    def test_every_prefix_product_of_the_cut_codomain_is_checked(self):
+        # b's standard representation is 2^40 -> (2^40, 2^40), cut to
+        # (2^40, 2^30, 2^10): the leftover piece 2^10 carries no stride, but
+        # the prefix product before it is taken, as the composite's layout would
+        with pytest.raises(ArithmeticOverflowError) as refused:
+            Layout(2**30, 1).compose(Layout(2**40, 2**40))
+        assert str(refused.value) == "64-bit overflow in 1099511627776 * 1073741824"
+
     @given(tractable_layouts(), tractable_layouts())
     @settings(deadline=None)
     def test_oracle(self, a, b):

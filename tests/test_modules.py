@@ -221,10 +221,12 @@ def test_layout_operations_run_on_tuple_morphisms():
 
 def test_the_transport_is_written_once():
     # one flat helper writes the transport's index map and one computes the
-    # greedy pieces; the Nest-category operations and compose reach them
+    # greedy pieces; the Nest-category operations and compose reach them, and
+    # only the public transport wraps the cut map in a tuple morphism
     scopes = _module_scopes("nestcat")
     for root in ("pullback", "pushforward", "compose_tractable", "_composite"):
         assert "_cut" in _reached(scopes, [root])
+        assert ("_cut_m" in _reached(scopes, [root])) == (root in ("pullback", "pushforward"))
     for root in ("mutual_refinement", "compose_tractable", "_composite"):
         assert "_refine" in _reached(scopes, [root])
     builders = {
@@ -236,7 +238,37 @@ def test_the_transport_is_written_once():
         and getattr(node.args[0], "id", None) == "TupleMorphism"
     }
     # make_composable only retargets the refined f, keeping its map
-    assert builders == {"_cut", "make_composable"}
+    assert builders == {"_cut_m", "make_composable"}
+
+
+def test_an_operation_builds_few_engine_objects():
+    # compose, divide and product carry index maps past the two standard
+    # representations: each _unchecked call is one engine object, and every
+    # tuple morphism is a standard representation (the complement reads one too)
+    tuplecat, Layout = layoutkit.tuplecat, layoutkit.Layout
+    a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
+    m, tiler = Layout((64, 32), (32, 1)), Layout((4, 4), (1, 64))
+    p, q = Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))
+    ops = {
+        "compose": (lambda: a.compose(b), 5, 2),
+        "logical_divide": (lambda: m.logical_divide(tiler), 9, 3),
+        "logical_product": (lambda: p.logical_product(q), 9, 3),
+    }
+    for name, (op, most, morphisms) in ops.items():
+        built = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is tuplecat._unchecked.__code__:
+                built.append((frame.f_locals["cls"].__name__, frame.f_back.f_code.co_name))
+
+        sys.setprofile(profiler)
+        try:
+            op()
+        finally:
+            sys.setprofile(None)
+        assert len(built) <= most, (name, built)
+        tms = [caller for cls, caller in built if cls == "TupleMorphism"]
+        assert tms == ["_standard_modes"] * morphisms, (name, built)
 
 
 def test_divide_and_product_build_no_intermediate_layouts():

@@ -266,6 +266,24 @@ class TestDeepTrees:
             Layout((looped, 2), (1, 2))
         assert str(refused.value) == "shape entry [[...]] in ([[...]], 2) is not an integer"
 
+    def test_deep_lists_in_a_morphism_and_in_text(self):
+        # the entry mismatch and format_nested write a list on the text walk's
+        # stack too, as str writes a shallow one: its items joined by ", "
+        x = 2
+        for _ in range(100_000):
+            x = [x]
+        shown = "[" * 100_000 + "2" + "]" * 100_000
+        for build in (TupleMorphism, nest_morphism):
+            with pytest.raises(LayoutError) as refused:
+                build((x,), (2,), (1,))
+            assert str(refused.value) == f"entry mismatch: domain[0]={shown} but codomain[0]=2"
+        with pytest.raises(LayoutError) as refused:
+            TupleMorphism(((1, 2),), ([1, (3,)],), (1,))
+        assert str(refused.value) == "entry mismatch: domain[0]=(1, 2) but codomain[0]=[1, (3,)]"
+        assert format_nested((x,)) == f"({shown})"
+        assert format_nested(([1, 2], 3)) == "([1, 2],3)"
+        assert format_nested(([(1,), "a"], (4,))) == "([(1,), 'a'],(4))"
+
     @given(nested_tuples())
     def test_messages_show_a_tree_as_str_does(self, x):
         # a refusal names a tree as f"{tree}" and f"{tree!r}" do, without the

@@ -320,6 +320,8 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("colex_inv", lit((2**62, 4)), V)
         c.add("parse_layout", lit(f"({v},2):(1,{v})"))
         c.add("nest_morphism", lit((v, 2)), lit((2, v)), lit((2, 1)))
+    # a composite in range whose cut codomain's leftover piece overflows its prefix product
+    c.add("Layout.compose", ("Layout", lit(2**30), lit(1)), ("Layout", lit(2**40), lit(2**40)))
     for shape, stride in WIDE_EVAL:
         n = math.prod(shape)
         text = f"({','.join(map(str, shape))}):({','.join(map(str, stride))})"
