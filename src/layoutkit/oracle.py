@@ -4,7 +4,8 @@ Everything here works on full function tables rather than on the algebraic
 structure, so it is independent of the engine: the engine's results are
 verified against these tables in the test suite. Tables are built from a
 layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
-order, so the per-point work is a list comprehension step, not a call.
+order, with one add per point past the first; a table is a bijection onto its
+range when its values are distinct and lie in [0, size).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import OracleCapError
+from .errors import LayoutError, OracleCapError
 from .nestcat import Layout
 from .shapes import INT64_MAX
 from .tuplecat import FlatLayout, concat_flat
@@ -34,33 +35,45 @@ class FunctionTable:
         return len(self.values)
 
     def __getitem__(self, x: int) -> int:
+        """The value at ``x``, an ``int`` (not ``bool``) in [0, size)."""
+        if type(x) is not int or not 0 <= x < len(self.values):
+            raise LayoutError(f"a table of size {len(self.values)} has no index {x!r}")
         return self.values[x]
 
     def is_bijection_onto_range(self) -> bool:
-        return sorted(self.values) == list(range(len(self.values)))
+        return _onto_range(self.values)
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    flat = layout.flat()
+    return FunctionTable(tuple(_table(layout.flat(), cap)))
+
+
+def _table(flat: FlatLayout, cap: int) -> List[int]:
+    """The values of ``flat`` in colex order: the list so far is each mode's
+    block at offset 0, so a mode appends only its shifted copies."""
     n = flat.size()
     if n > cap:
         raise OracleCapError(f"table of size {n} exceeds cap {cap}")
-    # mode by mode in colex order: each mode repeats the table built so far
-    # once per coordinate, shifted by that coordinate's offset
     values = [0]
     for s, d in zip(flat.shape, flat.stride):
         if d == 0:
-            values = values * s
-        elif s > 1:
-            values = [v + c for c in range(0, s * d, d) for v in values]
-    return FunctionTable(tuple(values))
+            values *= s
+        else:
+            values += [v + c for c in range(d, s * d, d) for v in values]
+    return values
+
+
+def _onto_range(values: Sequence[int]) -> bool:
+    """Whether the ``n`` values are distinct and in [0, n), in linear time."""
+    n = len(values)
+    return not n or (min(values) >= 0 and max(values) < n and len(set(values)) == n)
 
 
 def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> bool:
     fa, fb = a.flat(), b.flat()
     if fa.size() != fb.size():
         return False
-    return table_of(fa, cap) == table_of(fb, cap)
+    return _table(fa, cap) == _table(fb, cap)
 
 
 def check_compose(
@@ -83,14 +96,14 @@ def check_compose(
     if composite is None:
         composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
     fa, fb, fc = a.flat(), b.flat(), composite.flat()
-    xs = table_of(fa, cap).values
+    xs = _table(fa, cap)
     if fc.size() != len(xs):
         return False
     nb = fb.size()
     ys = _evaluate(fb, xs)
-    zs = table_of(fc, cap).values
+    zs = _table(fc, cap)
     if _largest(fa) < nb and max(_largest(fb), _largest(fc)) <= INT64_MAX:
-        return tuple(ys) == zs
+        return ys == zs
     # some point may leave b's domain or the 64-bit range: the first point
     # that does, or that differs, decides, by pointwise evaluation
     for x, (v, y, z) in enumerate(zip(xs, ys, zs)):
@@ -133,7 +146,7 @@ def check_complement(
         return False
     if total > cap:
         raise OracleCapError(f"table of size {total} exceeds cap {cap}")
-    return table_of(concat_flat([fa, fb]), cap).is_bijection_onto_range()
+    return _onto_range(_table(concat_flat([fa, fb]), cap))
 
 
 def exhaustive_complement_search(
@@ -167,7 +180,7 @@ def exhaustive_complement_search(
             ):
                 continue  # mergeable, so not in canonical (coalesced) form
             b = FlatLayout(shape, stride)
-            if table_of(concat_flat([fa, b]), cap).is_bijection_onto_range():
+            if _onto_range(_table(concat_flat([fa, b]), cap)):
                 out.append(b)
     return out
 

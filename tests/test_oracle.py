@@ -35,6 +35,28 @@ class TestFunctionTable:
     def test_bijection_predicate(self):
         assert FunctionTable((2, 0, 1)).is_bijection_onto_range()
         assert not FunctionTable((0, 0, 2)).is_bijection_onto_range()
+        assert FunctionTable(()).is_bijection_onto_range()
+        assert FunctionTable((0,)).is_bijection_onto_range()
+        assert FunctionTable((3, 5, 0, 4, 1, 2)).is_bijection_onto_range()
+        # a duplicate, a negative value, a value past the range
+        assert not FunctionTable((1, 1)).is_bijection_onto_range()
+        assert not FunctionTable((-1, 1)).is_bijection_onto_range()
+        assert not FunctionTable((0, 2)).is_bijection_onto_range()
+
+    @given(st.lists(st.integers(-3, 8), max_size=8))
+    def test_bijection_predicate_is_a_sorted_range(self, values):
+        want = sorted(values) == list(range(len(values)))
+        assert FunctionTable(tuple(values)).is_bijection_onto_range() == want
+
+    def test_index_outside_the_domain_is_refused(self):
+        t = table_of(Layout(4, 1))
+        assert [t[x] for x in range(4)] == [0, 1, 2, 3]
+        for x in (-1, 4, True, 1.0, "1", None):
+            with pytest.raises(LayoutError) as refused:
+                t[x]
+            assert str(refused.value) == f"a table of size 4 has no index {x!r}"
+        with pytest.raises(LayoutError, match="size 0 has no index 0"):
+            FunctionTable(())[0]
 
     def test_cap(self):
         with pytest.raises(OracleCapError):
@@ -110,6 +132,55 @@ def compose_triples(draw):
         except LayoutError:
             pass
     return a, b, c
+
+
+@st.composite
+def flat_pairs(draw):
+    """Random flat ``a`` and ``b``, with zero strides and unit modes: ``b``
+    is random, a rearrangement of ``a``'s modes, or ``a`` coalesced."""
+    shapes = st.lists(st.integers(1, 4), max_size=4)
+
+    def strides(n):
+        return draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+
+    a_shape = draw(shapes)
+    a = _flat(a_shape, strides(len(a_shape)))
+    how = draw(st.sampled_from(("random", "permuted", "coalesced")))
+    if how == "coalesced":
+        return a, a.coalesce()
+    b_shape = draw(st.permutations(a_shape)) if how == "permuted" else draw(shapes)
+    return a, _flat(b_shape, strides(len(b_shape)))
+
+
+@st.composite
+def complement_pairs(draw):
+    """Random flat ``a`` and a ``b`` that is its complement when it has one,
+    or random, zero strides and unit modes included."""
+    a, b = draw(flat_pairs())
+    if draw(st.booleans()):
+        try:
+            b = a.complement()
+        except LayoutError:
+            pass
+    return a, b
+
+
+class TestFalsePaths:
+    @given(flat_pairs())
+    def test_functions_equal_is_pointwise(self, ab):
+        a, b = ab
+        want = a.size() == b.size() and all(a(x) == b(x) for x in range(a.size()))
+        assert functions_equal(a, b) == want
+
+    @given(complement_pairs())
+    def test_check_complement_is_a_sorted_range(self, ab):
+        a, b = ab
+        both = FlatLayout(a.shape + b.shape, a.stride + b.stride)
+        n = both.size()
+        want = sorted(both(x) for x in range(n)) == list(range(n))
+        assert check_complement(a, b) == want
+        assert check_complement(a, b, n) == want
+        assert not check_complement(a, b, n + 1)
 
 
 class TestCheckCompose:

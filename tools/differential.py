@@ -282,12 +282,15 @@ def oracle_battery(c: Corpus, lk, a, b) -> None:
     c.add("table_of", A)
     c.add("FunctionTable.size", ("table_of", A))
     c.add("FunctionTable.is_bijection_onto_range", ("table_of", A))
-    c.add("FunctionTable.__getitem__", ("table_of", A), lit(a.size() - 1))
+    for x in (a.size() - 1, -1, a.size(), True):
+        c.add("FunctionTable.__getitem__", ("table_of", A), lit(x))
     c.add("functions_equal", A, ("Layout.coalesce", A))
     c.add("functions_equal", A, B)
     c.add("check_compose", A, B)
+    c.add("check_compose", A, B, A)  # a composite of the right size, mostly wrong
     c.add("check_complement", A)
     c.add("check_complement", A, lit(None), lit(a.size() * 2))
+    c.add("check_complement", A, B)  # mostly no complement
     c.add("table_of", A, lit(a.size() - 1))
 
 
@@ -439,6 +442,11 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     c.add("exhaustive_complement_search", ("Layout", lit((2, 2)), lit((1, 4))), lit(16))
     c.add("exhaustive_complement_search", ("FlatLayout", lit((3,)), lit((2,))), lit(12))
     c.add("exhaustive_complement_search", ("Layout", lit(4), lit(1)), lit(2**30))
+    # tables that are not the table of a layout: empty, a duplicate, a value
+    # below or past the range, a permutation
+    for values in ((), (1, 1), (-1, 1), (0, 2), (3, 0, 2, 1)):
+        c.add("FunctionTable.is_bijection_onto_range", ("FunctionTable", lit(values)))
+        c.add("FunctionTable.__getitem__", ("FunctionTable", lit(values)), lit(1))
     small, wide = Gen(rng, SMALL), Gen(rng, WIDE)
     for r in range(rounds):
         for gen in (small, wide) if r % 2 else (small,):
