@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (with a one-line ``code: reason``
-message on stderr), 2 malformed input text.  ``--json`` switches the output
-from canonical notation to structured JSON.
+Exit codes: 0 success, 1 domain error (a one-line ``code: reason`` message
+on stderr), 2 malformed text, nested beyond ``notation.MAX_DEPTH`` too.
+``--json`` writes structured JSON, each tree as its canonical text is.
 """
 
 from __future__ import annotations
@@ -83,11 +83,13 @@ _ALGEBRA = {
     "product": (Layout.logical_product, logical_product_m),
 }
 
+_JSON = str.maketrans({"(": "[", ")": "]", ",": ", "})  #: canonical text to a JSON array
+
 
 def _emit(as_json: bool, result: object, **fields: object) -> None:
     """Print a result as text, or under ``--json`` as one JSON object: a
     layout's shape and stride, a morphism's domain, codomain and map, or else
-    the given fields.  ``json`` writes tuples as lists."""
+    the given fields.  A tree is written as a JSON array on the text walk's stack."""
     if not as_json:
         print(result)
         return
@@ -99,7 +101,9 @@ def _emit(as_json: bool, result: object, **fields: object) -> None:
             "codomain": result.codomain,
             "map": result.fmap.amap,
         }
-    print(json.dumps(fields))
+    values = (format_nested(v).translate(_JSON) if isinstance(v, tuple) else json.dumps(v)
+              for v in fields.values())
+    print("{" + ", ".join(f'"{k}": {v}' for k, v in zip(fields, values)) + "}")
 
 
 def _morphisms(
@@ -245,12 +249,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LayoutError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the parsers refuse text nested too deep to read, and the engine
-        # walks and compares trees on its own stacks, but repr of an engine
-        # object still recurses in C on the trees a command reads
-        print("parse-error: nesting too deep", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

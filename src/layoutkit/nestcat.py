@@ -86,6 +86,10 @@ class NestMorphism:
     def __str__(self) -> str:
         return _format_arrow(self.domain, self.fmap.amap, self.codomain)
 
+    def __repr__(self) -> str:  # each tree written on a stack, where the built-in recurses
+        d, c = _str(self.domain, repr), _str(self.codomain, repr)
+        return f"NestMorphism(domain={d}, codomain={c}, fmap={self.fmap!r})"
+
 
 @dataclass(frozen=True)
 class Refinement:
@@ -100,7 +104,7 @@ class Refinement:
         _pieces(self.fine, self.coarse)  # each coarse entry a checked product of fine ones
         _check_entries(fine, 1, "entry", self.fine)
 
-    def __str__(self) -> str:  # repr, each tree written on a stack, where the built-in recurses
+    def __repr__(self) -> str:  # each tree written on a stack, where the built-in recurses
         return f"Refinement(fine={_str(self.fine, repr)}, coarse={_str(self.coarse, repr)})"
 
 
@@ -364,7 +368,7 @@ class Layout(_LayoutFunction):
         return _substitute(self.shape, iter(self._flat.stride))
 
     def __repr__(self) -> str:
-        return f"Layout(shape={self.shape!r}, stride={self.stride!r})"
+        return f"Layout(shape={_str(self.shape, repr)}, stride={_str(self.stride, repr)})"
 
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":

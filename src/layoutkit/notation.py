@@ -10,7 +10,7 @@ tokens and is otherwise ignored, so ``1 6`` is two integers)::
     OPERAND  := "-"? INT                         (a CLI size or index)
 
 A bare integer and a length-1 tuple are distinct: ``10:2`` is depth 0 while
-``(10):(2)`` has one mode.
+``(10):(2)`` has one mode; text nests at most :data:`MAX_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Tuple
 from .errors import NotationError
 from .nestcat import Layout, NestMorphism, nest_morphism
 from .shapes import Nested, format_nested
+
+MAX_DEPTH = 1000  #: the most tuples open at once that the reader accepts
 
 # -- formatting: each type's ``str`` is its canonical text ----------------
 
@@ -83,15 +85,24 @@ class _Scanner:
         return out
 
     def nested(self) -> Nested:
-        if not self.tries("("):
-            return self.integer()
-        if self.tries(")"):
-            return ()
-        items = [self.nested()]
-        while self.tries(","):
-            items.append(self.nested())
-        self.take(")")
-        return tuple(items)
+        stack: list = []  # the items read so far in each open tuple, at most MAX_DEPTH
+        while True:
+            x = ()
+            if not self.tries("("):
+                x = self.integer()
+            elif not self.tries(")"):
+                if len(stack) == MAX_DEPTH:
+                    raise NotationError("nesting too deep")
+                stack.append([])
+                continue
+            while stack:  # close each tuple that the item ends, until a comma
+                stack[-1].append(x)
+                if self.tries(","):
+                    break
+                self.take(")")
+                x = tuple(stack.pop())
+            else:
+                return x
 
     def layout(self) -> Tuple[Nested, Nested]:
         shape = self.nested()
@@ -113,12 +124,11 @@ class _Scanner:
 
 
 def _parse(text: str, read):
-    """What ``read`` reads from all of ``text``; nesting too deep to read is malformed."""
+    """What ``read`` reads from all of ``text``, which must be a ``str``."""
+    if not isinstance(text, str):
+        raise NotationError(f"expected text, got {type(text).__name__}")
     sc = _Scanner(text)
-    try:
-        out = read(sc)
-    except RecursionError:
-        raise NotationError("nesting too deep") from None
+    out = read(sc)
     sc.done()
     return out
 

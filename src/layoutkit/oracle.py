@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import LayoutError, OracleCapError
 from .nestcat import Layout
-from .shapes import INT64_MAX
+from .shapes import INT64_MAX, _check_ints
 from .tuplecat import FlatLayout, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
@@ -163,6 +163,7 @@ def exhaustive_complement_search(
     table.
     """
     fa = a.flat()
+    _check_ints((n,), "complement size", fa)
     if n > cap:
         raise OracleCapError(f"search space of size {n} exceeds cap {cap}")
     if n < 1 or n % fa.size() != 0:

@@ -1,19 +1,22 @@
 """Command-line front end: verbs, output forms, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import runpy
 import sys
 
 import pytest
+from hypothesis import given
 
 import layoutkit.cli
-from layoutkit import Layout
 from layoutkit.cli import main
-from layoutkit.notation import format_nested
+from layoutkit.notation import MAX_DEPTH, format_nested
 
-from generators import random_layout, random_morphism, random_nested_tuple
+from generators import nested_tuples, random_layout, random_morphism, random_nested_tuple
 from test_acceptance import GOLDEN
+from test_notation import from_frames
 
 
 def run(capsys, *argv):
@@ -347,6 +350,19 @@ class TestJson:
         assert main(["--json", *argv]) == 0
         assert capsys.readouterr() == (stdout + "\n", "")
 
+    @given(nested_tuples())
+    def test_trees_written_as_json_dumps_writes_them(self, x):
+        # each tree is written on the text walk's stack, every other value by
+        # json.dumps: byte for byte what json.dumps writes for the whole
+        for fields in (
+            {"first": x, "second": (x, ())},
+            {"domain": x, "codomain": (), "map": (1, 0)},
+            {"ok": False, "value": -7, "rows": 1, "cells": [[0, 2]]},
+        ):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                layoutkit.cli._emit(True, None, **fields)
+            assert out.getvalue() == json.dumps(fields) + "\n"
+
     def test_deep_compose(self, capsys):
         deep = "(" * 900 + "{}" + ")" * 900
         layout = deep.format(4) + ":" + deep.format(1)
@@ -530,18 +546,30 @@ class TestCheckAndExitCodes:
         assert code == 2
         assert err.startswith("parse-error:")
 
-    # the parsers refuse text nested too deep to read; the engine walks and
-    # compares trees of any depth, but repr of an engine object recurses in
-    # C, so a RecursionError from a tree the parsers accept exits 2 alike
-    def test_engine_recursion_exit_2(self, capsys, monkeypatch):
-        def too_deep(*args):
-            raise RecursionError
+    # the reader refuses text nested beyond MAX_DEPTH; the engine walks and
+    # writes a tree it accepts on its own stacks, in text and --json, so the
+    # bound holds however deep the caller's stack already is
+    def test_depth_bound_holds_on_any_stack(self, capsys):
+        for n, code in ((MAX_DEPTH, 0), (MAX_DEPTH + 1, 2)):
+            deep = "(" * n + "{}" + ")" * n
+            layout = deep.format(4) + ":" + deep.format(1)
+            for argv, text in (
+                (["compose", layout, "4:1"], layout),
+                (["morphism", layout], deep.format(4) + "--(1)-->(4)"),
+                (["--json", "compose", layout, "4:1"],
+                 '{"shape": ' + deep.format(4) + ', "stride": ' + deep.format(1) + "}"),
+                (["--json", "morphism", layout],
+                 '{"domain": ' + deep.format(4) + ', "codomain": [4], "map": [1]}'),
+            ):
+                assert from_frames(400, main, argv) == code
+                if code:
+                    assert capsys.readouterr() == ("", "parse-error: nesting too deep\n")
+                else:
+                    wanted = text.replace("(", "[").replace(")", "]") if "--json" in argv else text
+                    assert capsys.readouterr() == (wanted + "\n", "")
 
-        monkeypatch.setattr(Layout, "is_tractable", too_deep)
-        assert run(capsys, "tractable", "4:1") == (2, "", "parse-error: nesting too deep")
-
-    # well-formed layouts nested below the recursion limit are computed,
-    # not refused as too deep
+    # well-formed layouts nested below MAX_DEPTH are computed, not refused
+    # as too deep
     def test_deep_nesting_tractable(self, capsys):
         deep = "(" * 900 + "4" + ")" * 900
         code, out, _ = run(capsys, "tractable", deep + ":" + deep.replace("4", "1"))

@@ -7,6 +7,7 @@ from layoutkit import (
     Layout,
     LayoutError,
     NotationError,
+    depth,
     format_layout,
     format_morphism,
     format_nested,
@@ -14,8 +15,14 @@ from layoutkit import (
     parse_morphism,
     parse_nested,
 )
+from layoutkit.notation import MAX_DEPTH
 
 from generators import nested_tuples, standard_morphisms, tractable_layouts
+
+
+def from_frames(frames, call, *args):
+    """``call(*args)`` from ``frames`` more frames down the stack."""
+    return from_frames(frames - 1, call, *args) if frames else call(*args)
 
 
 class TestFormat:
@@ -68,7 +75,7 @@ class TestParse:
             with pytest.raises(NotationError):
                 parse_morphism(text)
 
-    # text nested beyond the interpreter's recursion limit is malformed input
+    # text nested beyond MAX_DEPTH is malformed input
     @pytest.mark.parametrize(
         "parse, text",
         [
@@ -81,6 +88,33 @@ class TestParse:
     def test_too_deep_refused(self, parse, text):
         with pytest.raises(NotationError, match="nesting too deep"):
             parse(text)
+
+    def test_depth_bound_holds_on_any_stack(self):
+        # the reader keeps its own stack, so the bound is MAX_DEPTH however
+        # deep the caller's stack already is; depth(()) is 0, so an empty
+        # tuple inside MAX_DEPTH open ones is read as well
+        def deep(n, leaf="2"):
+            return "(" * n + leaf + ")" * n
+
+        for n, ok in ((MAX_DEPTH, True), (MAX_DEPTH + 1, False)):
+            for parse, text, tree in (
+                (parse_nested, deep(n), lambda got: got),
+                (parse_layout, deep(n) + ":" + deep(n, "1"), lambda got: got.shape),
+                (parse_morphism, deep(n) + "--(1)-->(2)", lambda got: got.domain),
+                (parse_nested, deep(n, "()"), lambda got: got),
+            ):
+                if ok:
+                    assert depth(tree(from_frames(400, parse, text))) == n
+                else:
+                    with pytest.raises(NotationError, match="^nesting too deep$"):
+                        from_frames(400, parse, text)
+
+    @pytest.mark.parametrize("text", [5, b"4:1", None, ["4:1"]])
+    def test_non_text_refused(self, text):
+        for parse in (parse_nested, parse_layout, parse_morphism):
+            with pytest.raises(NotationError) as refused:
+                parse(text)
+            assert str(refused.value) == f"expected text, got {type(text).__name__}"
 
     def test_well_formed_but_invalid_is_domain_error(self):
         with pytest.raises(LayoutError):

@@ -238,6 +238,18 @@ class TestExhaustiveSearch:
         with pytest.raises(OracleCapError):
             exhaustive_complement_search(FlatLayout((2,), (1,)), 64, cap=32)
 
+    def test_non_integer_size_is_refused(self):
+        # as complement(n) and check_complement(n=...) refuse it, bool included
+        a = FlatLayout((4,), (1,))
+        for n in (2.5, True, "32", None):
+            with pytest.raises(LayoutError) as refused:
+                exhaustive_complement_search(a, n)
+            assert str(refused.value) == f"complement size {n!r} in (4):(1) is not an integer"
+            if n is not None:  # the engine's complement takes None as no size
+                with pytest.raises(LayoutError) as engine:
+                    a.complement(n)
+                assert str(engine.value) == str(refused.value)
+
     def test_full_cover(self):
         # the complement of a compact layout of full size is trivial
         a = FlatLayout((4,), (1,))

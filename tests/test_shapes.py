@@ -217,6 +217,36 @@ class TestDeepTrees:
         with pytest.raises(LayoutError, match="non-positive entry"):
             mutual_refinement(zero, 2)
 
+    def test_reprs(self):
+        # repr writes each tree on the text walk's stack, as the built-in
+        # writes a shallow one, and str of a refinement falls back to it
+        t, ones = _wrapped(2), _wrapped(1)
+        two, one = "(" * 10_000 + "2" + ",)" * 10_000, "(" * 10_000 + "1" + ",)" * 10_000
+        a = Layout(t, ones)
+        assert repr(a) == f"Layout(shape={two}, stride={one})"
+        assert str(a) == format_nested(t) + ":" + format_nested(ones)
+        f = nest_morphism(t, (2,), (1,))
+        fmap = "TupleMorphism(domain=(2,), codomain=(2,), amap=(1,))"
+        assert repr(f) == f"NestMorphism(domain={two}, codomain=(2,), fmap={fmap})"
+        assert str(f) == format_nested(t) + "--(1)-->(2)"
+        r = Refinement(t, 2)
+        assert repr(r) == str(r) == f"Refinement(fine={two}, coarse=2)"
+        mr = mutual_refinement(t, t)
+        shown = f"Refinement(fine={two}, coarse={two})"
+        assert repr(mr) == str(mr) == f"MutualRefinement(t_ref={shown}, u_ref={shown})"
+
+    @given(nested_tuples(), seeds())
+    def test_reprs_are_the_built_in_form(self, x, rng):
+        stride = substitute([rng.randrange(9) for _ in range(length(x))], x)
+        assert repr(Layout(x, stride)) == f"Layout(shape={x!r}, stride={stride!r})"
+        f = nest_morphism(x, flatten(x), range(1, length(x) + 1))
+        fmap = f"TupleMorphism(domain={flatten(x)!r}, codomain={flatten(x)!r}, amap={f.fmap.amap!r})"
+        assert repr(f) == f"NestMorphism(domain={x!r}, codomain={flatten(x)!r}, fmap={fmap})"
+        mr = mutual_refinement(x, x)
+        t, u = (f"Refinement(fine={r.fine!r}, coarse={r.coarse!r})" for r in (mr.t_ref, mr.u_ref))
+        assert repr(mr.t_ref) == str(mr.t_ref) == t
+        assert repr(mr) == f"MutualRefinement(t_ref={t}, u_ref={u})"
+
     def test_nest_category_operations(self):
         # pullback, pushforward, make_composable and concat_nm compare two
         # trees built apart on the paired walk, where == would recurse

@@ -7,17 +7,15 @@ Usage::
 
 Each ``tests/test_*.py`` runs under pytest in a process of its own, traced
 with :func:`sys.settrace` from before ``layoutkit`` is imported, so module
-and class bodies count as well.  The tracer is installed again before each
-test, because a test that reaches the recursion limit switches tracing off,
-and hypothesis's ``explain`` phase, which installs a tracer of its own, is
-switched off.  A statement ran when some line it spans (for a compound
-statement, some line of its header) reported a line event; a docstring is
-no statement.  The first line printed is a summary, then each statement
-that never ran follows as ``path:line: text``.  The interpreter removes a
-tracer whose call meets the recursion limit, so what a test runs after that
-point goes unseen: such statements may be listed although they ran, and
-each test that lost its tracer is named on stderr.  The exit status is that
-of the first failing test file, else 0.
+and class bodies count as well.  Hypothesis's ``explain`` phase, which
+installs a tracer of its own, is switched off, and so is its deadline, which
+tracing makes some examples miss.  A statement ran when some line it spans
+(for a compound statement, some line of its header) reported a line event;
+a docstring is no statement.  The first line printed is a summary, then each
+statement that never ran follows as ``path:line: text``.  The interpreter
+removes a tracer whose call fails, as at the recursion limit, and what runs
+after that goes unseen; a test file whose tracer is gone when pytest returns
+fails.  The exit status is that of the first failing test file, else 0.
 """
 
 from __future__ import annotations
@@ -79,34 +77,17 @@ def _worker(test_file: str, out_path: str) -> int:
     import pytest
     from hypothesis import Phase, settings
 
-    lost = []
-
-    class Retrace:
-        """Installs the tracer again before each test, and notes each test
-        whose tracer the interpreter switched off: a trace call that meets
-        the recursion limit fails, and a failing tracer is removed."""
-
-        def pytest_runtest_setup(self, item):
-            threading.settrace(tracer)
-            sys.settrace(tracer)
-
-        @pytest.hookimpl(hookwrapper=True)
-        def pytest_runtest_call(self, item):
-            yield
-            if sys.gettrace() is not tracer:
-                lost.append(item.nodeid)
-
     settings.register_profile(
-        "coverage", phases=[p for p in Phase if p is not Phase.explain]
+        "coverage", phases=[p for p in Phase if p is not Phase.explain], deadline=None
     )
     settings.load_profile("coverage")
-    code = pytest.main(
-        ["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), test_file],
-        plugins=[Retrace()],
-    )
+    code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), test_file])
+    if sys.gettrace() is not tracer:
+        print(f"{test_file}: tracing was switched off", file=sys.stderr)
+        code = code or 1
     sys.settrace(None)
     with open(out_path, "w") as fh:
-        json.dump({"ran": sorted(ran), "lost": lost}, fh)
+        json.dump(sorted(ran), fh)
     return int(code)
 
 
@@ -119,7 +100,7 @@ def main(argv) -> int:
     start = time.perf_counter()
     # the tests that start the CLI in a process of their own find it here
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(SRC))
-    ran, lost, status = set(), [], 0
+    ran, status = set(), 0
     tests = sorted((ROOT / "tests").glob("test_*.py"))
     with tempfile.TemporaryDirectory() as tmp:
         for i, test in enumerate(tests):
@@ -130,9 +111,7 @@ def main(argv) -> int:
                 print(f"{test.name} exited {proc.returncode}", file=sys.stderr)
                 status = status or proc.returncode
             with open(out_path) as fh:
-                traced = json.load(fh)
-            ran.update((f, line) for f, line in traced["ran"])
-            lost += traced["lost"]
+                ran.update((f, line) for f, line in json.load(fh))
     missed, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text().splitlines()
@@ -144,13 +123,10 @@ def main(argv) -> int:
     print(
         f"coverage: {total - len(missed):,} of {total:,} statements in "
         f"src/layoutkit ran under {len(tests)} test files, {len(missed)} never ran; "
-        f"tracing was switched off in {len(lost)} tests; "
         f"{time.perf_counter() - start:.0f} s"
     )
     for line in missed:
         print(line)
-    for nodeid in lost:
-        print(f"tracing switched off in {nodeid}", file=sys.stderr)
     return status
 
 

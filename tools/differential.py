@@ -50,8 +50,9 @@ WIDE_EVAL = (
     ((4, 2**62), (2**61, 1)),
     ((2**61, 2, 4), (2, 2**62, 1)),
 )
-#: nesting depths: within the interpreter's recursion limit, and beyond it
-DEEP = (50, 900, 3000)
+#: nesting depths: within the reader's bound ``notation.MAX_DEPTH`` (1,000), at it, one past
+#: it, and far beyond it, where only a tree built in code gets through
+DEEP = (50, 900, 1000, 1001, 3000)
 #: the longest outcome kept whole; a longer one keeps its start and a hash
 KEEP = 240
 
@@ -353,6 +354,7 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("TupleMorphism", lit((2,)), lit((2,)), lit((v,)))
         c.add("Refinement", lit((2, v)), lit(4))
         c.add("mutual_refinement", lit((v,)), lit((4,)))
+        c.add("exhaustive_complement_search", ("FlatLayout", lit((4,)), lit((1,))), V)
     for n in DEEP:
         D, D1 = ("deep", n, 2), ("deep", n, 1)
         for op in ("flatten", "profile", "length", "rank", "depth", "size", "format_nested"):
@@ -363,11 +365,13 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("Layout", D, D1)
         c.add("Layout.compose", ("Layout", D, D1), ("Layout", lit(4), lit(1)))
         c.add("column_major_layout", D)
+        text = "(" * n + "2" + ")" * n + ":" + "(" * n + "1" + ")" * n
         c.add("parse_nested", lit("(" * n + "2" + ")" * n))
-        c.add("parse_layout", lit("(" * n + "2" + ")" * n + ":" + "(" * n + "1" + ")" * n))
+        c.add("parse_layout", lit(text))
         c.add("nest_morphism", D, lit((2,)), lit((1,)))
         c.add("mutual_refinement", D, lit((2,)))
-        c.cli(("tractable", "(" * n + "2" + ")" * n + ":" + "(" * n + "1" + ")" * n))
+        c.cli(("tractable", text))
+        c.cli(("--json", "compose", text, "2:1"))
     # the edge entries inside generated layouts, as the predicate tests do
     for _ in range(40):
         flat = gens.random_tractable_flat(rng)
@@ -395,7 +399,7 @@ def cli_battery(c: Corpus, clicases, seed: int) -> None:
 
 
 def cli_fixed(c: Corpus, clicases, cli) -> None:
-    """Each verb's help, nesting beyond the recursion limit, a render past
+    """Each verb's help, nesting beyond the reader's bound, a render past
     the oracle's cap, and operands at the edges or of the wrong form."""
     c.cli(("--help",))
     c.cli(())
