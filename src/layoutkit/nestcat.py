@@ -41,8 +41,10 @@ from .tuplecat import (
     FlatLayout,
     TupleMorphism,
     _coalesce_modes,
+    _complement,
     _format_arrow,
     _LayoutFunction,
+    _tractable,
     _unchecked,
     coalesce_m,
     complement_m,
@@ -373,7 +375,7 @@ class Layout(_LayoutFunction):
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout, kept as tuples: rank 0 becomes 1:0, rank 1 becomes depth 0."""
-        flat = _padded(flat)
+        flat = flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
         return _unchecked(Layout, _as_tree(flat.shape), flat)
 
     # -- attributes --------------------------------------------------------
@@ -403,8 +405,8 @@ class Layout(_LayoutFunction):
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes over an entry of ``shape_bar`` (which the shape
         must refine), keeping the coarse grouping; the walk that checks it gives the groups."""
-        pieces = _pieces(self.shape, shape_bar)[1]
-        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride))
+        pieces = _pieces(self.shape, shape_bar)[1]  # compares leaves by value: nest them anew
+        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride, keep=False))
 
     # -- complement --------------------------------------------------------
 
@@ -420,30 +422,29 @@ class Layout(_LayoutFunction):
 
     def logical_divide(self, tiler: "Layout") -> "Layout":
         """``self ∘ (tiler, tiler*)``, tiler* the complement in size(self): one flat
-        composition, nested once as (shape(tiler), the complement's tree)."""
+        composition, nested at most once as (shape(tiler), the complement's tree)."""
         flat, t = self.flat(), tiler.flat()
-        c = _padded(t.complement(flat.size()))
-        tree = (tiler.shape, _as_tree(c.shape))
-        return _unchecked(Layout, *_coalesced(tree, *_composite(concat_flat([t, c]), flat)))
+        cs, cd = _complement(t, flat.size())
+        cs, cd = (cs, cd) if cs else ((1,), (0,))
+        both = _unchecked(FlatLayout, t.shape + cs, t.stride + cd)
+        return _unchecked(Layout, *_coalesced((tiler.shape, _as_tree(cs)), *_composite(both, flat)))
 
     def logical_product(self, other: "Layout") -> "Layout":
         """``(self, self* ∘ other)``, self* the complement in size(self)·cosize(other):
-        one flat composition, nested once as (shape(self), shape(other))."""
+        one flat composition, nested at most once as (shape(self), shape(other))."""
         flat, b = self.flat(), other.flat()
-        c = _padded(flat.complement(flat.size() * b.cosize()))
-        s, part = _coalesced(other.shape, *_composite(b, c))
+        s, part = _coalesced(other.shape, *_composite(b, flat.complement(flat.size() * b.cosize())))
         return _unchecked(Layout, (self.shape, s), concat_flat([flat, part]))
 
 
-def _padded(flat: FlatLayout) -> FlatLayout:
-    """``flat``, or 1:0 in place of rank 0."""
-    return flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
-
-
-def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, FlatLayout]:
+def _coalesced(
+    tree: Nested, pieces: list, stride: Sequence, keep: bool = True
+) -> Tuple[Nested, FlatLayout]:
     """The shape nested like ``tree`` whose leaf ``i`` is the coalesce of the flat modes
     ``pieces[i]`` (strides in order from ``stride``), and its flat form: one piece is its
-    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`."""
+    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`.  A leaf that
+    coalesces to one mode is the product of its pieces, so where none keeps two, the shape
+    is ``tree`` itself, not nested again (``keep``: ``tree``'s leaves are ``int``s)."""
     leaves, flat_s, flat_d, k = [], [], [], 0
     for p in pieces:
         if len(p) == 1:
@@ -458,6 +459,8 @@ def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, Fl
             s = _as_tree(s)
         leaves.append(s)
         k += len(p)
+    if keep and len(flat_s) == len(pieces):
+        return tree, _unchecked(FlatLayout, tuple(flat_s), tuple(flat_d))
     shape, flat_s = _substitute(tree, iter(leaves)), tuple(flat_s)
     return shape, _unchecked(FlatLayout, shape if shape == flat_s else flat_s, tuple(flat_d))
 
@@ -505,23 +508,23 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
 
 def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
     """Each mode of ``flat`` as its pieces, and the strides over them of the composite with
-    ``b_flat`` (each operand flat, as its layout keeps it): the standard representations cut
-    along :func:`_refine`, each piece's stride read through both cut maps, no morphism built."""
+    ``b_flat`` (each operand flat): the standard representations of ``flat`` and of the
+    coalesce of ``b_flat``, read as lists, cut along :func:`_refine`, each piece's stride
+    read through both cut maps.  It builds no engine object."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
             f"of the second"
         )
-    f = standard_representation(flat)
-    g = standard_representation(b_flat.coalesce())
-    pieces = _refine(f.codomain, g.domain)
+    cod, amap = _tractable(flat.shape, flat.stride)
+    g_dom, g_stride = _coalesce_modes(b_flat.shape, b_flat.stride)
+    g_cod, g_amap = _tractable(g_dom, g_stride)
+    pieces = _refine(cod, g_dom)
     if pieces is None:
-        raise NotComposableError(
-            f"no mutual refinement of {f.codomain} and {_as_tree(g.domain)}"
-        )
+        raise NotComposableError(f"no mutual refinement of {tuple(cod)} and {_as_tree(g_dom)}")
     f_cod, g_dom = pieces
-    f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(f.domain, f.amap)]
-    g_cod = _onto(g.amap, g_dom, [(t,) for t in g.codomain])
-    g_map = [0] + _cut(g.amap, g_dom, g_cod)  # f's cut codomain is a prefix of g's cut domain
+    f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(flat.shape, amap)]
+    g_cod = _onto(g_amap, g_dom, [(t,) for t in g_cod])
+    g_map = [0] + _cut(g_amap, g_dom, g_cod)  # f's cut codomain is a prefix of g's cut domain
     pre = (0,) + prefix_products(tuple(chain.from_iterable(g_cod))[:-1])  # 0: the basepoint
-    return f_dom, tuple(pre[g_map[a]] for a in _cut(f.amap, f_dom, f_cod))
+    return f_dom, tuple(pre[g_map[a]] for a in _cut(amap, f_dom, f_cod))

@@ -89,7 +89,8 @@ class _LayoutFunction:
         of a tuple morphism.  Unit modes count: a morphism gives every mode it
         carries the product of the codomain entries before it, so the strides
         of ``(4,1):(1,3)`` would have to form a chain, and they do not."""
-        return _standard_modes(self.flat()) is not None
+        flat = self.flat()
+        return _standard(flat.shape, flat.stride) is not None
 
     def is_coalesced(self) -> bool:
         return _returns(self.coalesce) == self
@@ -183,27 +184,9 @@ class FlatLayout(_LayoutFunction):
     # -- complement --------------------------------------------------------
 
     def complement(self, n: Optional[int] = None) -> "FlatLayout":
-        """The coalesced sorted layout B with self ⋆ B compact (of total size ``n`` when
-        given), read off the walk of the non-unit modes: each codomain entry it misses,
-        at the product of the entries before it, ``n`` over their product appended first."""
-        f = _standard_modes(self.squeeze())
-        if f is None or not f.is_injective():
-            raise NotComplementableError(f"{self} is not complementable")
-        cod = f.codomain
-        if n is not None:
-            _check_ints((n,), "complement size", self)
-            # the product before the last entry is the last stride, in range
-            total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
-            if n < 1 or n % total != 0:
-                raise NotComplementableError(
-                    f"{self} is not {n}-complementable: {n} is not a positive multiple of {total}"
-                )
-            _check_entries((n,), 1, "complement size", self)
-            cod += (n // total,)
-        pre = prefix_products(cod[:-1])  # each entry's stride: no product of them all
-        shape = [t for j, t in enumerate(cod, 1) if j not in f.amap]
-        stride = [p for j, p in enumerate(pre, 1) if j not in f.amap]
-        return _unchecked(FlatLayout, *_coalesce_modes(shape, stride))
+        """The coalesced sorted layout B with self ⋆ B compact (of size ``n`` when given),
+        as :func:`_complement` reads it off the standard walk."""
+        return _unchecked(FlatLayout, *_complement(self, n))
 
 
 def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple, tuple]:
@@ -219,17 +202,41 @@ def _coalesce_modes(shape: Sequence[int], stride: Sequence[int]) -> Tuple[tuple,
     return tuple(s for s, _ in modes), tuple(d for _, d in modes)
 
 
-def _standard_modes(layout: FlatLayout) -> Optional["TupleMorphism"]:
-    """The standard representation of ``layout``, or None when it is not
-    tractable.  One pass in (stride, shape, index) order: each nonzero stride
-    must be a multiple of s*d of the mode before, unit modes included; each
-    non-unit mode adds its stride's cofactor (unless 1) and its shape as
-    codomain entries; the rest map to the basepoint.  Its products are not
-    returned, so they are not checked."""
+def _complement(flat: FlatLayout, n: Optional[int]) -> Tuple[tuple, tuple]:
+    """Shape and stride of the complement of ``flat``, read off the standard walk of its
+    non-unit modes: each codomain entry the walk misses, at the product of the entries
+    before it, ``n`` over their product appended first."""
+    kept = [i for i, s in enumerate(flat.shape) if s != 1]
+    f = _standard([flat.shape[i] for i in kept], [flat.stride[i] for i in kept])
+    if f is None or 0 in f[1]:  # not tractable, or not injective
+        raise NotComplementableError(f"{flat} is not complementable")
+    cod, amap = f
+    if n is not None:
+        _check_ints((n,), "complement size", flat)
+        # the product before the last entry is the last stride, in range
+        total = checked_mul(cod[-1], prod(cod[:-1])) if cod else 1
+        if n < 1 or n % total != 0:
+            raise NotComplementableError(
+                f"{flat} is not {n}-complementable: {n} is not a positive multiple of {total}"
+            )
+        _check_entries((n,), 1, "complement size", flat)
+        cod.append(n // total)
+    pre, hit = prefix_products(cod[:-1]), set(amap)  # each entry's stride: no product of them all
+    shape = [t for j, t in enumerate(cod, 1) if j not in hit]
+    stride = [p for j, p in enumerate(pre, 1) if j not in hit]
+    return _coalesce_modes(shape, stride)
+
+
+def _standard(shape: Sequence[int], stride: Sequence[int]) -> Optional[Tuple[list, list]]:
+    """The codomain and map of the standard representation of ``shape:stride``, or None where
+    it is not tractable.  One pass in (stride, shape, index) order: each nonzero stride must
+    be a multiple of s*d of the mode before, unit modes included; each non-unit mode adds its
+    stride's cofactor (unless 1) and its shape as codomain entries; the rest map to the
+    basepoint.  Its products are not returned, so they are not checked."""
     entries: list = []
-    amap = [0] * layout.rank
+    amap = [0] * len(shape)
     chain = prev = 1
-    for d, s, i in sorted(zip(layout.stride, layout.shape, range(layout.rank))):
+    for d, s, i in sorted(zip(stride, shape, range(len(shape)))):
         if d == 0:
             continue
         if d % chain != 0:
@@ -241,7 +248,15 @@ def _standard_modes(layout: FlatLayout) -> Optional["TupleMorphism"]:
             entries.append(s)
             amap[i] = len(entries)
             prev = chain
-    return _unchecked(TupleMorphism, layout.shape, tuple(entries), tuple(amap))
+    return entries, amap
+
+
+def _tractable(shape: Tuple[int, ...], stride: Tuple[int, ...]) -> Tuple[list, list]:
+    """:func:`_standard` of ``shape:stride``, where it is None refused as not tractable."""
+    f = _standard(shape, stride)
+    if f is None:
+        raise NotTractableError(f"{_unchecked(FlatLayout, shape, stride)} is not tractable")
+    return f
 
 
 def concat_flat(layouts: Iterable[FlatLayout]) -> FlatLayout:
@@ -359,11 +374,10 @@ def realize(f: TupleMorphism) -> List[int]:
 def standard_representation(layout: FlatLayout) -> TupleMorphism:
     """The canonical morphism encoding a tractable flat layout; a layout is
     tractable exactly when it has one.  Unit-shape modes go to the basepoint,
-    so the result is always non-degenerate and of standard form."""
-    f = _standard_modes(layout)
-    if f is None:
-        raise NotTractableError(f"{layout} is not tractable")
-    return f
+    so the result is always non-degenerate and of standard form.  The engine reads the
+    codomain and map as lists (:func:`_standard`); only this edge wraps them."""
+    cod, amap = _tractable(layout.shape, layout.stride)
+    return _unchecked(TupleMorphism, layout.shape, tuple(cod), tuple(amap))
 
 
 # -- operation suite -------------------------------------------------------

@@ -290,6 +290,8 @@ class TestComplement:
 
     def test_empty_squeeze(self):
         assert FlatLayout((1, 1), (5, 0)).complement() == FlatLayout((), ())
+        # the walk skips unit modes, whose strides (here 3) need not chain
+        assert FlatLayout((4, 1), (1, 3)).complement(8) == FlatLayout((2,), (4,))
 
     def test_complementable_despite_unsorted_modes(self):
         # sorted squeeze is (2,10):(4,80), which satisfies the chain

@@ -1,5 +1,6 @@
 """Nested layouts: coalescing, complements, composition, division, product."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -18,6 +19,7 @@ from layoutkit import (
     NestMorphism,
     NotComplementableError,
     NotComposableError,
+    NotTractableError,
     Refinement,
     TupleMorphism,
     check_complement,
@@ -37,6 +39,7 @@ from layoutkit import (
     substitute_profile,
     table_of,
 )
+from layoutkit.nestcat import _coalesced
 from layoutkit.shapes import STAR, flatten, refines
 
 from generators import random_layout, seeds, tractable_layouts
@@ -296,6 +299,125 @@ class TestDivideProduct:
         except (NotComposableError, LayoutError):
             return
         assert table_of(q).values == table_of(a).values
+
+
+def _node_types(tree):
+    """The type of every node and leaf of a shallow tree, in order."""
+    out = [type(tree)]
+    if isinstance(tree, tuple):
+        for child in tree:
+            out += _node_types(child)
+    return out
+
+
+class TestKeptTree:
+    # compose, divide and product return the operand's shape tree itself
+    # where no leaf is cut into modes that stay apart; coalesce_relative,
+    # whose coarse leaves compare by value, always nests its result again
+
+    def test_relative_coarse_leaves_compare_by_value(self):
+        c = Layout((1, 4), (0, 1)).coalesce_relative((True, 4))
+        assert str(c) == "(1,4):(0,1)"
+        assert _node_types(c.shape) == [tuple, int, int]
+
+    def test_a_named_tuple_node_is_kept_where_no_leaf_splits(self):
+        # the tree kept as it is: a namedtuple node stays one where no leaf
+        # splits, and a nesting walk builds plain tuples where one does
+        Pair = collections.namedtuple("Pair", "x y")
+        a = Layout(Pair(4, 8), Pair(1, 4))
+        kept = a.compose(Layout(32, 1))
+        assert kept.shape is a.shape and str(kept) == "(4,8):(1,4)"
+        assert type(kept.flat().shape) is tuple
+        walked = a.compose(Layout((2, 16), (1, 4)))
+        assert str(walked) == "((2,2),8):((1,4),8)"
+        assert _node_types(walked.shape) == [tuple, tuple, int, int, int]
+
+    def test_units_and_pieces_that_coalesce_to_one_mode(self):
+        # in compose, divide and product a leaf's pieces lie over distinct
+        # modes of the coalesced second operand, so two or more never merge;
+        # coalesce_relative's pieces do, and it keeps its walk
+        tree, pieces, stride = ((4, 1), 6), [[2, 2], [1, 1], [6]], [1, 2, 5, 7, 3]
+        flat = FlatLayout((4, 1, 6), (1, 0, 3))
+        assert _coalesced(tree, pieces, stride) == _coalesced(tree, pieces, stride, False)
+        assert _coalesced(tree, pieces, stride) == (tree, flat)
+        assert _coalesced(tree, pieces, stride)[0] is tree
+        fine = Layout((((2, 2), (1, 1)), 6), (((1, 2), (5, 7)), 3))
+        assert str(fine.coalesce_relative(tree)) == "((4,1),6):((1,0),3)"
+        unit = Layout((1, 4), (0, 1))
+        assert unit.compose(Layout(8, 1)).shape is unit.shape
+
+    def test_operations_nest_as_the_walk_does(self):
+        # each operation equals its weak composite coalesced relative to the
+        # tree it nests, which coalesce_relative always walks
+        def walked(op, a, b):  # the result, and the tree that nests it
+            if op == "compose":
+                return compose_tractable(a, b).coalesce_relative(a.shape), a.shape
+            if op == "logical_divide":
+                t = concat_layouts([b, b.complement(a.size())])
+                return compose_tractable(t, a).coalesce_relative(t.shape), t.shape
+            c = a.complement(a.size() * b.cosize())
+            part = compose_tractable(b, c).coalesce_relative(b.shape)
+            return concat_layouts([a, part]), (a.shape, b.shape)
+
+        pairs = [
+            (Layout((1, 4), (0, 1)), Layout(8, 1)),
+            (Layout(((4, 1), 6), ((1, 0), 4)), Layout((4, 6), (1, 4))),
+            (Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))),
+        ]
+        for seed in range(600):
+            rng = random.Random(seed)
+            pairs.append((random_layout(rng), random_layout(rng)))
+        seen = collections.Counter()
+        for a, b in pairs:
+            for op in ("compose", "logical_divide", "logical_product"):
+                try:
+                    got = getattr(a, op)(b)
+                except LayoutError:
+                    continue
+                want, tree = walked(op, a, b)
+                assert got == want and str(got) == str(want), (op, a, b)
+                assert _node_types(got.shape) == _node_types(want.shape), (op, a, b)
+                seen[op, got.shape == tree] += 1
+        assert len(seen) == 6, seen  # each operation keeps its tree, and nests it again
+
+
+class TestRefusalTexts:
+    # each refusal of compose, divide, product and the complement, byte for byte
+    @pytest.mark.parametrize(
+        "op, a, b, error, text",
+        [
+            ("compose", Layout((4, 2), (1, 3)), Layout(64, 1),
+             NotTractableError, "(4,2):(1,3) is not tractable"),
+            ("compose", Layout(4, 1), Layout((2, 2), (1, 3)),
+             NotTractableError, "(2,2):(1,3) is not tractable"),
+            ("compose", Layout(8, 1), Layout((2, 6), (2, 8)),
+             NotComposableError, "no mutual refinement of (8,) and (2, 6)"),
+            ("compose", Layout(9, 1), Layout(8, 1),
+             NotComposableError, "cosize 9 of the first layout exceeds size 8 of the second"),
+            ("complement", Layout((2, 2), (3, 4)), None,
+             NotComplementableError, "(2,2):(3,4) is not complementable"),
+            ("complement", Layout((4, 2), (1, 0)), None,
+             NotComplementableError, "(4,2):(1,0) is not complementable"),
+            ("complement", Layout(4, 2), 12, NotComplementableError,
+             "(4):(2) is not 12-complementable: 12 is not a positive multiple of 8"),
+            ("logical_divide", Layout(18, 1), Layout((1, 3), (3, 6)),
+             NotTractableError, "(1,3,6):(3,6,1) is not tractable"),
+            ("logical_divide", Layout(16, 1), Layout((2, 2), (3, 4)),
+             NotComplementableError, "(2,2):(3,4) is not complementable"),
+            ("logical_product", Layout(4, 2), Layout(3, 1), NotComplementableError,
+             "(4):(2) is not 12-complementable: 12 is not a positive multiple of 8"),
+            ("logical_product", Layout(2, 1), Layout((2, 2), (1, 3)),
+             NotTractableError, "(2,2):(1,3) is not tractable"),
+        ],
+    )
+    def test_text(self, op, a, b, error, text):
+        with pytest.raises(error) as refused:
+            getattr(a, op)(b)
+        assert type(refused.value) is error and str(refused.value) == text
+        if op == "complement":
+            with pytest.raises(error) as refused:
+                a.flat().complement(b)
+            assert str(refused.value) == text
 
 
 class TestNoReferenceCycles:

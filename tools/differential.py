@@ -10,7 +10,8 @@ the ``src`` of a checkout.  The corpus is built once, as text and plain
 tuples, from the generators of ``bench/gen.py``, ``bench/clicases.py`` and
 ``tests/generators.py`` (run against PARENT_SRC's ``layoutkit``).  Each
 tree then runs it in a fresh process.  A library outcome is the ``repr`` of
-a public call's result, or its error type and message; a CLI outcome is the
+a public call's result (a tuple or list too deep for ``repr`` written on the
+tool's own stack), or its error type and message; a CLI outcome is the
 exit code, stdout and stderr of ``layoutkit.cli.main``.  The first line
 printed is a summary, then each outcome that differs follows.  The exit
 status is 0 when no outcome differs and 1 otherwise.
@@ -514,11 +515,30 @@ def _call(lk, target, args):
     return obj(*args) if args else obj  # a name with no arguments is read
 
 
+def _deep_repr(value) -> str:
+    """``repr(value)``, each tuple and list opened on this function's own stack, so that a
+    tree too deep for ``repr`` is written whole; anything else is written by ``repr``."""
+    out, stack = [], [(enumerate((value,)), "")]
+    while stack:
+        for i, c in stack[-1][0]:
+            if i:
+                out.append(", ")
+            if type(c) in (tuple, list):
+                out.append("(" if type(c) is tuple else "[")
+                close = "]" if type(c) is list else ",)" if len(c) == 1 else ")"
+                stack.append((enumerate(c), close))
+                break
+            out.append(repr(c))
+        else:
+            out.append(stack.pop()[1])
+    return "".join(out)
+
+
 def _text(value) -> str:
     try:
         text = repr(value)
     except RecursionError:
-        text = f"<{type(value).__name__} nested too deep to repr>"
+        text = _deep_repr(value)
     if len(text) > KEEP:
         text = text[:KEEP] + "...#" + hashlib.sha1(text.encode()).hexdigest()[:12]
     return text
