@@ -375,7 +375,7 @@ class Layout(_LayoutFunction):
     @staticmethod
     def of_flat(flat: FlatLayout) -> "Layout":
         """Wrap a flat layout, kept as tuples: rank 0 becomes 1:0, rank 1 becomes depth 0."""
-        flat = flat if flat.shape else _unchecked(FlatLayout, (1,), (0,))
+        flat = flat if flat.shape else _unchecked(FlatLayout, *_padded(flat.shape, flat.stride))
         return _unchecked(Layout, _as_tree(flat.shape), flat)
 
     # -- attributes --------------------------------------------------------
@@ -405,8 +405,8 @@ class Layout(_LayoutFunction):
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes over an entry of ``shape_bar`` (which the shape
         must refine), keeping the coarse grouping; the walk that checks it gives the groups."""
-        pieces = _pieces(self.shape, shape_bar)[1]  # compares leaves by value: nest them anew
-        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride, keep=False))
+        pieces = _pieces(self.shape, shape_bar)[1]
+        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride))
 
     # -- complement --------------------------------------------------------
 
@@ -424,8 +424,7 @@ class Layout(_LayoutFunction):
         """``self ∘ (tiler, tiler*)``, tiler* the complement in size(self): one flat
         composition, nested at most once as (shape(tiler), the complement's tree)."""
         flat, t = self.flat(), tiler.flat()
-        cs, cd = _complement(t, flat.size())
-        cs, cd = (cs, cd) if cs else ((1,), (0,))
+        cs, cd = _padded(*_complement(t, flat.size()))
         both = _unchecked(FlatLayout, t.shape + cs, t.stride + cd)
         return _unchecked(Layout, *_coalesced((tiler.shape, _as_tree(cs)), *_composite(both, flat)))
 
@@ -437,14 +436,17 @@ class Layout(_LayoutFunction):
         return _unchecked(Layout, (self.shape, s), concat_flat([flat, part]))
 
 
-def _coalesced(
-    tree: Nested, pieces: list, stride: Sequence, keep: bool = True
-) -> Tuple[Nested, FlatLayout]:
+def _padded(shape: tuple, stride: tuple) -> Tuple[tuple, tuple]:
+    """``shape:stride``, or 1:0 in place of rank 0."""
+    return (shape, stride) if shape else ((1,), (0,))
+
+
+def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, FlatLayout]:
     """The shape nested like ``tree`` whose leaf ``i`` is the coalesce of the flat modes
     ``pieces[i]`` (strides in order from ``stride``), and its flat form: one piece is its
-    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`.  A leaf that
-    coalesces to one mode is the product of its pieces, so where none keeps two, the shape
-    is ``tree`` itself, not nested again (``keep``: ``tree``'s leaves are ``int``s)."""
+    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`.  Each leaf of
+    ``tree`` is the product of its pieces, so where none coalesces to two or more modes the
+    shape is ``tree`` itself, not nested again."""
     leaves, flat_s, flat_d, k = [], [], [], 0
     for p in pieces:
         if len(p) == 1:
@@ -452,14 +454,13 @@ def _coalesced(
             flat_s.append(s)
             flat_d.append(d)
         else:
-            s, d = _coalesce_modes(p, stride[k : k + len(p)])
-            s, d = (s, d) if s else ((1,), (0,))
+            s, d = _padded(*_coalesce_modes(p, stride[k : k + len(p)]))
             flat_s += s
             flat_d += d
             s = _as_tree(s)
         leaves.append(s)
         k += len(p)
-    if keep and len(flat_s) == len(pieces):
+    if len(flat_s) == len(pieces):
         return tree, _unchecked(FlatLayout, tuple(flat_s), tuple(flat_d))
     shape, flat_s = _substitute(tree, iter(leaves)), tuple(flat_s)
     return shape, _unchecked(FlatLayout, shape if shape == flat_s else flat_s, tuple(flat_d))

@@ -260,12 +260,12 @@ def relative_modes(fine: Nested, coarse: Nested) -> list:
 
 def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
     """For each entry of ``coarse``, the sub-tree of ``fine`` over it and its flat entries,
-    whose :func:`checked_prod` must be the entry, or :class:`NotRefinementError` refuses
-    ``fine``: one paired walk that flattens each sub-tree once and checks no leaf."""
+    whose :func:`checked_prod` must be the entry, an ``int``, or :class:`NotRefinementError`
+    refuses ``fine``: one paired walk that flattens each sub-tree once and checks no leaf."""
     subs, pieces = [], []
     for f, c in _frontier(fine, coarse):
         p = flatten(f)
-        if isinstance(c, tuple) or checked_prod(p) != c:
+        if type(c) is not int or checked_prod(p) != c:
             raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
         subs.append(f)
         pieces.append(p)

@@ -19,6 +19,7 @@ from layoutkit import (
     NestMorphism,
     NotComplementableError,
     NotComposableError,
+    NotRefinementError,
     NotTractableError,
     Refinement,
     TupleMorphism,
@@ -40,7 +41,7 @@ from layoutkit import (
     table_of,
 )
 from layoutkit.nestcat import _coalesced
-from layoutkit.shapes import STAR, flatten, refines
+from layoutkit.shapes import STAR, _substitute, flatten, refines, relative_modes
 
 from generators import random_layout, seeds, tractable_layouts
 
@@ -311,14 +312,18 @@ def _node_types(tree):
 
 
 class TestKeptTree:
-    # compose, divide and product return the operand's shape tree itself
-    # where no leaf is cut into modes that stay apart; coalesce_relative,
-    # whose coarse leaves compare by value, always nests its result again
+    # compose, divide, product and coalesce_relative return the tree that
+    # nests the result itself where no leaf is cut into modes that stay
+    # apart, and nest the result on the walk where one is
 
-    def test_relative_coarse_leaves_compare_by_value(self):
-        c = Layout((1, 4), (0, 1)).coalesce_relative((True, 4))
-        assert str(c) == "(1,4):(0,1)"
-        assert _node_types(c.shape) == [tuple, int, int]
+    def test_relative_coarse_leaves_are_ints(self):
+        # a coarse leaf equal to its pieces' product only by value is refused,
+        # so the kept tree holds only int leaves
+        for bar in [(True, 4), (1.0, 4), (1, 4.0)]:
+            with pytest.raises(NotRefinementError):
+                Layout((1, 4), (0, 1)).coalesce_relative(bar)
+        with pytest.raises(NotRefinementError, match=r"^\(2, 2\) does not refine 4\.0$"):
+            Layout((2, 2), (1, 2)).coalesce_relative(4.0)
 
     def test_a_named_tuple_node_is_kept_where_no_leaf_splits(self):
         # the tree kept as it is: a namedtuple node stays one where no leaf
@@ -333,30 +338,39 @@ class TestKeptTree:
         assert _node_types(walked.shape) == [tuple, tuple, int, int, int]
 
     def test_units_and_pieces_that_coalesce_to_one_mode(self):
-        # in compose, divide and product a leaf's pieces lie over distinct
-        # modes of the coalesced second operand, so two or more never merge;
-        # coalesce_relative's pieces do, and it keeps its walk
+        # each leaf is the product of its pieces: a unit leaf's pieces give
+        # 1:0, and pieces that coalesce to one mode give the leaf
         tree, pieces, stride = ((4, 1), 6), [[2, 2], [1, 1], [6]], [1, 2, 5, 7, 3]
-        flat = FlatLayout((4, 1, 6), (1, 0, 3))
-        assert _coalesced(tree, pieces, stride) == _coalesced(tree, pieces, stride, False)
-        assert _coalesced(tree, pieces, stride) == (tree, flat)
+        assert _coalesced(tree, pieces, stride) == (tree, FlatLayout((4, 1, 6), (1, 0, 3)))
         assert _coalesced(tree, pieces, stride)[0] is tree
         fine = Layout((((2, 2), (1, 1)), 6), (((1, 2), (5, 7)), 3))
+        assert fine.coalesce_relative(tree).shape is tree
         assert str(fine.coalesce_relative(tree)) == "((4,1),6):((1,0),3)"
         unit = Layout((1, 4), (0, 1))
         assert unit.compose(Layout(8, 1)).shape is unit.shape
 
     def test_operations_nest_as_the_walk_does(self):
-        # each operation equals its weak composite coalesced relative to the
-        # tree it nests, which coalesce_relative always walks
-        def walked(op, a, b):  # the result, and the tree that nests it
+        # each operation equals its weak composite with each group of pieces
+        # over a leaf of the tree coalesced, nested on the walk
+        def walked(w, tree):  # w coalesced relative to tree, by its definition
+            leaves, strides, k = [], [], 0
+            for sub in relative_modes(w.shape, tree):
+                n = len(flatten(sub))
+                c = FlatLayout(flatten(sub), w.flat().stride[k : k + n]).coalesce()
+                c = c if c.shape else FlatLayout((1,), (0,))
+                leaves.append(c.shape[0] if len(c.shape) == 1 else c.shape)
+                strides.append(c.stride[0] if len(c.stride) == 1 else c.stride)
+                k += n
+            return Layout(_substitute(tree, iter(leaves)), _substitute(tree, iter(strides)))
+
+        def reference(op, a, b):  # the result, and the tree that nests it
             if op == "compose":
-                return compose_tractable(a, b).coalesce_relative(a.shape), a.shape
+                return walked(compose_tractable(a, b), a.shape), a.shape
             if op == "logical_divide":
                 t = concat_layouts([b, b.complement(a.size())])
-                return compose_tractable(t, a).coalesce_relative(t.shape), t.shape
+                return walked(compose_tractable(t, a), t.shape), t.shape
             c = a.complement(a.size() * b.cosize())
-            part = compose_tractable(b, c).coalesce_relative(b.shape)
+            part = walked(compose_tractable(b, c), b.shape)
             return concat_layouts([a, part]), (a.shape, b.shape)
 
         pairs = [
@@ -369,16 +383,19 @@ class TestKeptTree:
             pairs.append((random_layout(rng), random_layout(rng)))
         seen = collections.Counter()
         for a, b in pairs:
-            for op in ("compose", "logical_divide", "logical_product"):
+            for op in ("compose", "logical_divide", "logical_product", "coalesce_relative"):
                 try:
-                    got = getattr(a, op)(b)
+                    if op == "coalesce_relative":  # the weak composite against a's tree
+                        w, tree = compose_tractable(a, b), a.shape
+                        got, want = w.coalesce_relative(tree), walked(w, tree)
+                    else:
+                        got, (want, tree) = getattr(a, op)(b), reference(op, a, b)
                 except LayoutError:
                     continue
-                want, tree = walked(op, a, b)
                 assert got == want and str(got) == str(want), (op, a, b)
                 assert _node_types(got.shape) == _node_types(want.shape), (op, a, b)
                 seen[op, got.shape == tree] += 1
-        assert len(seen) == 6, seen  # each operation keeps its tree, and nests it again
+        assert len(seen) == 8, seen  # each operation keeps its tree, and nests it again
 
 
 class TestRefusalTexts:

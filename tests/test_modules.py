@@ -364,8 +364,9 @@ def test_a_layout_holds_its_nesting_once():
     # a Layout holds the shape tree and the flat form, and nests its stride
     # from them on each read; the engine builds a Layout from (shape, flat)
     # alone, so an operation nests its result's shape once, or not at all:
-    # compose, divide and product keep the operand's tree where no leaf is
-    # cut into modes that stay apart (here only compose cuts one, its third)
+    # compose, divide, product and coalesce_relative keep the tree that nests
+    # the result where no leaf is cut into modes that stay apart (here only
+    # compose cuts one, its third)
     Layout, shapes = layoutkit.Layout, layoutkit.shapes
     trees = [
         (((4, 4), 4), ((16, 1), 4)), ((8, 64), (64, 1)), ((64, 32), (32, 1)),
@@ -380,7 +381,7 @@ def test_a_layout_holds_its_nesting_once():
         "compose": (lambda: a.compose(b), 1),
         "logical_divide": (lambda: m.logical_divide(tiler), 0),
         "logical_product": (lambda: p.logical_product(q), 0),
-        "coalesce_relative": (lambda: r.coalesce_relative(((2, 2), 9, 25)), 1),
+        "coalesce_relative": (lambda: r.coalesce_relative(((2, 2), 9, 25)), 0),
         "compose_tractable": (lambda: layoutkit.compose_tractable(a, b), 1),
         "substitute_profile": (lambda: layoutkit.substitute_profile(a, (("*", "*"), "*")), 1),
         "column_major_layout": (lambda: layoutkit.column_major_layout(((4, 4), 4)), 0),

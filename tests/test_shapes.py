@@ -96,6 +96,15 @@ class TestRefinement:
         assert not refines((8, 8), (4, 16))
         assert not refines((2, 2), (2, 2, 1))
 
+    def test_a_coarse_leaf_must_be_an_int(self):
+        # a coarse leaf that equals its pieces' product only by value is no
+        # entry, as Layout refuses it: 4.0, True and a list do not refine
+        assert not refines((2, 2), 4.0)
+        assert not refines((1, 4), (True, 4))
+        assert not refines((2, 2), [2, 2])
+        with pytest.raises(NotRefinementError, match=r"^\(2, 2\) does not refine 4\.0$"):
+            relative_modes((2, 2), 4.0)
+
     def test_relative_modes_example(self):
         fine = (((2, 2), (3, 3)), (25, (6, (2, 3))))
         coarse = ((4, 9), (25, 36))
