@@ -4,12 +4,15 @@ Everything here works on full function tables rather than on the algebraic
 structure, so it is independent of the engine: the engine's results are
 verified against these tables in the test suite. Tables are built from a
 layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
-order, with one add per point past the first; a table is a bijection onto its
-range when its values are distinct and lie in [0, size).
+order, as packed words as wide as the largest value needs: each shifted copy
+of the block so far is one big-int add, and tables are compared as bytes. A
+table of n points is a bijection onto [0, n) when its largest value is below n
+and its n words are distinct.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -20,6 +23,8 @@ from .tuplecat import FlatLayout, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6
+#: the ``memoryview`` format of each word width that has one
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 LayoutLike = Union[Layout, FlatLayout]
 
@@ -41,39 +46,64 @@ class FunctionTable:
         return self.values[x]
 
     def is_bijection_onto_range(self) -> bool:
-        return _onto_range(self.values)
+        """Whether the ``n`` values are distinct and in [0, n), in linear time."""
+        v, n = self.values, len(self.values)
+        return not n or (min(v) >= 0 and max(v) < n and len(set(v)) == n)
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    return FunctionTable(tuple(_table(layout.flat(), cap)))
+    return FunctionTable(tuple(_words(*_packed(layout.flat(), cap))))
 
 
-def _table(flat: FlatLayout, cap: int) -> List[int]:
-    """The values of ``flat`` in colex order: the list so far is each mode's
-    block at offset 0, so a mode appends only its shifted copies."""
+def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
+    """The values of ``flat`` in colex order as ``(table, w)``: words of ``w``
+    bytes in native byte order, ``w`` the fewest bytes, a power of two, that
+    hold the largest value, so no word carries.  A mode ``s:d`` appends its
+    ``s - 1`` shifted copies of the table so far, each one big-int add of ``d``
+    to every word; on a table under 256 bytes an even ``s:d`` is ``2:d`` then
+    ``s/2:2d``, so a long mode costs a few adds, not one per point."""
     n = flat.size()
     if n > cap:
         raise OracleCapError(f"table of size {n} exceeds cap {cap}")
-    values = [0]
+    top, w = _largest(flat), 1
+    while top >> 8 * w:
+        w *= 2
+    table, one = bytes(w), (1).to_bytes(w, sys.byteorder)
     for s, d in zip(flat.shape, flat.stride):
         if d == 0:
-            values *= s
-        else:
-            values += [v + c for c in range(d, s * d, d) for v in values]
-    return values
+            table *= s
+            continue
+        while s > 1:
+            k = len(table)
+            c = 2 if s % 2 == 0 and k < 256 else s
+            step = d * int.from_bytes(one * (k // w), sys.byteorder)
+            block, copies = int.from_bytes(table, sys.byteorder), [table]
+            for _ in range(c - 1):
+                block += step
+                copies.append(block.to_bytes(k, sys.byteorder))
+            table, s, d = b"".join(copies), s // c, d * c
+    return table, w
 
 
-def _onto_range(values: Sequence[int]) -> bool:
-    """Whether the ``n`` values are distinct and in [0, n), in linear time."""
-    n = len(values)
-    return not n or (min(values) >= 0 and max(values) < n and len(set(values)) == n)
+def _words(table: bytes, w: int) -> List[int]:
+    """The words of a packed table as ints, by ``memoryview.cast`` where it has width ``w``."""
+    if w in _FORMATS:
+        return memoryview(table).cast(_FORMATS[w]).tolist()
+    return [int.from_bytes(table[i : i + w], sys.byteorder) for i in range(0, len(table), w)]
+
+
+def _onto(flat: FlatLayout, cap: int) -> bool:
+    """Whether ``flat`` is a bijection onto [0, n): largest value below n, n distinct words."""
+    n = flat.size()
+    return _largest(flat) < n and len(set(_words(*_packed(flat, cap)))) == n
 
 
 def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> bool:
     fa, fb = a.flat(), b.flat()
     if fa.size() != fb.size():
         return False
-    return _table(fa, cap) == _table(fb, cap)
+    # equal functions have one largest value, so one width: compared as bytes
+    return _packed(fa, cap) == _packed(fb, cap)
 
 
 def check_compose(
@@ -96,12 +126,12 @@ def check_compose(
     if composite is None:
         composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
     fa, fb, fc = a.flat(), b.flat(), composite.flat()
-    xs = _table(fa, cap)
+    xs = _words(*_packed(fa, cap))
     if fc.size() != len(xs):
         return False
     nb = fb.size()
     ys = _evaluate(fb, xs)
-    zs = _table(fc, cap)
+    zs = _words(*_packed(fc, cap))
     if _largest(fa) < nb and max(_largest(fb), _largest(fc)) <= INT64_MAX:
         return ys == zs
     # some point may leave b's domain or the 64-bit range: the first point
@@ -146,7 +176,7 @@ def check_complement(
         return False
     if total > cap:
         raise OracleCapError(f"table of size {total} exceeds cap {cap}")
-    return _onto_range(_table(concat_flat([fa, fb]), cap))
+    return _onto(concat_flat([fa, fb]), cap)
 
 
 def exhaustive_complement_search(
@@ -181,7 +211,7 @@ def exhaustive_complement_search(
             ):
                 continue  # mergeable, so not in canonical (coalesced) form
             b = FlatLayout(shape, stride)
-            if _onto_range(_table(concat_flat([fa, b]), cap)):
+            if _onto(concat_flat([fa, b]), cap):
                 out.append(b)
     return out
 

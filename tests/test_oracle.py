@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from layoutkit import oracle
 from layoutkit import (
     ArithmeticOverflowError,
     FlatLayout,
@@ -17,6 +18,7 @@ from layoutkit import (
     OracleCapError,
     check_complement,
     check_compose,
+    colex_inv,
     exhaustive_complement_search,
     functions_equal,
     table_of,
@@ -268,3 +270,129 @@ class TestExhaustiveSearch:
         n = srt.shape[-1] * srt.stride[-1] if srt.rank else 1
         found = exhaustive_complement_search(l, n)
         assert found == [l.complement(n)]
+
+
+def _values(l):
+    """The table of ``l``, one point at a time in unbounded arithmetic."""
+    return tuple(sum(map(operator.mul, colex_inv(l.shape, x), l.stride)) for x in range(l.size()))
+
+
+def _outcome(f, *args):
+    """The result of ``f(*args)``, or the type and text of its refusal."""
+    try:
+        return f(*args)
+    except LayoutError as e:
+        return type(e), str(e)
+
+
+#: the largest signed 64-bit int, the largest entry a layout takes
+M = 2**63 - 1
+
+#: (layout, word width): the largest value at and one past the top of each width
+AT_WIDTHS = [
+    (FlatLayout((2, 2), (1, top - 1)), w)
+    for top, w in ((255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8))
+] + [
+    (FlatLayout((2, 2, 2), (M, M, 1)), 8),  # largest 2^64 - 1
+    (FlatLayout((2, 2, 2), (M, M, 2)), 16),  # largest 2^64
+    # broadcast, unit and rank-0 modes beside wide ones
+    (FlatLayout((1, 3, 2, 1, 2), (5, 0, 2**40, 7, 1)), 8),
+    (FlatLayout((2, 3, 1, 2, 2), (M, 0, 9, M, 1)), 8),  # 2^64 - 1
+    (FlatLayout((2, 3, 1, 2, 2), (M, 0, 9, M, 2)), 16),  # 2^64
+    (FlatLayout((), ()), 1),
+    (FlatLayout((3, 1), (0, 2**62)), 1),
+]
+
+
+class TestPackedWidths:
+    @pytest.mark.parametrize("l, w", AT_WIDTHS)
+    def test_tables_at_each_width_are_pointwise(self, l, w):
+        assert oracle._packed(l, oracle.DEFAULT_CAP)[1] == w
+        want = _values(l)
+        assert table_of(l).values == want
+        assert table_of(l).is_bijection_onto_range() == (sorted(want) == list(range(len(want))))
+        if max(want) <= M:
+            assert want == tuple(l(x) for x in range(l.size()))
+
+    def test_long_modes_on_short_blocks(self):
+        # even extents split while the block is short, odd ones do not
+        long_modes = (
+            FlatLayout((4096,), (1,)),
+            FlatLayout((2, 96, 5), (3, 7, 1000)),
+            FlatLayout((1000, 3), (2**40, 1)),
+            FlatLayout((257,), (2**50,)),
+        )
+        for l in long_modes:
+            assert table_of(l).values == _values(l)
+
+    def test_functions_equal_across_a_width_boundary(self):
+        tables = [l for l, _ in AT_WIDTHS if l.size() == 4]
+        for a, b in itertools.product(tables, repeat=2):
+            assert functions_equal(a, b) == (_values(a) == _values(b))
+        # one function written two ways, at a wide width
+        a = FlatLayout((2, 2, 2), (2**61, 2**62, M))
+        assert a.coalesce() == FlatLayout((4, 2), (2**61, M))
+        assert functions_equal(a, a.coalesce())
+        line = FlatLayout((4,), (2**40,))
+        assert functions_equal(line, FlatLayout((2, 2), (2**40, 2**41)))
+        assert not functions_equal(line, FlatLayout((2, 2), (2**40, 2**41 + 1)))
+
+    def test_check_complement_at_each_width(self):
+        for l, _ in AT_WIDTHS:
+            for b in (FlatLayout((1,), (1,)), FlatLayout((2,), (1,)), FlatLayout((2,), (0,))):
+                values = _values(FlatLayout(l.shape + b.shape, l.stride + b.stride))
+                want = sorted(values) == list(range(len(values)))
+                assert check_complement(l, b) == want
+        # largest below n, but two words repeat
+        assert not check_complement(FlatLayout((2,), (0,)), FlatLayout((2,), (1,)))
+        assert check_complement(FlatLayout((2, 128), (256, 2)), FlatLayout((2,), (1,)))
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            # accepted pairs at widths 1, 2, 4 and 8: the fast path compares lists
+            (FlatLayout((2, 2), (1, 254)), FlatLayout((256,), (1,)), FlatLayout((2, 2), (1, 254))),
+            (FlatLayout((2, 2), (1, 65535)), FlatLayout((2**17,), (1,)), FlatLayout((2, 2), (1, 65535))),
+            (FlatLayout((2, 2), (1, 2**32)), FlatLayout((2, 2**32), (1, 2)), None),
+            (FlatLayout((2, 2), (1, 2**40)), FlatLayout((2**41,), (2**21,)), None),
+            (
+                FlatLayout((2, 2), (1, 2**40)),
+                FlatLayout((2**41,), (2**21,)),
+                FlatLayout((2, 2), (2**21, 2**61 + 1)),
+            ),
+            # b's values pass M: refused at the first such point, or decided
+            # by an earlier point that differs
+            (FlatLayout((3,), (1,)), FlatLayout((3,), (2**62,)), FlatLayout((3,), (2**62,))),
+            (FlatLayout((3,), (1,)), FlatLayout((3,), (2**62,)), FlatLayout((3,), (2**62 + 1,))),
+            # a's values leave b's domain, at width 8 and past it
+            (FlatLayout((2, 2), (1, 2**40)), FlatLayout((8,), (1,)), FlatLayout((2, 2), (1, 2))),
+            (FlatLayout((2, 2), (1, 2**40)), FlatLayout((8,), (1,)), FlatLayout((2, 2), (2, 2))),
+            (FlatLayout((2, 2, 2), (M, M, 2)), FlatLayout((2**62,), (1,)), FlatLayout((8,), (0,))),
+            (FlatLayout((2, 2, 2), (1, M, M)), FlatLayout((4,), (1,)), FlatLayout((8,), (1,))),
+        ],
+    )
+    def test_check_compose_is_pointwise(self, a, b, c):
+        if c is None:
+            c = Layout.of_flat(a).compose(Layout.of_flat(b)).flat()
+
+        def pointwise():
+            return all(c(x) == b(a(x)) for x in range(a.size()))
+
+        assert _outcome(check_compose, a, b, c) == _outcome(pointwise)
+
+    def test_cap_is_checked_before_packing(self, monkeypatch):
+        def refuse(flat):
+            raise AssertionError("a table was begun before the cap was checked")
+
+        monkeypatch.setattr(oracle, "_largest", refuse)
+        big, small = FlatLayout((2**20, 2**20), (1, 2**20)), FlatLayout((2,), (1,))
+        calls = [
+            (table_of, big),
+            (functions_equal, big, big),
+            (check_compose, big, big, big),
+            (check_complement, big, small),
+            (exhaustive_complement_search, small, 2**40),
+        ]
+        for f, *args in calls:
+            with pytest.raises(OracleCapError):
+                f(*args)

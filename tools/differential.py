@@ -54,6 +54,14 @@ WIDE_EVAL = (
 #: nesting depths: within the reader's bound ``notation.MAX_DEPTH`` (1,000), at it, one past
 #: it, and far beyond it, where only a tree built in code gets through
 DEEP = (50, 900, 1000, 1001, 3000)
+#: flat layouts whose largest value is at and one past the top of each of the
+#: oracle's word widths (1, 2, 4 and 8 bytes), with broadcast and unit modes
+WIDTHS = tuple(((2, 2), (1, top - 1)) for top in (255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32)) + (
+    ((2, 2, 2), (2**63 - 1, 2**63 - 1, 1)),
+    ((2, 2, 2), (2**63 - 1, 2**63 - 1, 2)),
+    ((2, 3, 1, 2, 2), (2**63 - 1, 0, 9, 2**63 - 1, 2)),
+    ((1, 3, 2, 1, 2), (5, 0, 2**40, 7, 1)),
+)
 #: the longest outcome kept whole; a longer one keeps its start and a hash
 KEEP = 240
 
@@ -447,6 +455,16 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     c.add("exhaustive_complement_search", ("Layout", lit((2, 2)), lit((1, 4))), lit(16))
     c.add("exhaustive_complement_search", ("FlatLayout", lit((3,)), lit((2,))), lit(12))
     c.add("exhaustive_complement_search", ("Layout", lit(4), lit(1)), lit(2**30))
+    # the oracle at each word width, against its neighbour in WIDTHS and against
+    # the identity on its range, where that is a layout
+    for (shape, stride), other in zip(WIDTHS, WIDTHS[1:] + WIDTHS[:1]):
+        a, b = lk.Layout(shape, stride), lk.Layout(*other)
+        oracle_battery(c, lk, a, b)
+        c.add("FunctionTable.values", ("table_of", _L(a)))
+        c.add("check_complement", _L(a), ("Layout", lit(2), lit(1)))
+        top = sum((s - 1) * d for s, d in zip(shape, stride))
+        c.add("check_compose", _L(a), ("Layout", lit(top + 1), lit(1)), _L(a))
+        c.add("check_compose", _L(a), ("Layout", lit(top + 1), lit(2**61)), _L(a))
     # tables that are not the table of a layout: empty, a duplicate, a value
     # below or past the range, a permutation
     for values in ((), (1, 1), (-1, 1), (0, 2), (3, 0, 2, 1)):
