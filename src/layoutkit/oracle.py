@@ -46,7 +46,8 @@ class FunctionTable:
         return self.values[x]
 
     def is_bijection_onto_range(self) -> bool:
-        """Whether the ``n`` values are distinct and in [0, n), in linear time."""
+        """Whether the ``n`` values are distinct and in [0, n), in linear time: they come from
+        any caller and may be negative, so all are read, where :func:`_onto` reads a layout."""
         v, n = self.values, len(self.values)
         return not n or (min(v) >= 0 and max(v) < n and len(set(v)) == n)
 
@@ -93,7 +94,10 @@ def _words(table: bytes, w: int) -> List[int]:
 
 
 def _onto(flat: FlatLayout, cap: int) -> bool:
-    """Whether ``flat`` is a bijection onto [0, n): largest value below n, n distinct words."""
+    """Whether ``flat`` is a bijection onto [0, n): largest value below n, n distinct words.
+    A layout's values are non-negative and its largest is known before a table is built, so
+    it refuses early and counts distinct words alone; a :class:`FunctionTable` read here
+    would add two scans, for the least and the largest, to ``check_complement``'s timed path."""
     n = flat.size()
     return _largest(flat) < n and len(set(_words(*_packed(flat, cap)))) == n
 

@@ -5,10 +5,10 @@ A nested tuple is represented directly as a Python value: an ``int`` at depth
 ``(n,)`` are distinct values.  A tuple is the only node: anything else is a
 leaf, so a profile is a tree with the sentinel :data:`STAR` at the leaves.
 Five walkers keep their own stack of iterators, one per open tuple, so no tree
-is too deep to walk: :func:`flatten`, :func:`_flat_pair`, :func:`_frontier` (on
-which :func:`_pieces` reads a refinement), :func:`_substitute` (which
-:func:`depth` reads off) and :func:`_text`, on which a refusal writes a tree
-or a refused list leaf, and a layout its shape and strides on one skeleton.
+is too deep to walk: :func:`flatten`, :func:`_flat_pair` (which :func:`_same`
+reads too), :func:`_pieces`, which reads a refinement, :func:`_substitute`
+(which :func:`depth` reads off) and :func:`_text`, on which a refusal writes a
+tree or a refused list leaf, and a layout its shape and strides on one skeleton.
 
 All arithmetic stays in the signed 64-bit range: entries are range-checked
 where they enter (:func:`_check_entries`), and products are checked where
@@ -126,8 +126,9 @@ def _flat_pair(a: Nested, b: Nested) -> Optional[Tuple[tuple, tuple]]:
 
 
 def _same(a: Nested, b: Nested) -> bool:
-    """``a == b``, on the paired walk: the built-in recurses once per level."""
-    return all(not isinstance(x, tuple) and x == y for x, y in _frontier(a, b))
+    """``a == b`` where the built-in recurses once per level: paired flattenings, equal."""
+    pair = _flat_pair(a, b)
+    return pair is not None and pair[0] == pair[1]
 
 
 def length(x: Nested) -> int:
@@ -146,8 +147,10 @@ def depth(x: Nested) -> int:
 
 
 def size(x: Nested) -> int:
-    """Product of the leaves by :func:`checked_prod`; it checks no leaf, as the engine's are."""
-    return checked_prod(flatten(x))
+    """Product of the leaves, each an ``int``, by :func:`checked_prod` (which the engine reads)."""
+    leaves = flatten(x)
+    _check_ints(leaves, "entry", x)
+    return checked_prod(leaves)
 
 
 def format_nested(x: Nested) -> str:
@@ -220,56 +223,47 @@ def _substitute(tree: Nested, parts: Iterator[Nested], close=tuple):
             out.append(done)
 
 
-def _frontier(a: Nested, b: Nested) -> Iterator[Tuple[Nested, Nested]]:
-    """The pairs of sub-trees of ``a`` and ``b`` in the same place, in order,
-    where the two trees stop being tuples of one length."""
-    stack, it = [], zip((a,), (b,))
-    while True:
-        for x, y in it:
-            if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
-                stack.append(it)
-                it = zip(x, y)
-                break
-            yield x, y
-        else:
-            if not stack:
-                return
-            it = stack.pop()
-
-
 def refines(fine: Nested, coarse: Nested) -> bool:
     """Whether ``fine`` may be obtained from ``coarse`` by replacing each
-    entry with a nested tuple of the same size: whether :func:`_pieces`
-    accepts it.  An overflowing product still raises."""
+    entry with a nested tuple of the same size: whether :func:`relative_modes`
+    accepts it.  A leaf that is not an ``int`` or an overflowing product still raises."""
     try:
-        _pieces(fine, coarse)
+        relative_modes(fine, coarse)
     except NotRefinementError:
         return False
     return True
 
 
 def relative_modes(fine: Nested, coarse: Nested) -> list:
-    """For each entry of ``coarse``, the sub-tree of ``fine`` refining it.
-
-    The result has ``length(coarse)`` elements and satisfies
-    ``substitute(result, profile(coarse)) == fine``.  It checks no leaf, as
-    the engine calls it on checked trees.
-    """
+    """For each entry of ``coarse``, the sub-tree of ``fine`` refining it: ``length(coarse)``
+    of them, with ``substitute(result, profile(coarse)) == fine``.  Every leaf of both must
+    be an ``int``; the engine reads :func:`_pieces` on trees it has checked."""
+    for tree in (fine, coarse):
+        _check_ints(flatten(tree), "entry", tree)
     return _pieces(fine, coarse)[0]
 
 
 def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
     """For each entry of ``coarse``, the sub-tree of ``fine`` over it and its flat entries,
     whose :func:`checked_prod` must be the entry, an ``int``, or :class:`NotRefinementError`
-    refuses ``fine``: one paired walk that flattens each sub-tree once and checks no leaf."""
-    subs, pieces = [], []
-    for f, c in _frontier(fine, coarse):
-        p = flatten(f)
-        if type(c) is not int or checked_prod(p) != c:
-            raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
-        subs.append(f)
-        pieces.append(p)
-    return subs, pieces
+    refuses ``fine``: one paired walk, down while both are tuples of one length, that
+    flattens each sub-tree once and checks no leaf."""
+    subs, pieces, stack, it = [], [], [], zip((fine,), (coarse,))
+    while True:
+        for f, c in it:
+            if isinstance(f, tuple) and isinstance(c, tuple) and len(f) == len(c):
+                stack.append(it)
+                it = zip(f, c)
+                break
+            p = flatten(f)
+            if type(c) is not int or checked_prod(p) != c:
+                raise NotRefinementError(f"{_str(fine)} does not refine {_str(coarse)}")
+            subs.append(f)
+            pieces.append(p)
+        else:
+            if not stack:
+                return subs, pieces
+            it = stack.pop()
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:

@@ -35,7 +35,6 @@ from .shapes import (
     colex_inv,
     format_nested,
     prefix_products,
-    size,
 )
 
 
@@ -361,7 +360,7 @@ def realize(f: TupleMorphism) -> List[int]:
     """The function [0, size(domain)) -> [0, size(codomain)) induced by ``f``:
     route each domain axis to its codomain axis, zero elsewhere."""
     out = []
-    for x in range(size(f.domain)):
+    for x in range(checked_prod(f.domain)):
         coord = colex_inv(f.domain, x)
         ycoord = [0] * len(f.codomain)
         for i, a in enumerate(f.amap):

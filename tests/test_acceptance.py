@@ -296,3 +296,26 @@ class TestCriterion7Admissibility:
             accepted += composable
             refused += not composable
         assert accepted >= 500 and refused >= 500
+
+    def test_a_degenerate_first_operand_is_read_squeezed(self):
+        # an a with unit modes or zero strides, which the criterion refuses,
+        # is read without them: where cosize(a) <= size(b), the squeezed,
+        # zero-filtered a is admissible for the coalesced b exactly when the
+        # layouts compose
+        rng = random.Random(SEED + 7)
+        accepted = refused = degenerate = 0
+        while accepted + refused < 2000:
+            a, b = random_tractable_flat(rng), random_tractable_flat(rng)
+            if a.cosize() > b.size():
+                continue
+            degenerate += 1 in a.shape or 0 in a.stride
+            admissible = is_admissible_for_composition(a.squeeze().filter_zeros(), b.coalesce())
+            try:
+                Layout.of_flat(a).compose(Layout.of_flat(b))
+                composable = True
+            except NotComposableError:
+                composable = False
+            assert admissible == composable, (a, b)
+            accepted += composable
+            refused += not composable
+        assert accepted >= 500 and refused >= 500 and degenerate >= 1000

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import random
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -383,6 +386,48 @@ class TestInProcessCalls:
         for argv, stdout in calls + calls[::-1]:
             assert main(argv) == 0, argv
             assert capsys.readouterr() == (stdout + "\n", ""), argv
+
+
+    def test_mixed_exit_codes_match_each_call_run_alone(self, capsys, monkeypatch):
+        # exit 0, 1 and 2 calls, --help and --json in one process, forward then
+        # reverse: each gives the exit code, stdout and stderr it gives as the
+        # first call of a process of its own, so no parser state leaks between
+        # calls; help wraps at one width in both
+        monkeypatch.setenv("COLUMNS", "80")
+        compose = ["compose", "((4,4),4):((16,1),4)", "(8,64):(64,1)"]
+        refused = ["compose", "8:1", "(2,6):(2,8)"]
+        rel = ["coalesce-rel", "((2,2),(3,3),(5,5)):((1,2),(4,12),(36,180))", "((2,2),9,25)"]
+        calls = [
+            ["frobnicate", "4:1"],
+            compose,
+            ["render", "(2,2,2):(1,2,4)", "--flatten-to", "3"],
+            ["--json", *compose],
+            ["compose", "--help"],
+            refused,
+            ["--json", *refused],
+            ["eval", "4:1", "2.5"],
+            ["--json", "eval", "(2,3):(1,5)", "3"],
+            rel,
+            ["--json", *rel],
+            ["render", "--help"],
+            ["mutual-refine", "(8)", "(3)"],
+            ["--json", "tractable", "(2,2,2):(1,2,4)"],
+        ]
+        env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = str(Path(layoutkit.cli.__file__).parents[1])
+        run_main = "import sys; from layoutkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        alone = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-c", run_main, *argv],
+                capture_output=True, encoding="utf-8", env=env, check=False, timeout=60,
+            )
+            alone.append((done.returncode, done.stdout, done.stderr))
+        assert sorted({code for code, _, _ in alone}) == [0, 1, 2]
+        for argv, wanted in zip(calls + calls[::-1], alone + alone[::-1]):
+            code = main(list(argv))
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == wanted, argv
 
 
 class TestCheckAndExitCodes:

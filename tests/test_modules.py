@@ -342,8 +342,8 @@ def test_operations_on_built_layouts_flatten_nothing():
 
 def test_coalesce_relative_flattens_each_group_once():
     # the refinement's one paired walk flattens each sub-tree over an entry
-    # of shape_bar once, for its check and its pieces both (flatten is
-    # counted, not _frontier: a generator's resumes are call events too)
+    # of shape_bar once, for its check and its pieces both (_pieces walks on
+    # its own stack, so each call event of flatten is one flattening)
     a = layoutkit.Layout(((2, 2), (3, 3), (5, 5)), ((1, 2), (4, 12), (36, 180)))
     count = 0
 
@@ -428,15 +428,27 @@ def test_a_refinement_is_read_once():
 
 
 def test_shapes_has_one_stack_walker_per_job():
-    # flatten, the paired flattening, the paired frontier, the build walk
-    # (which depth reads off too) and the text walk: nothing else loops on
-    # a stack of its own
+    # flatten, the paired flattening (which tree equality reads too), the
+    # refinement's paired walk, the build walk (which depth reads off too) and
+    # the text walk: nothing else loops on a stack of its own
     walkers = {
         name
         for name, scope in _module_scopes("shapes").items()
         if any(isinstance(node, ast.While) for node in ast.walk(scope))
     }
-    assert walkers == {"flatten", "_flat_pair", "_frontier", "_substitute", "_text"}
+    assert walkers == {"flatten", "_flat_pair", "_pieces", "_substitute", "_text"}
+
+
+def test_no_function_is_a_generator():
+    # a generator's resumes are call events under sys.setprofile, as calls
+    # are: with none in the package, one profile hook counts calls alone
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+    ]
+    assert offenders == []
 
 
 def test_the_complement_is_read_off_the_walk():

@@ -1,5 +1,7 @@
 """Nested tuples, profiles, and colexicographic (un)linearization."""
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +91,32 @@ class TestBasics:
             substitute([64], (STAR, STAR))
 
 
+class TestTreeEquality:
+    # _same is == on trees, read on the paired flattening, so two trees built
+    # apart compare at any depth: a node is a tuple, anything else a leaf
+    def test_nesting_counts(self):
+        assert _same(((2, 3), 4), ((2, 3), 4))
+        assert not _same(((2, 3), 4), (2, (3, 4)))  # one flattening, nested apart
+        assert not _same((2, 3, 4), ((2, 3), 4)) and not _same(2, (2,))
+        assert not _same(((2, 3), 4), ((2, 3), 5))
+        assert _same((), ()) and _same(((),), ((),))
+        assert not _same((), ((),)) and not _same(((),), ((), ()))
+
+    def test_a_list_is_a_leaf(self):
+        assert not _same((2, 2), [2, 2]) and not _same([2, 2], (2, 2))
+        assert _same([2, 2], [2, 2]) and not _same(((2,), 2), ([2], 2))
+
+    def test_nodes_and_leaves_compare_by_value(self):
+        pair = namedtuple("pair", "x y")
+        assert _same(pair(2, (3, 4)), (2, (3, 4))) and _same((2, pair(3, 4)), (2, (3, 4)))
+        assert not _same(pair(2, (3, 4)), (2, 3, 4))
+        assert _same(2, 2.0) and _same((2, (3, 4)), (2.0, (3, 4.0)))
+
+    def test_deep_trees_built_apart(self):
+        assert _same(_wrapped(2), _wrapped(2)) and _same(_wrapped((2, 3)), _wrapped((2, 3)))
+        assert not _same(_wrapped(2), _wrapped(3)) and not _same(_wrapped(2), _wrapped(2, 9_999))
+
+
 class TestRefinement:
     def test_refines_examples(self):
         assert refines((2, (2, 2)), 8)
@@ -98,12 +126,39 @@ class TestRefinement:
 
     def test_a_coarse_leaf_must_be_an_int(self):
         # a coarse leaf that equals its pieces' product only by value is no
-        # entry, as Layout refuses it: 4.0, True and a list do not refine
-        assert not refines((2, 2), 4.0)
-        assert not refines((1, 4), (True, 4))
-        assert not refines((2, 2), [2, 2])
+        # entry, as Layout refuses it: 4.0, True and a list are refused leaves,
+        # and the walk the engine reads on checked trees does not refine them
+        for fine, coarse, shown in (((2, 2), 4.0, "4.0"), ((1, 4), (True, 4), "True")):
+            for call in (refines, relative_modes):
+                with pytest.raises(LayoutError) as refused:
+                    call(fine, coarse)
+                assert str(refused.value) == f"entry {shown} in {coarse!r} is not an integer"
+        with pytest.raises(LayoutError, match=r"^entry \[2, 2\] in \[2, 2\] is not an integer$"):
+            refines((2, 2), [2, 2])
         with pytest.raises(NotRefinementError, match=r"^\(2, 2\) does not refine 4\.0$"):
-            relative_modes((2, 2), 4.0)
+            Layout((2, 2), (1, 2)).coalesce_relative(4.0)
+
+    def test_a_leaf_that_is_not_an_int_is_refused(self):
+        # size, refines and relative_modes check every leaf of what they are
+        # given, the fine tree's before the coarse one's, where the engine reads
+        # checked_prod and _pieces on trees it has checked
+        refused = [
+            (lambda: size((2, 2.5)), "entry 2.5 in (2, 2.5)"),
+            (lambda: size((True, 3)), "entry True in (True, 3)"),
+            (lambda: size([2, 3]), "entry [2, 3] in [2, 3]"),
+            (lambda: size(((2,), "2")), "entry '2' in ((2,), '2')"),
+            (lambda: refines((2, 2.0), 4), "entry 2.0 in (2, 2.0)"),
+            (lambda: refines([2, 2], 4), "entry [2, 2] in [2, 2]"),
+            (lambda: refines((2, 2.0), 4.0), "entry 2.0 in (2, 2.0)"),
+            (lambda: relative_modes([2, 2], 4), "entry [2, 2] in [2, 2]"),
+            (lambda: relative_modes(((2, 2), 3), (4, None)), "entry None in (4, None)"),
+        ]
+        for call, text in refused:
+            with pytest.raises(LayoutError) as raised:
+                call()
+            assert type(raised.value) is LayoutError
+            assert str(raised.value) == f"{text} is not an integer"
+        assert size((2, (3, 4))) == 24 and refines((2, 2), 4) and relative_modes(2, 2) == [2]
 
     def test_relative_modes_example(self):
         fine = (((2, 2), (3, 3)), (25, (6, (2, 3))))
@@ -404,4 +459,6 @@ class TestCheckedArithmetic:
                 call()
             assert str(raised.value) == f"64-bit overflow in {text}"
         assert size((e, 1, 0)) == 0 and prefix_products((e, 0, 4)) == (1, e, 0, 0)
-        assert size((2.0, 3)) == 6.0 and prefix_products((2, 0.5)) == (1, 2, 1.0)
+        assert prefix_products((2, 0.5)) == (1, 2, 1.0)  # the engine's entries are checked
+        with pytest.raises(LayoutError, match="^entry 2.0 in"):
+            size((2.0, 3))

@@ -86,6 +86,13 @@ def _N(dom, cod, amap):
     return ("nest_morphism", lit(dom), lit(cod), lit(tuple(amap)))
 
 
+def _renested(lk, tree) -> list:
+    """Trees that flatten as ``tree`` does but are nested otherwise: inside a
+    1-tuple, and flat where it is nested."""
+    flat = lk.flatten(tree)
+    return [(tree,)] + ([flat] if isinstance(tree, tuple) and flat != tree else [])
+
+
 # -- the corpus ------------------------------------------------------------------
 
 
@@ -213,6 +220,8 @@ def morphism_battery(c: Corpus, lk, gens, f, g) -> None:
     Ng = _N(g.domain, g.codomain, g.amap)
     c.add("compose_nest", Nf, Ng)
     c.add("concat_nm", ("[]", Nf, Nf))
+    for other in _renested(lk, cod):  # codomains that flatten alike, nested apart
+        c.add("concat_nm", ("[]", Nf, _N(dom, other, f.amap)))
     c.add("logical_divide_m", Ng, Nf)
     c.add("logical_product_m", Nf, Ng)
     with contextlib.suppress(lk.LayoutError):
@@ -241,6 +250,8 @@ def composition_battery(c: Corpus, lk, gens, a, b) -> None:
             R = ("Refinement", lit(gens.random_refinement(rng, tree)), lit(tree))
             c.add(*R)
             c.add(transport, N, R)
+            for other in _renested(lk, tree):  # over a tree that is not the side, flattened alike
+                c.add(transport, N, ("Refinement", lit(other), lit(other)))
     mr = lk.mutual_refinement(t, u)
     if mr is None:
         return
@@ -252,6 +263,10 @@ def composition_battery(c: Corpus, lk, gens, a, b) -> None:
     c.add("pullback", Nf, R1)
     c.add("pushforward", Ng, R2)
     c.add("pullback", Ng, R1)
+    # the greedy refinements over (t, u) each inside a 1-tuple: over the wrong pair
+    Rt, Ru = (("Refinement", lit((r.fine,)), lit((r.coarse,))) for r in (mr.t_ref, mr.u_ref))
+    c.add("make_composable", Nf, Ng, ("MutualRefinement", Rt, Ru))
+    c.add("make_composable", Nf, Ng, ("MutualRefinement", R1, Ru))
     c.add("divides", lit(mr.t_ref.fine), lit(mr.u_ref.fine))
     c.add("MutualRefinement", R2, R1)
     # the greedy pieces regrouped deeper, with unit leaves at common flat positions
@@ -282,6 +297,13 @@ def shapes_battery(c: Corpus, lk, gen, x, y) -> None:
     c.add("refines", X, lit(coarse))
     c.add("relative_modes", X, lit(coarse))
     c.add("relative_modes", X, lit(y))
+    # a coarse entry that is a 1-tuple, a bare int or (), against each kind of fine entry
+    for fine, over in (
+        ((x,), (coarse,)), (x, (coarse,)), (x, lk.size(x)),
+        ((x, ()), (coarse, ())), ((x, ()), (coarse, 1)), ((x, 1), (coarse, ())),
+    ):
+        c.add("refines", lit(fine), lit(over))
+        c.add("relative_modes", lit(fine), lit(over))
     c.add("prefix_products", lit(leaves))
     c.add("colex", lit(leaves), lit(tuple(rng.randrange(e) for e in leaves)))
     c.add("colex_inv", lit(leaves), lit(rng.randrange(lk.size(x) + 1)))
@@ -362,8 +384,15 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("Layout.complement", ("Layout", lit(4), lit(1)), V)
         c.add("TupleMorphism", lit((2,)), lit((2,)), lit((v,)))
         c.add("Refinement", lit((2, v)), lit(4))
+        c.add("size", lit((2, v)))
+        c.add("refines", lit((2, v)), lit(4))
+        c.add("refines", lit((2, 2)), lit((v,)))
+        c.add("relative_modes", lit((2, v)), lit(4))
         c.add("mutual_refinement", lit((v,)), lit((4,)))
         c.add("exhaustive_complement_search", ("FlatLayout", lit((4,)), lit((1,))), V)
+    c.add("size", lit([2, 3]))
+    c.add("refines", lit([2, 2]), lit(4))
+    c.add("relative_modes", lit([2, 2]), lit(4))
     for n in DEEP:
         D, D1 = ("deep", n, 2), ("deep", n, 1)
         for op in ("flatten", "profile", "length", "rank", "depth", "size", "format_nested"):
@@ -482,6 +511,12 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
             c.add("check_complement", _L(a), lit(None), lit(n))
             (a, bar), _ = gen.operands("coalesce_relative")
             c.add("Layout.coalesce_relative", _L(a), lit(bar))
+            # bar inside a 1-tuple, and beside a () or a 1 over a () of the shape
+            c.add("Layout.coalesce_relative", _L(a), lit((bar,)))
+            c.add("Layout.coalesce_relative", ("Layout", lit((a.shape,)), lit((a.stride,))), lit((bar,)))
+            with_empty = ("Layout", lit((a.shape, ())), lit((a.stride, ())))
+            c.add("Layout.coalesce_relative", with_empty, lit((bar, ())))
+            c.add("Layout.coalesce_relative", with_empty, lit((bar, 1)))
             shapes_battery(c, lk, gen, a.shape, bar)
         a, b = gens.random_layout(rng), gens.random_layout(rng)
         layout_battery(c, lk, a, b)
