@@ -10,12 +10,12 @@ index map over flat pieces.  Pullback and pushforward wrap it as tuple
 morphisms; composition, divide and product read each stride through it.
 Entries are range-checked where they enter (the constructors,
 :func:`nest_morphism` and :func:`mutual_refinement`) and products where they
-are taken; what the engine derives skips validation.
+are taken; what the engine derives skips validation.  Each class here is a
+:class:`_Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import prod
 from typing import List, Optional, Sequence, Tuple
@@ -27,13 +27,13 @@ from .shapes import (
     _check_ints,
     _flat_pair,
     _pieces,
+    _prefix_products,
     _same,
     _str,
     _substitute,
     depth,
     flatten,
     length,
-    prefix_products,
     rank,
     substitute,
 )
@@ -44,6 +44,7 @@ from .tuplecat import (
     _complement,
     _format_arrow,
     _LayoutFunction,
+    _Record,
     _tractable,
     _unchecked,
     coalesce_m,
@@ -58,23 +59,17 @@ from .tuplecat import (
 )
 
 
-@dataclass(frozen=True)
-class NestMorphism:
-    domain: Nested
-    codomain: Nested
-    fmap: TupleMorphism
+class NestMorphism(_Record):
+    __slots__ = ("domain", "codomain", "fmap")
 
-    def __post_init__(self) -> None:
-        domain, codomain = flatten(self.domain), flatten(self.codomain)
-        if domain != self.fmap.domain:
-            raise LayoutError(
-                f"domain {_str(self.domain)} does not flatten to {self.fmap.domain}"
-            )
-        if codomain != self.fmap.codomain:
-            raise LayoutError(
-                f"codomain {_str(self.codomain)} does not flatten to {self.fmap.codomain}"
-            )
-        _check_entries(domain + codomain, 1, "entry", self)
+    def __init__(self, domain: Nested, codomain: Nested, fmap: TupleMorphism) -> None:
+        _Record.__init__(self, domain, codomain, fmap)
+        flat_d, flat_c = flatten(domain), flatten(codomain)  # checked, not fmap's: 2.0 == 2
+        if flat_d != fmap.domain:
+            raise LayoutError(f"domain {_str(domain)} does not flatten to {fmap.domain}")
+        if flat_c != fmap.codomain:
+            raise LayoutError(f"codomain {_str(codomain)} does not flatten to {fmap.codomain}")
+        _check_entries(flat_d + flat_c, 1, "entry", self)
 
     def is_standard_form(self) -> bool:
         return self.fmap.is_standard_form() and depth(self.codomain) <= 1
@@ -88,38 +83,27 @@ class NestMorphism:
     def __str__(self) -> str:
         return _format_arrow(self.domain, self.fmap.amap, self.codomain)
 
-    def __repr__(self) -> str:  # each tree written on a stack, where the built-in recurses
-        d, c = _str(self.domain, repr), _str(self.codomain, repr)
-        return f"NestMorphism(domain={d}, codomain={c}, fmap={self.fmap!r})"
 
-
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(_Record):
     """A refinement of ``coarse``, as :func:`~layoutkit.shapes._pieces` reads and refuses it."""
 
-    fine: Nested
-    coarse: Nested
+    __slots__ = ("fine", "coarse")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fine: Nested, coarse: Nested) -> None:
+        _Record.__init__(self, fine, coarse)
         fine = flatten(self.fine)
         _check_ints(fine + flatten(self.coarse), "entry", self)
         _pieces(self.fine, self.coarse)  # each coarse entry a checked product of fine ones
         _check_entries(fine, 1, "entry", self.fine)
 
-    def __repr__(self) -> str:  # each tree written on a stack, where the built-in recurses
-        return f"Refinement(fine={_str(self.fine, repr)}, coarse={_str(self.coarse, repr)})"
 
+class MutualRefinement(_Record):
+    __slots__ = ("t_ref", "u_ref")
 
-@dataclass(frozen=True)
-class MutualRefinement:
-    t_ref: Refinement
-    u_ref: Refinement
-
-    def __post_init__(self) -> None:
-        if not divides(self.t_ref.fine, self.u_ref.fine):
-            raise LayoutError(
-                f"{_str(self.t_ref.fine)} is not a flat prefix of {_str(self.u_ref.fine)}"
-            )
+    def __init__(self, t_ref: Refinement, u_ref: Refinement) -> None:
+        _Record.__init__(self, t_ref, u_ref)
+        if not divides(t_ref.fine, u_ref.fine):
+            raise LayoutError(f"{_str(t_ref.fine)} is not a flat prefix of {_str(u_ref.fine)}")
 
 
 def nest_morphism(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorphism:
@@ -350,26 +334,23 @@ def is_admissible_for_composition(a: FlatLayout, b: FlatLayout) -> bool:
 # -- nested layouts --------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class Layout(_LayoutFunction):
+class Layout(_LayoutFunction, _Record):
     """Congruent trees ``shape:stride``, held as the shape tree and the flat form that the
     constructor's paired walk makes (or the engine hands on); ``stride`` is nested on a read."""
 
-    shape: Nested
-    _flat: FlatLayout = field(init=False, repr=False)
+    __slots__ = ("shape", "_flat")
 
     def __init__(self, shape: Nested, stride: Nested) -> None:
         flat = _flat_pair(shape, stride)
         if flat is None:
             raise LayoutError(f"shape {_str(shape)} and stride {_str(stride)} are not congruent")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_flat", FlatLayout(*flat))  # its entry checks and messages
+        _Record.__init__(self, shape, FlatLayout(*flat))  # its entry checks and messages
 
     @property
     def stride(self) -> Nested:
         return _substitute(self.shape, iter(self._flat.stride))
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the stride, a property, in place of the flat form
         return f"Layout(shape={_str(self.shape, repr)}, stride={_str(self.stride, repr)})"
 
     @staticmethod
@@ -527,5 +508,5 @@ def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, .
     f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(flat.shape, amap)]
     g_cod = _onto(g_amap, g_dom, [(t,) for t in g_cod])
     g_map = [0] + _cut(g_amap, g_dom, g_cod)  # f's cut codomain is a prefix of g's cut domain
-    pre = (0,) + prefix_products(tuple(chain.from_iterable(g_cod))[:-1])  # 0: the basepoint
+    pre = (0,) + _prefix_products(tuple(chain.from_iterable(g_cod))[:-1])  # 0: the basepoint
     return f_dom, tuple(pre[g_map[a]] for a in _cut(amap, f_dom, f_cod))

@@ -7,19 +7,18 @@ layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
 order, as packed words as wide as the largest value needs: each shifted copy
 of the block so far is one big-int add, and tables are compared as bytes. A
 table of n points is a bijection onto [0, n) when its largest value is below n
-and its n words are distinct.
+and its n words are distinct. :class:`FunctionTable` shares the record base.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import LayoutError, OracleCapError
 from .nestcat import Layout
 from .shapes import INT64_MAX, _check_ints
-from .tuplecat import FlatLayout, concat_flat
+from .tuplecat import FlatLayout, _Record, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6
@@ -29,11 +28,13 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 LayoutLike = Union[Layout, FlatLayout]
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(_Record):
     """The full value table of a function on [0, len(values))."""
 
-    values: Tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Tuple[int, ...]) -> None:
+        _Record.__init__(self, values)
 
     @property
     def size(self) -> int:

@@ -267,8 +267,13 @@ def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
-    """Exclusive prefix products (1, e1, e1*e2, ...), bounded by the product of all;
-    it checks no entry, as the engine calls it on checked ones."""
+    """Exclusive prefix products (1, e1, e1*e2, ...), each entry an ``int``."""
+    _check_ints(entries, "entry", tuple(entries))
+    return _prefix_products(entries)
+
+
+def _prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
+    """:func:`prefix_products` of entries the engine has checked, bounded by the product of all."""
     checked_prod(entries)
     return tuple(accumulate(entries, mul, initial=1))
 
@@ -292,6 +297,7 @@ def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
 
 def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
     """Linearize ``coord``, first axis fastest, by Horner's rule: no partial exceeds the answer."""
+    _check_ints(shape, "entry", tuple(shape))
     _check_coord(shape, coord)
     x = 0
     for c, s in zip(reversed(coord), reversed(shape)):
@@ -301,6 +307,7 @@ def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
 
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
     """Inverse of :func:`colex`, dividing ``x`` down: no product of the whole shape."""
+    _check_ints(shape, "entry", tuple(shape))
     _check_ints((x,), "index", tuple(shape))
     coord = []
     rest = x

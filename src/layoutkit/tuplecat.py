@@ -10,14 +10,15 @@ the product of the codomain entries before position ``alpha[i]`` (0 for the
 basepoint); conversely every tractable flat layout has a canonical standard
 representation, which tractability, the complement and its predicates read.
 Entries are range-checked where they enter and products where they are
-taken; what the engine derives from valid values skips the checks.
+taken; what the engine derives skips the checks, by :func:`_unchecked`.
+Each value class, the oracle's table too, is a :class:`_Record`.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from math import prod
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import LayoutError, NotComplementableError, NotTractableError
@@ -27,6 +28,7 @@ from .shapes import (
     _check_entries,
     _check_ints,
     _dot,
+    _prefix_products,
     _str,
     _text,
     checked_mul,
@@ -34,23 +36,55 @@ from .shapes import (
     colex,
     colex_inv,
     format_nested,
-    prefix_products,
 )
 
 
 def _unchecked(cls, *values):
-    """The frozen dataclass ``cls`` with these field values, in order, skipping its
-    ``__post_init__``: only for values the engine derives from valid ones."""
+    """The record ``cls`` with these field values, in order, skipping its ``__init__``'s
+    checks: only for values the engine derives from valid ones, and for unpickling."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
+    for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
     return obj
 
 
-def _as_tuples(obj) -> None:
-    """Store each field given as a list as a tuple, and refuse any other non-tuple."""
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)
+class _Record:
+    """A value whose fields are its ``__slots__``, set once: equal to and hashed as their tuple
+    within one class, pickled through :func:`_unchecked`, each tree written on a stack."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:  # the field tuple, by one C call
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _unchecked, (type(self), *self._values(self))
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={_str(getattr(self, name), repr)}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+def _as_tuples(obj, *values) -> None:
+    """Set each field of ``obj`` to its value as a tuple, a list too; refuse any other value."""
+    for name, value in zip(obj.__slots__, values):
         if not isinstance(value, (tuple, list)):
             raise LayoutError(f"{name} must be a tuple or list, not {type(value).__name__}")
         object.__setattr__(obj, name, tuple(value))
@@ -65,6 +99,8 @@ def _returns(op, *args):
 class _LayoutFunction:
     """Flat and nested layouts: each question about the function is answered
     once, on the flat form (a flat layout is its own), each predicate by its operation."""
+
+    __slots__ = ()
 
     def size(self) -> int:
         return checked_prod(self.flat().shape)
@@ -110,24 +146,21 @@ class _LayoutFunction:
         return f"{tree.format(*flat.shape)}:{tree.format(*flat.stride)}"
 
 
-@dataclass(frozen=True)
-class FlatLayout(_LayoutFunction):
+class FlatLayout(_LayoutFunction, _Record):
     """A pair of equal-length flat tuples ``shape:stride`` (lists are stored as tuples).
 
     Shape entries are positive; stride entries are non-negative; both fit in
     the signed 64-bit range.
     """
 
-    shape: Tuple[int, ...]
-    stride: Tuple[int, ...]
+    __slots__ = ("shape", "stride")
 
-    def __post_init__(self) -> None:
-        if not type(self.shape) is type(self.stride) is tuple:
-            _as_tuples(self)
-        if len(self.shape) != len(self.stride):
-            raise LayoutError(
-                f"shape rank {len(self.shape)} != stride rank {len(self.stride)}"
-            )
+    def __init__(self, shape: Tuple[int, ...], stride: Tuple[int, ...]) -> None:
+        _Record.__init__(self, shape, stride)
+        if not type(shape) is type(stride) is tuple:
+            _as_tuples(self, shape, stride)
+        if len(shape) != len(stride):
+            raise LayoutError(f"shape rank {len(shape)} != stride rank {len(stride)}")
         _check_entries(self.shape, 1, "shape entry", self.shape)
         _check_entries(self.stride, 0, "stride entry", self.stride)
 
@@ -220,7 +253,7 @@ def _complement(flat: FlatLayout, n: Optional[int]) -> Tuple[tuple, tuple]:
             )
         _check_entries((n,), 1, "complement size", flat)
         cod.append(n // total)
-    pre, hit = prefix_products(cod[:-1]), set(amap)  # each entry's stride: no product of them all
+    pre, hit = _prefix_products(cod[:-1]), set(amap)  # each entry's stride: no product of them all
     shape = [t for j, t in enumerate(cod, 1) if j not in hit]
     stride = [p for j, p in enumerate(pre, 1) if j not in hit]
     return _coalesce_modes(shape, stride)
@@ -272,14 +305,11 @@ def column_major(shape: Sequence[int]) -> FlatLayout:
     return layout_of(identity(shape))
 
 
-@dataclass(frozen=True)
-class TupleMorphism:
-    domain: Tuple[int, ...]
-    codomain: Tuple[int, ...]
-    amap: Tuple[int, ...]  # 0 = basepoint, else 1-based codomain position
+class TupleMorphism(_Record):
+    __slots__ = ("domain", "codomain", "amap")  # amap: 0 = basepoint, else 1-based position
 
-    def __post_init__(self) -> None:
-        _as_tuples(self)
+    def __init__(self, domain: tuple, codomain: tuple, amap: tuple) -> None:
+        _as_tuples(self, domain, codomain, amap)
         m, n = len(self.domain), len(self.codomain)
         if len(self.amap) != m:
             raise LayoutError(f"map length {len(self.amap)} != domain rank {m}")
@@ -351,7 +381,7 @@ def layout_of(f: TupleMorphism) -> FlatLayout:
     domain entries are the morphism's, in 1..2^63-1, and the strides are
     prefix products of its codomain, checked where they are taken.  The
     product of the whole codomain is no stride, so it is not taken."""
-    pre = prefix_products(f.codomain[:-1])
+    pre = _prefix_products(f.codomain[:-1])
     stride = tuple(0 if a == 0 else pre[a - 1] for a in f.amap)
     return _unchecked(FlatLayout, f.domain, stride)
 

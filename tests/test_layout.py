@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -462,13 +461,12 @@ class TestNoReferenceCycles:
 
 
 def _revalidated(x):
-    """``x`` rebuilt with every dataclass inside it passed through its
+    """``x`` rebuilt with every record inside it passed through its
     validating constructor again."""
-    if isinstance(x, Layout):  # it holds its flat form, which replace cannot pass on
+    if isinstance(x, Layout):  # it holds its flat form, which its constructor does not take
         return Layout(_revalidated(x.shape), _revalidated(x.stride))
-    if dataclasses.is_dataclass(x):
-        fields = [f.name for f in dataclasses.fields(x)]
-        return dataclasses.replace(x, **{f: _revalidated(getattr(x, f)) for f in fields})
+    if hasattr(type(x), "__slots__"):
+        return type(x)(*(_revalidated(getattr(x, f)) for f in type(x).__slots__))
     if isinstance(x, tuple):
         return tuple(_revalidated(c) for c in x)
     return x

@@ -4,12 +4,18 @@ level and leaves no reference cycles; every export is tested, and the
 equivalence gate's corpus calls every export and every CLI verb."""
 
 import ast
+import copy
 import importlib.util
 import inspect
+import os
+import pickle
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import layoutkit
 from layoutkit.cli import _VERBS
@@ -400,7 +406,8 @@ def test_a_layout_holds_its_nesting_once():
         finally:
             sys.setprofile(None)
     assert counts == {name: n for name, (_, n) in ops.items()}
-    assert all(sorted(vars(x)) == ["_flat", "shape"] for x in results)
+    assert Layout.__slots__ == ("shape", "_flat")
+    assert not any(hasattr(x, "__dict__") for x in results)
     calls = [
         node
         for path, tree in _source_trees()
@@ -574,3 +581,68 @@ def test_differential_writes_deep_values_whole():
     texts = [differential._text(v) for v in deep.values()]
     assert texts[0] != texts[1]
     assert all(t.startswith("(" * differential.KEEP) and "...#" in t for t in texts)
+
+
+def _records():
+    """One value of each record class, each built by its checked constructor."""
+    lk = layoutkit
+    t = lk.TupleMorphism((2, 4), (4, 2), (2, 1))
+    return [
+        lk.FlatLayout((2, 4), (4, 1)),
+        t,
+        lk.NestMorphism(((2,), 4), (4, 2), t),
+        lk.Refinement(((2, 2), 4), (4, 4)),
+        lk.MutualRefinement(lk.Refinement((2, 2), 4), lk.Refinement(((2, 2), 3), (4, 3))),
+        lk.Layout(((2, 2), 4), ((1, 2), 4)),
+        lk.FunctionTable((0, 2, 1, 3)),
+    ]
+
+
+def test_every_record_is_a_slotted_value():
+    # the engine's value classes share one base: fields named by __slots__,
+    # set once, compared and hashed as the tuple of them within one class,
+    # and rebuilt by copy and pickle as equal values
+    records = _records()
+    assert [type(x).__name__ for x in records] == [
+        "FlatLayout", "TupleMorphism", "NestMorphism", "Refinement", "MutualRefinement",
+        "Layout", "FunctionTable",
+    ]
+    for x in records:
+        cls = type(x)
+        names = ("shape", "stride") if cls is layoutkit.Layout else cls.__slots__
+        fields = {name: getattr(x, name) for name in names}
+        assert hash(x) == hash(tuple(getattr(x, name) for name in cls.__slots__))
+        rebuilt = [cls(*fields.values()), cls(**fields), copy.copy(x), copy.deepcopy(x)]
+        for y in rebuilt + [pickle.loads(pickle.dumps(x))]:
+            assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert not hasattr(x, "__dict__")
+        for name in cls.__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert [getattr(x, name) for name in names] == list(fields.values())
+    flat = records[0]
+    assert layoutkit.Layout.of_flat(flat) != flat and flat != layoutkit.Layout.of_flat(flat)
+    assert flat != (flat.shape, flat.stride) and records[-1] != records[-1].values
+
+
+def test_a_cli_spawn_imports_no_dataclasses():
+    # no module imports dataclasses, which would load inspect, ast, dis and
+    # tokenize into every CLI spawn; the engine takes prefix products of
+    # entries it has checked, and leaves the checked public function to callers
+    for path, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [a.name for a in node.names], path.name
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            if isinstance(node, ast.Call):
+                assert _called_name(node) != "prefix_products", f"{path.name}:{node.lineno}"
+    env = dict(os.environ, PYTHONPATH=str(Path(layoutkit.__file__).parents[1]))
+    code = "import sys, layoutkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert done.stdout == "[]\n"

@@ -459,6 +459,18 @@ class TestCheckedArithmetic:
                 call()
             assert str(raised.value) == f"64-bit overflow in {text}"
         assert size((e, 1, 0)) == 0 and prefix_products((e, 0, 4)) == (1, e, 0, 0)
-        assert prefix_products((2, 0.5)) == (1, 2, 1.0)  # the engine's entries are checked
         with pytest.raises(LayoutError, match="^entry 2.0 in"):
             size((2.0, 3))
+        # the public entry points refuse a shape entry that is not an int, as
+        # size does; the engine takes prefix products of entries it has checked
+        for call, text in [
+            (lambda: prefix_products((2, 0.5)), "entry 0.5 in (2, 0.5)"),
+            (lambda: prefix_products(("a",)), "entry 'a' in ('a',)"),
+            (lambda: colex((2.5,), (1,)), "entry 2.5 in (2.5,)"),
+            (lambda: colex((True, 2), (0, 1)), "entry True in (True, 2)"),
+            (lambda: colex_inv((2.0,), 1), "entry 2.0 in (2.0,)"),
+            (lambda: colex_inv(("a",), 0), "entry 'a' in ('a',)"),
+        ]:
+            with pytest.raises(LayoutError) as raised:
+                call()
+            assert str(raised.value) == f"{text} is not an integer"

@@ -17,11 +17,12 @@ printed is a summary, then each outcome that differs follows.  The exit
 status is 0 when no outcome differs and 1 otherwise.
 
 A call is ``(target, args)``.  ``target`` is a public name of
-``layoutkit``, a method, property or field as ``Class.name``, or ``"cli"``
-with the argument list as its one argument.  Each argument is a spec:
-``("=", value)`` is the value itself, ``("deep", n, leaf)`` is ``leaf`` inside
-``n`` one-tuples, ``("[]", *specs)`` is a list, and ``(target, *specs)`` is
-the result of that call.  So the corpus holds no object of either tree.
+``layoutkit``, a method, property or field as ``Class.name`` (a field is
+read off the object, whether its class names it in ``__slots__`` or not),
+or ``"cli"`` with the argument list as its one argument.  Each argument is
+a spec: ``("=", value)`` is the value itself, ``("deep", n, leaf)`` is
+``leaf`` inside ``n`` one-tuples, ``("[]", *specs)`` is a list, and
+``(target, *specs)`` is the result of that call.  So the corpus holds no object of either tree.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,8 +129,8 @@ def layout_battery(c: Corpus, lk, a, b) -> None:
     rng = c.rng
     A, B = _L(a), _L(b)
     for name in (
-        "__str__", "stride", "flat", "length", "rank", "depth", "complexity", "size", "cosize",
-        "is_tractable", "coalesce", "is_coalesced", "complement", "is_complementable",
+        "__str__", "shape", "stride", "flat", "length", "rank", "depth", "complexity", "size",
+        "cosize", "is_tractable", "coalesce", "is_coalesced", "complement", "is_complementable",
         "is_compact",
     ):
         c.add(f"Layout.{name}", A)
@@ -162,8 +164,8 @@ def flat_battery(c: Corpus, lk, f, g) -> None:
     rng = c.rng
     F, G = _F(f), _F(g)
     for name in (
-        "__str__", "flat", "rank", "size", "cosize", "squeeze", "filter_zeros", "sort",
-        "coalesce", "is_coalesced", "is_tractable", "complement", "is_complementable",
+        "__str__", "shape", "stride", "flat", "rank", "size", "cosize", "squeeze", "filter_zeros",
+        "sort", "coalesce", "is_coalesced", "is_tractable", "complement", "is_complementable",
         "is_compact",
     ):
         c.add(f"FlatLayout.{name}", F)
@@ -188,7 +190,10 @@ def morphism_battery(c: Corpus, lk, gens, f, g) -> None:
     and the nest-morphism ones on ``f`` with a nested domain."""
     rng = c.rng
     Tf, Tg = _T(f), _T(g)
-    for name in ("image", "is_non_degenerate", "is_standard_form", "is_injective", "__str__"):
+    for name in (
+        "domain", "codomain", "amap", "image", "is_non_degenerate", "is_standard_form",
+        "is_injective", "__str__",
+    ):
         c.add(f"TupleMorphism.{name}", Tf)
     for op in ("layout_of", "squeeze_m", "sort_m", "coalesce_m", "complement_m"):
         c.add(op, Tf)
@@ -209,7 +214,10 @@ def morphism_battery(c: Corpus, lk, gens, f, g) -> None:
     dom = gens.random_tree(rng, f.domain) if f.domain else ()
     cod = gens.random_tree(rng, f.codomain) if f.codomain else ()
     Nf = _N(dom, cod, f.amap)
-    for name in ("is_standard_form", "is_non_degenerate", "realize", "__str__"):
+    for name in (
+        "domain", "codomain", "fmap", "is_standard_form", "is_non_degenerate", "realize",
+        "__str__",
+    ):
         c.add(f"NestMorphism.{name}", Nf)
     c.add("NestMorphism", lit(dom), lit(cod), Tf)
     c.add("format_morphism", Nf)
@@ -258,6 +266,10 @@ def composition_battery(c: Corpus, lk, gens, a, b) -> None:
     R1 = ("Refinement", lit(mr.t_ref.fine), lit(mr.t_ref.coarse))
     R2 = ("Refinement", lit(mr.u_ref.fine), lit(mr.u_ref.coarse))
     MR = ("MutualRefinement", R1, R2)
+    for name in ("t_ref", "u_ref"):
+        c.add(f"MutualRefinement.{name}", MR)
+    for name in ("fine", "coarse"):
+        c.add(f"Refinement.{name}", R1)
     c.add("make_composable", Nf, Ng, MR)
     c.add("make_composable", Ng, Nf, MR)
     c.add("pullback", Nf, R1)
@@ -380,9 +392,13 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("FlatLayout.permute", ("FlatLayout", lit((2, 3)), lit((1, 2))), lit((v, 0)))
         c.add("colex", lit((4,)), lit((v,)))
         c.add("colex_inv", lit((4,)), V)
+        c.add("prefix_products", lit((2, v)))
+        c.add("colex", lit((v,)), lit((1,)))
+        c.add("colex_inv", lit((v,)), lit(1))
         c.add("Layout", V, lit(1))
         c.add("Layout.complement", ("Layout", lit(4), lit(1)), V)
         c.add("TupleMorphism", lit((2,)), lit((2,)), lit((v,)))
+        c.add("NestMorphism", lit((v,)), lit((2,)), ("identity", lit((2,))))
         c.add("Refinement", lit((2, v)), lit(4))
         c.add("size", lit((2, v)))
         c.add("refines", lit((2, v)), lit(4))
@@ -560,11 +576,11 @@ def _build(lk, spec):
 def _call(lk, target, args):
     obj = lk
     for part in target.split("."):
-        if obj is not lk and not hasattr(obj, part):  # a dataclass field: read off the object
+        if obj is not lk and not hasattr(obj, part):  # a field the class does not name
             return getattr(args[0], part)
         obj = getattr(obj, part)
-    if isinstance(obj, property):
-        return obj.fget(*args)
+    if isinstance(obj, (property, types.MemberDescriptorType)):  # a property or a slot
+        return obj.__get__(*args)
     return obj(*args) if args else obj  # a name with no arguments is read
 
 
