@@ -7,11 +7,11 @@ between the flattenings of two nested tuples.  Refining a side along a
 refinement of its tree keeps the realized function (pullback refines the
 codomain, pushforward the domain); that transport is written once, as an
 index map over flat pieces.  Pullback and pushforward wrap it as tuple
-morphisms; composition, divide and product read each stride through it.
-Entries are range-checked where they enter (the constructors,
-:func:`nest_morphism` and :func:`mutual_refinement`) and products where they
-are taken; what the engine derives skips validation.  Each class here is a
-:class:`_Record`.
+morphisms; composition, divide and product cut the first operand's map with it
+and read each piece's stride off the coalesce of the second.  Entries are
+range-checked where they enter (the constructors, :func:`nest_morphism` and
+:func:`mutual_refinement`) and products where they are taken; what the engine
+derives skips validation.  Each class here is a :class:`_Record`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .shapes import (
     _check_ints,
     _flat_pair,
     _pieces,
-    _prefix_products,
     _same,
     _str,
     _substitute,
+    checked_mul,
     depth,
     flatten,
     length,
@@ -490,9 +490,9 @@ def compose_tractable(a: Layout, b: Layout) -> Layout:
 
 def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
     """Each mode of ``flat`` as its pieces, and the strides over them of the composite with
-    ``b_flat`` (each operand flat): the standard representations of ``flat`` and of the
-    coalesce of ``b_flat``, read as lists, cut along :func:`_refine`, each piece's stride
-    read through both cut maps.  It builds no engine object."""
+    ``b_flat`` (each operand flat), as lists and no engine object: ``flat``'s standard map cut
+    along :func:`_refine` against the coalesce of ``b_flat``, whose pieces each read their
+    mode's stride times the pieces before it, as its standard representation would give."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
@@ -500,13 +500,13 @@ def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, .
         )
     cod, amap = _tractable(flat.shape, flat.stride)
     g_dom, g_stride = _coalesce_modes(b_flat.shape, b_flat.stride)
-    g_cod, g_amap = _tractable(g_dom, g_stride)
+    _tractable(g_dom, g_stride)  # only the check: b's strides are read off its coalesce
     pieces = _refine(cod, g_dom)
     if pieces is None:
         raise NotComposableError(f"no mutual refinement of {tuple(cod)} and {_as_tree(g_dom)}")
-    f_cod, g_dom = pieces
+    f_cod, g_pieces = pieces
     f_dom = [f_cod[j - 1] if j else (s,) for s, j in zip(flat.shape, amap)]
-    g_cod = _onto(g_amap, g_dom, [(t,) for t in g_cod])
-    g_map = [0] + _cut(g_amap, g_dom, g_cod)  # f's cut codomain is a prefix of g's cut domain
-    pre = (0,) + _prefix_products(tuple(chain.from_iterable(g_cod))[:-1])  # 0: the basepoint
-    return f_dom, tuple(pre[g_map[a]] for a in _cut(amap, f_dom, f_cod))
+    reads = [0]  # the basepoint, then each piece's stride: its mode's times the pieces before it
+    for ps, d in zip(g_pieces, g_stride):
+        reads += accumulate(ps[:-1], checked_mul, initial=d)
+    return f_dom, tuple(reads[a] for a in _cut(amap, f_dom, f_cod))  # f's pieces: a prefix of b's

@@ -267,8 +267,8 @@ def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
 
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
-    """Exclusive prefix products (1, e1, e1*e2, ...), each entry an ``int``."""
-    _check_ints(entries, "entry", tuple(entries))
+    """Exclusive prefix products (1, e1, e1*e2, ...), each entry an ``int`` in 1..2^63-1."""
+    _check_entries(entries, 1, "entry", tuple(entries))
     return _prefix_products(entries)
 
 
@@ -297,7 +297,7 @@ def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
 
 def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
     """Linearize ``coord``, first axis fastest, by Horner's rule: no partial exceeds the answer."""
-    _check_ints(shape, "entry", tuple(shape))
+    _check_entries(shape, 1, "entry", tuple(shape))
     _check_coord(shape, coord)
     x = 0
     for c, s in zip(reversed(coord), reversed(shape)):
@@ -307,7 +307,7 @@ def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
 
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
     """Inverse of :func:`colex`, dividing ``x`` down: no product of the whole shape."""
-    _check_ints(shape, "entry", tuple(shape))
+    _check_entries(shape, 1, "entry", tuple(shape))
     _check_ints((x,), "index", tuple(shape))
     coord = []
     rest = x

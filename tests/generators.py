@@ -69,6 +69,38 @@ def random_tractable_flat(
     return FlatLayout(tuple(shape[i] for i in order), tuple(stride[i] for i in order))
 
 
+def random_edge_layout(rng: random.Random, max_chain: int = 4) -> Layout:
+    """A random nested layout at the 64-bit edge.  Every entry is at most 2^62, but its
+    size, its cosize and the strides a composite reads off it may lie past 2^63-1, far
+    beyond the oracle's cap.  A chain of up to ``max_chain`` modes starts at a unit, odd or
+    power-of-two stride; each next stride is a multiple of the last shape * stride, while
+    that is at most 2^62.  Zero-stride modes and unit modes are added, a unit mode at a
+    chain stride, at 0 or at an odd stride (which may break tractability), then shuffled."""
+
+    def extent():
+        return rng.choice([2 ** rng.randrange(1, 63), 2 ** rng.randrange(1, 32), rng.choice(SMOOTH)])
+
+    shape: List[int] = []
+    stride: List[int] = []
+    d = rng.choice([1, 1, rng.choice((3, 5, 7)), 2 ** rng.randrange(63)])
+    for _ in range(rng.randint(1, max_chain)):
+        if d > 2**62:
+            break
+        shape.append(extent())
+        stride.append(d)
+        d = shape[-1] * d * rng.choice([1, 1, 2, 3, 2 ** rng.randrange(32)])
+    for _ in range(rng.randrange(2)):
+        shape.append(extent())
+        stride.append(0)
+    for _ in range(rng.randrange(2)):
+        shape.append(1)
+        stride.append(rng.choice(stride + [0, rng.choice((3, 5, 7))]))
+    order = list(range(len(shape)))
+    rng.shuffle(order)
+    tree = random_tree(rng, tuple(shape[i] for i in order))
+    return Layout(tree, substitute(tuple(stride[i] for i in order), profile(tree)))
+
+
 def non_degenerate(flat: FlatLayout) -> FlatLayout:
     """Zero the stride on every unit-shape mode."""
     return FlatLayout(

@@ -240,12 +240,34 @@ class TestCompose:
         assert check_compose(a, b)
 
     def test_every_prefix_product_of_the_cut_codomain_is_checked(self):
-        # b's standard representation is 2^40 -> (2^40, 2^40), cut to
-        # (2^40, 2^30, 2^10): the leftover piece 2^10 carries no stride, but
-        # the prefix product before it is taken, as the composite's layout would
+        # b's mode of stride 2^40 is cut to the pieces (2^30, 2^10), and each
+        # piece's stride is the mode's stride times the pieces before it.  No
+        # stride of a reads the 2^10 piece, but its stride 2^40 * 2^30 is still
+        # taken and refused, as the composite's layout would refuse it.  b is
+        # tractable, so only its largest-stride mode can overflow, whether it
+        # is b's last mode or its first, and whatever a's modes are
+        for a, b in [
+            (Layout(2**30, 1), Layout(2**40, 2**40)),
+            (Layout(2**30, 1), Layout((2**40, 4), (2**40, 1))),
+            (Layout((2**30, 4), (4, 1)), Layout((4, 2**40), (1, 2**40))),
+        ]:
+            with pytest.raises(ArithmeticOverflowError) as refused:
+                a.compose(b)
+            assert str(refused.value) == "64-bit overflow in 1099511627776 * 1073741824"
+
+    def test_a_second_operand_past_the_64_bit_size_is_refused(self):
+        # compose is partial here: its cosize check takes size(b), which is
+        # 2^31 * 2^27 * 2^36 * 8, so b is refused although a composite
+        # exists.  The Nest-category route, which takes no size(b), gives it
+        a = Layout((2, 4), (0, 4))
+        b = Layout((2**31, 2**27, 2**36, 8), (2, 2**37, 0, 0))
         with pytest.raises(ArithmeticOverflowError) as refused:
-            Layout(2**30, 1).compose(Layout(2**40, 2**40))
-        assert str(refused.value) == "64-bit overflow in 1099511627776 * 1073741824"
+            a.compose(b)
+        assert str(refused.value) == "64-bit overflow in 288230376151711744 * 68719476736"
+        f, g = standard_representation_nested(a), standard_representation_nested(b.coalesce())
+        mr = mutual_refinement(tuple(f.fmap.codomain), g.domain)
+        routed = layout_of_nested(compose_nest(*make_composable(f, g, mr)))
+        assert routed.coalesce_relative(a.shape) == Layout((2, 4), (0, 8))
 
     @given(tractable_layouts(), tractable_layouts())
     @settings(deadline=None)

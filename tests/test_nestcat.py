@@ -49,6 +49,7 @@ from layoutkit import (
 from layoutkit.shapes import checked_mul
 
 from generators import (
+    random_edge_layout,
     random_layout,
     random_nested_tuple,
     random_refinement,
@@ -344,6 +345,40 @@ class TestComposition:
             else:
                 classes[next(k for k in classes if k in got[1])] += 1
         assert all(classes.values()), classes
+
+    def test_edge_pairs_equal_the_nest_category_route(self):
+        # pairs from the 64-bit-edge generator: where the route's standard
+        # representations and mutual refinement exist, the weak composite is
+        # the route's, and a stride past 2^63-1 is refused with the text the
+        # route's layout_of gives, though compose takes no prefix product of b
+        def outcome(op, *args):
+            try:
+                return op(*args)
+            except LayoutError as e:
+                return type(e).__name__, str(e)
+
+        rng = random.Random(2)
+        composed = overflows = 0
+        for _ in range(1000):
+            a, b = random_edge_layout(rng, 2), random_edge_layout(rng)
+            try:
+                if a.cosize() > b.size():
+                    continue
+                f = standard_representation_nested(a)
+                g = standard_representation_nested(b.coalesce())
+            except LayoutError:  # past the 64-bit range, or not tractable
+                continue
+            mr = mutual_refinement(f.fmap.codomain, g.domain)
+            if mr is None:
+                continue
+            got = outcome(compose_tractable, a, b)
+            assert got == outcome(lambda: layout_of_nested(compose_nest(*make_composable(f, g, mr))))
+            if isinstance(got, Layout):
+                composed += 1
+            else:
+                assert got[0] == "ArithmeticOverflowError"
+                overflows += 1
+        assert composed > 100 and overflows > 5, (composed, overflows)
 
     def test_divide_product_and_complement_equal_their_definitions(self):
         # divide and product compose flat forms and nest once, and the

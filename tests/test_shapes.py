@@ -445,8 +445,7 @@ class TestCheckedArithmetic:
             (lambda: Layout((4, e), (2**61, 2))(e + 3), f"{3 * 2**61} + {2**61}"),
             (lambda: Layout((4, e), (2**61, 2)).eval_coord((3, e - 1)), f"{3 * 2**61} + {2**63 - 2}"),
             (lambda: layout_of(TupleMorphism((2, e), (e, 4, 2), (3, 1))), f"{e} * 4"),
-            (lambda: prefix_products((e, 4, 0)), f"{e} * 4"),
-            (lambda: prefix_products((1, 2**63)), f"1 * {2**63}"),
+            (lambda: prefix_products((e, 4, 2)), f"{e} * 4"),
             # a refinement's products are checked where they are taken, not
             # read as a refusal
             (lambda: refines((e, 4), 8), f"{e} * 4"),
@@ -458,7 +457,7 @@ class TestCheckedArithmetic:
             with pytest.raises(ArithmeticOverflowError) as raised:
                 call()
             assert str(raised.value) == f"64-bit overflow in {text}"
-        assert size((e, 1, 0)) == 0 and prefix_products((e, 0, 4)) == (1, e, 0, 0)
+        assert size((e, 1, 0)) == 0
         with pytest.raises(LayoutError, match="^entry 2.0 in"):
             size((2.0, 3))
         # the public entry points refuse a shape entry that is not an int, as
@@ -474,3 +473,31 @@ class TestCheckedArithmetic:
             with pytest.raises(LayoutError) as raised:
                 call()
             assert str(raised.value) == f"{text} is not an integer"
+        # and a shape entry below 1 or past 2^63-1, as a layout's shape entry
+        # is refused: no division by zero, no negative prefix product
+        for call, error, text in [
+            (lambda: colex_inv((0,), 0), LayoutError, "non-positive entry in (0,)"),
+            (lambda: colex_inv((2, -3), 1), LayoutError, "non-positive entry in (2, -3)"),
+            (lambda: colex((0,), (0,)), LayoutError, "non-positive entry in (0,)"),
+            (lambda: prefix_products((-1, 2)), LayoutError, "non-positive entry in (-1, 2)"),
+            (lambda: prefix_products((0, 3)), LayoutError, "non-positive entry in (0, 3)"),
+            (lambda: prefix_products((e, 0, 4)), LayoutError, f"non-positive entry in ({e}, 0, 4)"),
+            (
+                lambda: prefix_products((1, 2**63)),
+                ArithmeticOverflowError,
+                f"entry {2**63} in (1, {2**63}) exceeds the signed 64-bit range",
+            ),
+            (
+                lambda: colex((2**63,), (5,)),
+                ArithmeticOverflowError,
+                f"entry {2**63} in ({2**63},) exceeds the signed 64-bit range",
+            ),
+            (
+                lambda: colex_inv((2**63,), 5),
+                ArithmeticOverflowError,
+                f"entry {2**63} in ({2**63},) exceeds the signed 64-bit range",
+            ),
+        ]:
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error and str(raised.value) == text

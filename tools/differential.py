@@ -103,8 +103,9 @@ class Corpus:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        # refinements draw from a stream of their own, so no other call moves
+        # refinements and 64-bit-edge pairs draw from streams of their own, so no other call moves
         self.refinements = random.Random(seed + 1)
+        self.edges = random.Random(seed + 2)
         self.calls: list = []
 
     def add(self, target: str, *args) -> None:
@@ -367,8 +368,25 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("colex_inv", lit((2**62, 4)), V)
         c.add("parse_layout", lit(f"({v},2):(1,{v})"))
         c.add("nest_morphism", lit((v, 2)), lit((2, v)), lit((2, 1)))
-    # a composite in range whose cut codomain's leftover piece overflows its prefix product
-    c.add("Layout.compose", ("Layout", lit(2**30), lit(1)), ("Layout", lit(2**40), lit(2**40)))
+    # composites in range where a piece of b that no stride reads has a stride past 2^63-1,
+    # b's overflowing mode its last or its first; and a b of size past 2^63-1 that compose
+    # refuses, though the Nest-category route composes it
+    for a, b in (
+        ((2**30, 1), (2**40, 2**40)),
+        ((2**30, 1), ((2**40, 4), (2**40, 1))),
+        (((2**30, 4), (4, 1)), ((4, 2**40), (1, 2**40))),
+        (((2, 4), (0, 4)), ((2**31, 2**27, 2**36, 8), (2, 2**37, 0, 0))),
+    ):
+        c.add("Layout.compose", ("Layout", *map(lit, a)), ("Layout", *map(lit, b)))
+    # shape entries below 1 and past 2^63-1 where a shape enters as a plain tuple
+    for v in EDGE:
+        c.add("prefix_products", lit((2, v)))
+        c.add("colex", lit((v, 2)), lit((0, 1)))
+        c.add("colex_inv", lit((2, v)), lit(1))
+    c.add("colex_inv", lit((0,)), lit(0))
+    c.add("colex_inv", lit((2, -3)), lit(1))
+    c.add("prefix_products", lit((-1, 2)))
+    c.add("prefix_products", lit((0, 3)))
     for shape, stride in WIDE_EVAL:
         n = math.prod(shape)
         text = f"({','.join(map(str, shape))}):({','.join(map(str, stride))})"
@@ -443,6 +461,18 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
         c.add("Layout.compose", L, ("Layout", lit(2**62), lit(1)))
         c.add("standard_representation", ("Layout.flat", L))
         c.cli(("coalesce", f"({','.join(map(str, shape))}):({','.join(map(str, stride))})"))
+
+
+def edge_pair_battery(c: Corpus, gens, pairs: int) -> None:
+    """Compose, divide and product on pairs from the 64-bit-edge generator, whose sizes,
+    cosizes and strides lie past 2^63-1 often enough that overflow refusals are compared
+    text for text, each side's weak composite too."""
+    rng = c.edges
+    for _ in range(pairs):
+        A, B = _L(gens.random_edge_layout(rng, 2)), _L(gens.random_edge_layout(rng))
+        for op in ("compose", "logical_divide", "logical_product"):
+            c.add(f"Layout.{op}", A, B)
+        c.add("compose_tractable", A, B)
 
 
 def cli_battery(c: Corpus, clicases, seed: int) -> None:
@@ -549,6 +579,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         x, y = gens.random_nested_tuple(rng), gens.random_nested_tuple(rng)
         shapes_battery(c, lk, small, x, y)
     edge_battery(c, lk, gens, rng)
+    edge_pair_battery(c, gens, 1000)
     cli_fixed(c, clicases, cli)
     for s in range(cli_seeds):
         cli_battery(c, clicases, seed + s)
