@@ -4,14 +4,15 @@ Everything here works on full function tables rather than on the algebraic
 structure, so it is independent of the engine: the engine's results are
 verified against these tables in the test suite. Tables are built from a
 layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
-order, as packed words as wide as the largest value needs: each shifted copy
-of the block so far is one big-int add, and tables are compared as bytes. A
-table of n points is a bijection onto [0, n) when its largest value is below n
-and its n words are distinct. :class:`FunctionTable` shares the record base.
+order, as packed words as wide as the largest value needs, compared as bytes
+and read as tuples by ``struct.unpack``. A layout of n points is a bijection
+onto [0, n) when its image, one int with a bit set per value, fills [0, n); a
+composite is checked by a gather. :class:`FunctionTable` shares the record base.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -22,7 +23,7 @@ from .tuplecat import FlatLayout, _Record, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6
-#: the ``memoryview`` format of each word width that has one
+#: the ``struct`` and ``memoryview`` format of each word width that has one
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 LayoutLike = Union[Layout, FlatLayout]
@@ -47,60 +48,76 @@ class FunctionTable(_Record):
         return self.values[x]
 
     def is_bijection_onto_range(self) -> bool:
-        """Whether the ``n`` values are distinct and in [0, n), in linear time: they come from
-        any caller and may be negative, so all are read, where :func:`_onto` reads a layout."""
+        """Whether the ``n`` values are distinct and in [0, n), in linear time: they come from any
+        caller and may be negative, where :func:`_onto` reads a layout's image off its modes."""
         v, n = self.values, len(self.values)
         return not n or (min(v) >= 0 and max(v) < n and len(set(v)) == n)
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    return FunctionTable(tuple(_words(*_packed(layout.flat(), cap))))
+    return FunctionTable(_words(*_packed(layout.flat(), cap)))
 
 
 def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
     """The values of ``flat`` in colex order as ``(table, w)``: words of ``w``
     bytes in native byte order, ``w`` the fewest bytes, a power of two, that
-    hold the largest value, so no word carries.  A mode ``s:d`` appends its
-    ``s - 1`` shifted copies of the table so far, each one big-int add of ``d``
-    to every word; on a table under 256 bytes an even ``s:d`` is ``2:d`` then
-    ``s/2:2d``, so a long mode costs a few adds, not one per point."""
+    hold the largest value, so no word carries.  A mode ``s:d`` appends shifted
+    copies of the table so far, a chunk at a time, each one big-int add to every
+    word: the chunk doubles while the copies are under 256 bytes, then stays, the
+    rest last, so a long mode costs a few adds, not one per point, odd or even."""
     n = flat.size()
     if n > cap:
         raise OracleCapError(f"table of size {n} exceeds cap {cap}")
     top, w = _largest(flat), 1
     while top >> 8 * w:
         w *= 2
-    table, one = bytes(w), (1).to_bytes(w, sys.byteorder)
+    table, one, order = bytes(w), (1).to_bytes(w, sys.byteorder), sys.byteorder
     for s, d in zip(flat.shape, flat.stride):
         if d == 0:
             table *= s
             continue
-        while s > 1:
-            k = len(table)
-            c = 2 if s % 2 == 0 and k < 256 else s
-            step = d * int.from_bytes(one * (k // w), sys.byteorder)
-            block, copies = int.from_bytes(table, sys.byteorder), [table]
-            for _ in range(c - 1):
-                block += step
-                copies.append(block.to_bytes(k, sys.byteorder))
-            table, s, d = b"".join(copies), s // c, d * c
+        k, h = len(table), 1
+        while h < s:
+            if h * k < 256 or s < 2 * h:  # the first c copies again, shifted by h*d
+                c = min(h, s - h)
+                block = int.from_bytes(table[: c * k], order)
+                block += h * d * int.from_bytes(one * (c * k // w), order)
+                table, h = table + block.to_bytes(c * k, order), h + c
+            else:  # whole chunks of h copies, each one add of h*d to the last
+                step = h * d * int.from_bytes(one * (h * k // w), order)
+                block, copies = int.from_bytes(table, order), [table]
+                for _ in range(s // h - 1):
+                    block += step
+                    copies.append(block.to_bytes(h * k, order))
+                table, h = b"".join(copies), s // h * h
     return table, w
 
 
-def _words(table: bytes, w: int) -> List[int]:
-    """The words of a packed table as ints, by ``memoryview.cast`` where it has width ``w``."""
+def _words(table: bytes, w: int) -> Tuple[int, ...]:
+    """The words of a packed table as ints, by ``struct.unpack`` where it has width ``w``."""
     if w in _FORMATS:
-        return memoryview(table).cast(_FORMATS[w]).tolist()
-    return [int.from_bytes(table[i : i + w], sys.byteorder) for i in range(0, len(table), w)]
+        return struct.unpack(f"{len(table) // w}{_FORMATS[w]}", table)
+    return tuple(int.from_bytes(table[i : i + w], sys.byteorder) for i in range(0, len(table), w))
 
 
 def _onto(flat: FlatLayout, cap: int) -> bool:
-    """Whether ``flat`` is a bijection onto [0, n): largest value below n, n distinct words.
-    A layout's values are non-negative and its largest is known before a table is built, so
-    it refuses early and counts distinct words alone; a :class:`FunctionTable` read here
-    would add two scans, for the least and the largest, to ``check_complement``'s timed path."""
+    """Whether ``flat`` is a bijection onto [0, n), refused early when its largest value is not
+    below n: its image, one int with a bit set per value, fills [0, n).  A mode ``s:d`` ors in
+    the image shifted by ``c*d``, ``c`` doubling up to ``s``, so a repeated value (a zero
+    stride's too) leaves a bit unset, and no table of words is built."""
     n = flat.size()
-    return _largest(flat) < n and len(set(_words(*_packed(flat, cap)))) == n
+    if n > cap:
+        raise OracleCapError(f"table of size {n} exceeds cap {cap}")
+    if _largest(flat) >= n:
+        return False
+    image = 1
+    for s, d in zip(flat.shape, flat.stride):
+        have = 1
+        while have < s:
+            c = min(have, s - have)
+            image |= image << c * d
+            have += c
+    return image == (1 << n) - 1
 
 
 def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> bool:
@@ -119,14 +136,15 @@ def check_compose(
 ) -> bool:
     """Check that ``composite`` (engine result when omitted) computes
     x ↦ b(a(x)) on every x in [0, size(a)), by comparing its table with
-    ``b`` evaluated on the whole table of ``a``.
+    ``b``'s table read at the values of ``a`` where all are in ``b``'s domain,
+    ``size(b)`` is within the cap and none passes 2^63-1, else with ``b``
+    evaluated on the whole table of ``a``: the cap counts ``size(a)`` alone.
 
     The result and the errors are those of evaluating ``composite(x)`` and
     ``b(a(x))`` point by point in order: the first point whose ``a(x)`` is
     outside ``b``'s domain raises :class:`LayoutError`, and a value outside
     the signed 64-bit range raises :class:`ArithmeticOverflowError`, unless
-    an earlier point already differs. Only the table of ``a`` and of the
-    composite are held, so the cap counts ``size(a)`` alone.
+    an earlier point already differs.
     """
     if composite is None:
         composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
@@ -135,10 +153,15 @@ def check_compose(
     if fc.size() != len(xs):
         return False
     nb = fb.size()
-    ys = _evaluate(fb, xs)
     zs = _words(*_packed(fc, cap))
     if _largest(fa) < nb and max(_largest(fb), _largest(fc)) <= INT64_MAX:
-        return ys == zs
+        if nb > cap:
+            return _evaluate(fb, xs) == zs
+        # b's words, at most 8 bytes, read at a's values: no Python int per point of b
+        table, w = _packed(fb, cap)
+        ys = memoryview(table).cast(_FORMATS[w])
+        return tuple(map(ys.__getitem__, xs)) == zs
+    ys = _evaluate(fb, xs)
     # some point may leave b's domain or the 64-bit range: the first point
     # that does, or that differs, decides, by pointwise evaluation
     for x, (v, y, z) in enumerate(zip(xs, ys, zs)):
@@ -147,7 +170,7 @@ def check_compose(
     return True
 
 
-def _evaluate(flat: FlatLayout, xs: Sequence[int]) -> List[int]:
+def _evaluate(flat: FlatLayout, xs: Sequence[int]) -> Tuple[int, ...]:
     """``flat`` at every point of ``xs``, one comprehension per mode; points
     outside its domain get meaningless values."""
     out = [0] * len(xs)
@@ -156,7 +179,7 @@ def _evaluate(flat: FlatLayout, xs: Sequence[int]) -> List[int]:
         if s > 1 and d:
             out = [o + x // step % s * d for o, x in zip(out, xs)]
         step *= s
-    return out
+    return tuple(out)
 
 
 def _largest(flat: FlatLayout) -> int:

@@ -298,6 +298,11 @@ def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
 def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
     """Linearize ``coord``, first axis fastest, by Horner's rule: no partial exceeds the answer."""
     _check_entries(shape, 1, "entry", tuple(shape))
+    return _colex(shape, coord)
+
+
+def _colex(shape: Sequence[int], coord: Sequence[int]) -> int:
+    """:func:`colex` on a shape the engine has checked: only the coordinate is checked."""
     _check_coord(shape, coord)
     x = 0
     for c, s in zip(reversed(coord), reversed(shape)):
@@ -308,6 +313,11 @@ def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
     """Inverse of :func:`colex`, dividing ``x`` down: no product of the whole shape."""
     _check_entries(shape, 1, "entry", tuple(shape))
+    return _colex_inv(shape, x)
+
+
+def _colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
+    """:func:`colex_inv` on a shape the engine has checked: only the index is checked."""
     _check_ints((x,), "index", tuple(shape))
     coord = []
     rest = x

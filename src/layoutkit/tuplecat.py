@@ -27,14 +27,14 @@ from .shapes import (
     _check_coord,
     _check_entries,
     _check_ints,
+    _colex,
+    _colex_inv,
     _dot,
     _prefix_products,
     _str,
     _text,
     checked_mul,
     checked_prod,
-    colex,
-    colex_inv,
     format_nested,
 )
 
@@ -117,7 +117,7 @@ class _LayoutFunction:
 
     def __call__(self, x: int) -> int:
         flat = self.flat()
-        return _dot(colex_inv(flat.shape, x), flat.stride)
+        return _dot(_colex_inv(flat.shape, x), flat.stride)
 
     def is_tractable(self) -> bool:
         """Whether the layout has a standard representation, i.e. is the layout
@@ -391,12 +391,12 @@ def realize(f: TupleMorphism) -> List[int]:
     route each domain axis to its codomain axis, zero elsewhere."""
     out = []
     for x in range(checked_prod(f.domain)):
-        coord = colex_inv(f.domain, x)
+        coord = _colex_inv(f.domain, x)
         ycoord = [0] * len(f.codomain)
         for i, a in enumerate(f.amap):
             if a != 0:
                 ycoord[a - 1] = coord[i]
-        out.append(colex(f.codomain, ycoord))
+        out.append(_colex(f.codomain, ycoord))
     return out
 
 

@@ -282,6 +282,17 @@ def test_an_operation_builds_few_engine_objects():
         assert [cls for cls, _ in built] == ["FlatLayout"] * (most - 1) + ["Layout"], (name, built)
 
 
+def test_the_bijection_is_read_off_a_bit_set():
+    # _onto sets one bit a point in one int, mode by mode: it unpacks no
+    # table into words and counts no set of them
+    called = {
+        _called_name(node)
+        for node in ast.walk(_module_scopes("oracle")["_onto"])
+        if isinstance(node, ast.Call)
+    }
+    assert called.isdisjoint({"_words", "_packed", "set"})
+
+
 def test_divide_and_product_build_no_intermediate_layouts():
     # divide and product compose flat forms and nest once: over the worked
     # examples and seeded pairs, refusals included, nothing they run enters

@@ -3,6 +3,8 @@
 import itertools
 import math
 import operator
+import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -285,6 +287,11 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+def _pointwise(a, b, c):
+    """Whether ``c(x) == b(a(x))`` at every point, evaluated in order, when called."""
+    return lambda: all(c(x) == b(a(x)) for x in range(a.size()))
+
+
 #: the largest signed 64-bit int, the largest entry a layout takes
 M = 2**63 - 1
 
@@ -315,9 +322,11 @@ class TestPackedWidths:
             assert want == tuple(l(x) for x in range(l.size()))
 
     def test_long_modes_on_short_blocks(self):
-        # even extents split while the block is short, odd ones do not
+        # each mode doubles its copies while they are short, then adds a chunk at a time
         long_modes = (
             FlatLayout((4096,), (1,)),
+            FlatLayout((4095,), (1,)),
+            FlatLayout((4093,), (1,)),
             FlatLayout((2, 96, 5), (3, 7, 1000)),
             FlatLayout((1000, 3), (2**40, 1)),
             FlatLayout((257,), (2**50,)),
@@ -350,7 +359,7 @@ class TestPackedWidths:
     @pytest.mark.parametrize(
         "a, b, c",
         [
-            # accepted pairs at widths 1, 2, 4 and 8: the fast path compares lists
+            # accepted pairs at widths 1, 2, 4 and 8: b is gathered at a's values
             (FlatLayout((2, 2), (1, 254)), FlatLayout((256,), (1,)), FlatLayout((2, 2), (1, 254))),
             (FlatLayout((2, 2), (1, 65535)), FlatLayout((2**17,), (1,)), FlatLayout((2, 2), (1, 65535))),
             (FlatLayout((2, 2), (1, 2**32)), FlatLayout((2, 2**32), (1, 2)), None),
@@ -374,11 +383,7 @@ class TestPackedWidths:
     def test_check_compose_is_pointwise(self, a, b, c):
         if c is None:
             c = Layout.of_flat(a).compose(Layout.of_flat(b)).flat()
-
-        def pointwise():
-            return all(c(x) == b(a(x)) for x in range(a.size()))
-
-        assert _outcome(check_compose, a, b, c) == _outcome(pointwise)
+        assert _outcome(check_compose, a, b, c) == _outcome(_pointwise(a, b, c))
 
     def test_cap_is_checked_before_packing(self, monkeypatch):
         def refuse(flat):
@@ -396,3 +401,97 @@ class TestPackedWidths:
         for f, *args in calls:
             with pytest.raises(OracleCapError):
                 f(*args)
+
+
+def _random_flat(rng):
+    """A small flat layout: a compact one with its modes permuted (a bijection),
+    one stride of it changed, or random, with zero strides, unit modes and long
+    odd modes."""
+    shape = [rng.choice((1, 2, 3, 4, 5, 7)) for _ in range(rng.randrange(0, 5))]
+    if rng.random() < 0.2:
+        shape = shape[:1] + [rng.choice((255, 257, 1023, 4093))]
+    pre = list(itertools.accumulate(shape, operator.mul, initial=1))[:-1]
+    order = list(range(len(shape)))
+    rng.shuffle(order)
+    stride = [pre[i] for i in order]
+    shape = [shape[i] for i in order]
+    how = rng.choice(("compact", "changed", "random"))
+    if how == "changed" and shape:
+        stride[rng.randrange(len(shape))] = rng.choice((0, 1, 2, 3, 64))
+    elif how == "random":
+        stride = [rng.choice((0, 1, 2, 3, 5, 8, 12)) for _ in shape]
+    return _flat(shape, stride)
+
+
+class TestBitSetImage:
+    def test_onto_agrees_with_distinct_words(self):
+        rng = random.Random(29)
+        layouts = [_random_flat(rng) for _ in range(2000)]
+        layouts += [l for l, _ in AT_WIDTHS]
+        layouts += [FlatLayout((2, 2), (1, 3)), FlatLayout((3, 2), (0, 3)), FlatLayout((4095,), (1,))]
+        answers = set()
+        for l in layouts:
+            words = oracle._words(*oracle._packed(l, oracle.DEFAULT_CAP))
+            want = max(words) < len(words) and len(set(words)) == len(words)
+            assert oracle._onto(l, oracle.DEFAULT_CAP) == want, l
+            answers.add((want, max(words) < len(words)))
+        # bijections, repeated values below n, and a largest value at or past n
+        assert answers == {(True, True), (False, True), (False, False)}
+
+    def test_onto_refuses_over_the_cap_first(self):
+        with pytest.raises(OracleCapError) as refused:
+            oracle._onto(FlatLayout((64,), (2**62,)), 32)
+        assert str(refused.value) == "table of size 64 exceeds cap 32"
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 16])
+    def test_words_are_a_tuple(self, w):
+        values = (0, 1, 2 ** (8 * w) - 1)
+        table = b"".join(v.to_bytes(w, sys.byteorder) for v in values)
+        assert type(oracle._words(table, w)) is tuple
+        assert oracle._words(table, w) == values
+
+
+class TestGather:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The calls that reach pointwise evaluation of the second layout."""
+        calls, evaluate = [], oracle._evaluate
+
+        def spy(flat, xs):
+            calls.append(flat)
+            return evaluate(flat, xs)
+
+        monkeypatch.setattr(oracle, "_evaluate", spy)
+        return calls
+
+    def test_gather(self, evaluated):
+        a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
+        right = a.compose(b).flat()
+        wrong = FlatLayout(right.shape, right.stride[:-1] + (right.stride[-1] + 1,))
+        for c in (right, wrong, FlatLayout((64,), (0,))):
+            assert _outcome(check_compose, a, b, c) == _outcome(_pointwise(a, b, c))
+        # a of one point gathers one value
+        one = FlatLayout((), ())
+        assert check_compose(one, FlatLayout((3,), (5,)), FlatLayout((1,), (7,)))
+        assert evaluated == []
+
+    def test_second_layout_over_the_cap(self, evaluated):
+        a, b = FlatLayout((4,), (3,)), FlatLayout((64,), (2,))
+        for c in (FlatLayout((4,), (6,)), FlatLayout((4,), (7,))):
+            assert _outcome(check_compose, a, b, c, 16) == _outcome(_pointwise(a, b, c))
+        assert evaluated == [b, b]
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            # a(2) = 4 leaves b's domain before any point differs: refused
+            (FlatLayout((4,), (2,)), FlatLayout((4,), (1,)), FlatLayout((2, 2), (2, 9))),
+            # a(1) differs first, before a(2) = 4 leaves b's domain
+            (FlatLayout((4,), (2,)), FlatLayout((4,), (1,)), FlatLayout((4,), (1,))),
+            # b(a(2)) = 2^63 is past the 64-bit range
+            (FlatLayout((3,), (1,)), FlatLayout((3,), (2**62,)), FlatLayout((3,), (2**62,))),
+        ],
+    )
+    def test_points_the_gather_cannot_read(self, evaluated, a, b, c):
+        assert _outcome(check_compose, a, b, c) == _outcome(_pointwise(a, b, c))
+        assert evaluated == [b]

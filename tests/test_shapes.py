@@ -1,5 +1,6 @@
 """Nested tuples, profiles, and colexicographic (un)linearization."""
 
+import sys
 from collections import namedtuple
 
 import pytest
@@ -38,7 +39,8 @@ from layoutkit import (
     size,
     substitute,
 )
-from layoutkit.shapes import _same, _str, checked_add, checked_mul
+import layoutkit
+from layoutkit.shapes import _colex, _colex_inv, _same, _str, checked_add, checked_mul
 
 from generators import nested_tuples, random_tree, seeds
 
@@ -404,6 +406,42 @@ class TestColex:
             colex((2, 3), (0,))
         with pytest.raises(LayoutError):
             colex_inv((2, 3), 6)
+
+    def test_a_checked_shape_is_not_scanned_again(self):
+        # the engine reads _colex_inv and _colex on a shape checked where it
+        # entered: they check the index or the coordinate alone, with the
+        # public functions' results and refusal texts
+        shape = (4, 2, 2)
+        for x in range(16):
+            assert _colex_inv(shape, x) == colex_inv(shape, x)
+            assert _colex(shape, colex_inv(shape, x)) == x
+        for private, public in [
+            (lambda: _colex_inv(shape, 16), lambda: colex_inv(shape, 16)),
+            (lambda: _colex_inv(shape, -1), lambda: colex_inv(shape, -1)),
+            (lambda: _colex_inv(shape, 2.0), lambda: colex_inv(shape, 2.0)),
+            (lambda: _colex_inv((2**62, 4), 2**63), lambda: colex_inv((2**62, 4), 2**63)),
+            (lambda: _colex(shape, (4, 0, 0)), lambda: colex(shape, (4, 0, 0))),
+            (lambda: _colex(shape, (1, 0)), lambda: colex(shape, (1, 0))),
+            (lambda: _colex(shape, (1, True, 0)), lambda: colex(shape, (1, True, 0))),
+        ]:
+            with pytest.raises(LayoutError) as mine:
+                private()
+            with pytest.raises(LayoutError) as theirs:
+                public()
+            assert (type(mine.value), str(mine.value)) == (type(theirs.value), str(theirs.value))
+        # so calling a layout checks its index and nothing of its shape
+        layout, checked = Layout(((4, 4), 4), ((16, 1), 4)), []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is layoutkit.shapes._check_entries.__code__:
+                checked.append(frame.f_locals["entries"])
+
+        sys.setprofile(profiler)
+        try:
+            assert layout(37) == 25
+        finally:
+            sys.setprofile(None)
+        assert checked == [(37,)]
 
     def test_prefix_products(self):
         assert prefix_products((3, 2, 128)) == (1, 3, 6, 768)

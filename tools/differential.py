@@ -545,6 +545,29 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     for values in ((), (1, 1), (-1, 1), (0, 2), (3, 0, 2, 1)):
         c.add("FunctionTable.is_bijection_onto_range", ("FunctionTable", lit(values)))
         c.add("FunctionTable.__getitem__", ("FunctionTable", lit(values)), lit(1))
+    # check_compose under small caps: b gathered at a's values, b past the cap,
+    # a point past b's domain before and after a differing point, a value past 2^63-1
+    for a, b, comp in (
+        (((8,), (1,)), ((8,), (3,)), ((8,), (3,))),
+        (((4,), (3,)), ((64,), (2,)), ((4,), (6,))),
+        (((4,), (3,)), ((64,), (2,)), ((4,), (7,))),
+        (((4,), (2,)), ((4,), (1,)), ((2, 2), (2, 9))),
+        (((4,), (2,)), ((4,), (1,)), ((4,), (1,))),
+        (((3,), (1,)), ((3,), (2**62,)), ((3,), (2**62,))),
+    ):
+        for cap in (4, 8, 16):
+            c.add("check_compose", *(("FlatLayout", lit(s), lit(d)) for s, d in (a, b, comp)), lit(cap))
+    # the bijection on long odd modes and zero strides, and the searches that reach it
+    for shape, stride in (
+        ((4095,), (1,)), ((4093,), (1,)), ((3, 4093), (4093, 1)), ((255, 3), (3, 1)),
+        ((4093, 2), (1, 0)), ((2, 5, 3), (0, 1, 5)), ((3,), (0,)),
+    ):
+        a, size = ("FlatLayout", lit(shape), lit(stride)), math.prod(shape)
+        c.add("check_complement", a)
+        c.add("check_complement", a, ("FlatLayout", lit((2,)), lit((size,))))
+        c.add("check_complement", a, ("FlatLayout", lit((2, 3)), lit((0, size))))
+        c.add("exhaustive_complement_search", a, lit(size * 3))
+    c.add("exhaustive_complement_search", ("FlatLayout", lit((3,)), lit((1,))), lit(3 * 4093))
     small, wide = Gen(rng, SMALL), Gen(rng, WIDE)
     for r in range(rounds):
         for gen in (small, wide) if r % 2 else (small,):
