@@ -293,6 +293,15 @@ def test_the_bijection_is_read_off_a_bit_set():
     assert called.isdisjoint({"_words", "_packed", "set"})
 
 
+def test_compose_is_checked_by_a_gather_or_point_by_point():
+    # check_compose packs and reads tables, else calls the layouts themselves:
+    # the oracle has no evaluator of its own to reach
+    scopes = _module_scopes("oracle")
+    assert "_evaluate" not in scopes
+    reached = _reached(scopes, ["check_compose"])
+    assert reached == {"check_compose", "_packed", "_words", "_largest", "_within"}
+
+
 def test_divide_and_product_build_no_intermediate_layouts():
     # divide and product compose flat forms and nest once: over the worked
     # examples and seeded pairs, refusals included, nothing they run enters

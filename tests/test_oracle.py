@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layoutkit import oracle
+from layoutkit import oracle, tuplecat
 from layoutkit import (
     ArithmeticOverflowError,
     FlatLayout,
@@ -48,6 +48,21 @@ class TestFunctionTable:
         assert not FunctionTable((1, 1)).is_bijection_onto_range()
         assert not FunctionTable((-1, 1)).is_bijection_onto_range()
         assert not FunctionTable((0, 2)).is_bijection_onto_range()
+
+    def test_values_are_a_tuple(self):
+        # a list is stored as a tuple, so the tables are equal and hashable
+        t = FunctionTable([2, 0, 1])
+        assert t.values == (2, 0, 1) and t == FunctionTable((2, 0, 1))
+        assert hash(t) == hash(FunctionTable((2, 0, 1)))
+        for values in (5, None, "012", range(3)):
+            with pytest.raises(LayoutError) as refused:
+                FunctionTable(values)
+            assert str(refused.value) == f"values must be a tuple or list, not {type(values).__name__}"
+
+    def test_a_value_not_an_int_is_no_bijection(self):
+        # refused by the predicate, before any comparison of the values
+        for values in ((0.5, 1), (0, 1.0), (False, True), (1, True), ("a", "b"), (None,)):
+            assert not FunctionTable(values).is_bijection_onto_range()
 
     @given(st.lists(st.integers(-3, 8), max_size=8))
     def test_bijection_predicate_is_a_sorted_range(self, values):
@@ -403,6 +418,40 @@ class TestPackedWidths:
                 f(*args)
 
 
+@pytest.mark.parametrize("cap", [None, "8", True, 2.0, 8.0])
+def test_a_cap_that_is_not_an_int_is_refused(cap):
+    # by every entry that reads it, before any table and before the past-cap check
+    a, b = FlatLayout((4,), (1,)), FlatLayout((2,), (4,))
+    calls = [
+        (table_of, a),
+        (functions_equal, a, a),
+        (check_compose, a, a, a),
+        (check_complement, a, b),
+        (exhaustive_complement_search, a, 8),
+    ]
+    for f, *args in calls:
+        with pytest.raises(LayoutError) as refused:
+            f(*args, cap=cap)
+        assert type(refused.value) is LayoutError
+        assert str(refused.value) == f"cap {cap!r} is not an integer"
+
+
+def test_cap_texts():
+    # each past-cap refusal names its size and the cap, the search's its search space
+    a = FlatLayout((4,), (1,))
+    calls = [
+        (table_of, (a,), "table of size 4"),
+        (functions_equal, (a, a), "table of size 4"),
+        (check_compose, (a, a, a), "table of size 4"),
+        (check_complement, (a, FlatLayout((2,), (4,))), "table of size 8"),
+        (exhaustive_complement_search, (a, 8), "search space of size 8"),
+    ]
+    for f, args, what in calls:
+        with pytest.raises(OracleCapError) as refused:
+            f(*args, cap=3)
+        assert str(refused.value) == f"{what} exceeds cap 3"
+
+
 def _random_flat(rng):
     """A small flat layout: a compact one with its modes permuted (a bijection),
     one stride of it changed, or random, with zero strides, unit modes and long
@@ -453,33 +502,48 @@ class TestBitSetImage:
 
 class TestGather:
     @pytest.fixture
-    def evaluated(self, monkeypatch):
-        """The calls that reach pointwise evaluation of the second layout."""
-        calls, evaluate = [], oracle._evaluate
+    def spied(self, monkeypatch):
+        """``check_compose`` and the layouts it calls, in order: the gather calls none, and the
+        point-by-point path calls the composite, then ``a``, then ``b``, at each point."""
+        calls, inside, call = [], [], tuplecat._LayoutFunction.__call__
 
-        def spy(flat, xs):
-            calls.append(flat)
-            return evaluate(flat, xs)
+        def spy(layout, x):
+            if inside:  # the reference's own calls are not counted
+                calls.append(layout)
+            return call(layout, x)
 
-        monkeypatch.setattr(oracle, "_evaluate", spy)
-        return calls
+        def checked(*args):
+            inside.append(True)
+            try:
+                return check_compose(*args)
+            finally:
+                inside.pop()
 
-    def test_gather(self, evaluated):
+        monkeypatch.setattr(tuplecat._LayoutFunction, "__call__", spy)
+        return checked, calls
+
+    def test_gather(self, spied):
+        check, calls = spied
         a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
         right = a.compose(b).flat()
         wrong = FlatLayout(right.shape, right.stride[:-1] + (right.stride[-1] + 1,))
         for c in (right, wrong, FlatLayout((64,), (0,))):
-            assert _outcome(check_compose, a, b, c) == _outcome(_pointwise(a, b, c))
+            assert _outcome(check, a, b, c) == _outcome(_pointwise(a, b, c))
         # a of one point gathers one value
         one = FlatLayout((), ())
-        assert check_compose(one, FlatLayout((3,), (5,)), FlatLayout((1,), (7,)))
-        assert evaluated == []
+        assert check(one, FlatLayout((3,), (5,)), FlatLayout((1,), (7,)))
+        assert calls == []
 
-    def test_second_layout_over_the_cap(self, evaluated):
+    def test_second_layout_over_the_cap(self, spied):
+        check, calls = spied
         a, b = FlatLayout((4,), (3,)), FlatLayout((64,), (2,))
-        for c in (FlatLayout((4,), (6,)), FlatLayout((4,), (7,))):
-            assert _outcome(check_compose, a, b, c, 16) == _outcome(_pointwise(a, b, c))
-        assert evaluated == [b, b]
+        right, wrong = FlatLayout((4,), (6,)), FlatLayout((4,), (7,))
+        assert check(a, b, right, 16)
+        assert calls == [right, a, b] * 4
+        calls.clear()
+        # the wrong composite first differs at x = 1, where the answer stops
+        assert not check(a, b, wrong, 16)
+        assert calls == [wrong, a, b] * 2
 
     @pytest.mark.parametrize(
         "a, b, c",
@@ -492,6 +556,7 @@ class TestGather:
             (FlatLayout((3,), (1,)), FlatLayout((3,), (2**62,)), FlatLayout((3,), (2**62,))),
         ],
     )
-    def test_points_the_gather_cannot_read(self, evaluated, a, b, c):
-        assert _outcome(check_compose, a, b, c) == _outcome(_pointwise(a, b, c))
-        assert evaluated == [b]
+    def test_points_the_gather_cannot_read(self, spied, a, b, c):
+        check, calls = spied
+        assert _outcome(check, a, b, c) == _outcome(_pointwise(a, b, c))
+        assert calls and calls == ([c, a, b] * len(calls))[: len(calls)]

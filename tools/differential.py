@@ -557,6 +557,24 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     ):
         for cap in (4, 8, 16):
             c.add("check_compose", *(("FlatLayout", lit(s), lit(d)) for s, d in (a, b, comp)), lit(cap))
+    # b of 2,048 points past the cap under an a of 512, with the right composite and one
+    # wrong from x = 256: at a cap of 64 a itself is past it, at 512 b is read point by point
+    a, b = ("FlatLayout", lit((512,)), lit((3,))), ("FlatLayout", lit((2048,)), lit((2,)))
+    for comp in (((512,), (6,)), ((256, 2), (6, 1537))):
+        for cap in (64, 512):
+            c.add("check_compose", a, b, ("FlatLayout", *map(lit, comp)), lit(cap))
+    # caps that are not an int, on each entry that reads one
+    a, b = ("FlatLayout", lit((4,)), lit((1,))), ("FlatLayout", lit((2,)), lit((4,)))
+    for cap in (None, "8", True, 2.0):
+        c.add("table_of", a, lit(cap))
+        c.add("functions_equal", a, a, lit(cap))
+        c.add("check_compose", a, a, a, lit(cap))
+        c.add("check_complement", a, b, lit(None), lit(cap))
+        c.add("exhaustive_complement_search", a, lit(8), lit(cap))
+    # tables built from a list, an int and float values
+    for values in ([2, 0, 1], 5, (0.5, 1), (0, 1.0)):
+        c.add("FunctionTable.values", ("FunctionTable", lit(values)))
+        c.add("FunctionTable.is_bijection_onto_range", ("FunctionTable", lit(values)))
     # the bijection on long odd modes and zero strides, and the searches that reach it
     for shape, stride in (
         ((4095,), (1,)), ((4093,), (1,)), ((3, 4093), (4093, 1)), ((255, 3), (3, 1)),
