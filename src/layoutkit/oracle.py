@@ -4,8 +4,9 @@ Everything here works on full function tables rather than on the algebraic
 structure, so it is independent of the engine: the engine's results are
 verified against these tables in the test suite. Tables are built from a
 layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
-order, as packed words as wide as the largest value needs, compared as bytes
-and read as tuples by ``struct.unpack``. A layout of n points is a bijection
+order, as packed words as wide as the largest value needs: one int up to 64 KiB,
+then bytes, converted once.  They are compared in the form they end in and read
+as tuples by ``struct.unpack``. A layout of n points is a bijection
 onto [0, n) when its image, one int with a bit set per value, fills [0, n); a
 composite is checked by a gather from the second layout's table, else point by
 point; every cap must be an ``int``. :class:`FunctionTable` shares the record base.
@@ -26,6 +27,12 @@ from .tuplecat import FlatLayout, _as_tuples, _Record, concat_flat
 DEFAULT_CAP = 10**6
 #: the ``struct`` and ``memoryview`` format of each word width that has one
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: the most bytes a table is built to as one int: past it, each big-int step would
+#: make fresh temporaries of megabytes, dearer than the chunked rule's conversions
+_INT_BYTES = 1 << 16
+#: the most points of the second layout per point of the first that ``check_compose``
+#: tabulates for a gather: past it, calling the layouts point by point costs less
+_GATHER_SPAN = 512
 
 LayoutLike = Union[Layout, FlatLayout]
 
@@ -63,18 +70,46 @@ def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
 
 
 def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
+    """:func:`_table` as ``(table, w)`` with the table in bytes, words in native byte order."""
+    table, w = _table(flat, cap)
+    return (_native(table, flat.size() * w, w) if type(table) is int else table), w
+
+
+def _table(flat: FlatLayout, cap: int) -> Tuple[Union[int, bytes], int]:
     """The values of ``flat`` in colex order as ``(table, w)``: words of ``w``
-    bytes in native byte order, ``w`` the fewest bytes, a power of two, that
-    hold the largest value, so no word carries.  A mode ``s:d`` appends shifted
-    copies of the table so far, a chunk at a time, each one big-int add to every
-    word: the chunk doubles while the copies are under 256 bytes, then stays, the
-    rest last, so a long mode costs a few adds, not one per point, odd or even."""
+    bytes, ``w`` the fewest bytes, a power of two, that hold the largest value,
+    so no word carries.  Up to ``_INT_BYTES`` the table is one int, word ``j`` at
+    bit ``8·w·j``: a mode ``s:d`` ors in the table so far shifted by ``h`` copies,
+    ``h·d`` added to every word, ``h`` doubling, the last step cut by a mask.
+    From the first mode that would pass ``_INT_BYTES`` it is bytes, converted
+    once, and a mode appends shifted copies a chunk at a time, one big-int add
+    each: the chunk doubles while under 256 bytes, then stays, the rest last.
+    So the form of a table depends on its length alone."""
     _within(flat.size(), cap)
     top, w = _largest(flat), 1
     while top >> 8 * w:
         w *= 2
-    table, one, order = bytes(w), (1).to_bytes(w, sys.byteorder), sys.byteorder
-    for s, d in zip(flat.shape, flat.stride):
+    bits, modes = 8 * w, list(zip(flat.shape, flat.stride))
+    table, ones, k = 0, 1, 1  # ones has a 1 in each of the k words so far
+    for m, (s, d) in enumerate(modes):
+        if k * s * w > _INT_BYTES:
+            break
+        h = 1
+        while h < s:
+            t, o = table, ones
+            if s < 2 * h:  # the first s - h copies again
+                cut = (1 << (s - h) * k * bits) - 1
+                t, o = table & cut, ones & cut
+            table |= (t + h * d * o) << h * k * bits
+            if 2 * h < s or m + 1 < len(modes):  # ones is read again
+                ones |= o << h * k * bits
+            h = min(2 * h, s)
+        k *= s
+    else:
+        return table, w
+    table, order = _native(table, k * w, w), sys.byteorder
+    one = (1).to_bytes(w, order)
+    for s, d in modes[m:]:
         if d == 0:
             table *= s
             continue
@@ -93,6 +128,18 @@ def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
                     copies.append(block.to_bytes(h * k, order))
                 table, h = b"".join(copies), s // h * h
     return table, w
+
+
+def _native(table: int, n: int, w: int) -> bytes:
+    """The ``n`` bytes of a table built as one int, its ``w``-byte words in native
+    byte order: a big-endian host reverses the bytes of each word."""
+    out = table.to_bytes(n, "little")
+    if sys.byteorder == "little":
+        return out
+    swapped = bytearray(n)
+    for i in range(w):
+        swapped[i::w] = out[w - 1 - i :: w]
+    return bytes(swapped)
 
 
 def _words(table: bytes, w: int) -> Tuple[int, ...]:
@@ -123,10 +170,12 @@ def _onto(flat: FlatLayout, cap: int) -> bool:
 
 def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> bool:
     fa, fb = a.flat(), b.flat()
-    if fa.size() != fb.size():
+    n = fa.size()
+    _within(n, cap)
+    if n != fb.size():
         return False
-    # equal functions have one largest value, so one width: compared as bytes
-    return _packed(fa, cap) == _packed(fb, cap)
+    # equal functions have one largest value, so one width, one length and one form
+    return _table(fa, cap) == _table(fb, cap)
 
 
 def check_compose(
@@ -139,9 +188,10 @@ def check_compose(
     x ↦ b(a(x)) on every x in [0, size(a)): the cap counts ``size(a)`` alone.
 
     Where every value of ``a`` is in ``b``'s domain, ``size(b)`` is within the
-    cap and no value passes 2^63-1, ``b``'s table is read at the values of
-    ``a`` and compared with the composite's.  Otherwise the answer is, as
-    written, ``all(composite(x) == b(a(x)) for x in range(size(a)))``: the
+    cap and within ``_GATHER_SPAN`` points per point of ``a``, and no value
+    passes 2^63-1, ``b``'s table is read at the values of ``a`` and compared
+    with the composite's.  Otherwise the answer is, as written,
+    ``all(composite(x) == b(a(x)) for x in range(size(a)))``: the
     first point whose ``a(x)`` is outside ``b``'s domain raises
     :class:`LayoutError`, and a value outside the signed 64-bit range raises
     :class:`ArithmeticOverflowError`, unless an earlier point already differs.
@@ -152,7 +202,8 @@ def check_compose(
     xs = _words(*_packed(fa, cap))
     if fc.size() != len(xs):
         return False
-    if _largest(fa) < fb.size() <= cap and max(_largest(fb), _largest(fc)) <= INT64_MAX:
+    span = min(cap, _GATHER_SPAN * len(xs))
+    if _largest(fa) < fb.size() <= span and max(_largest(fb), _largest(fc)) <= INT64_MAX:
         # b's words, at most 8 bytes, read at a's values: no Python int per point of b
         table, w = _packed(fb, cap)
         ys = memoryview(table).cast(_FORMATS[w])
@@ -186,9 +237,9 @@ def check_complement(
         b = fa.complement(n)
     fb = b.flat()
     total = fa.size() * fb.size()
+    _within(total, cap)
     if n is not None and total != n:
         return False
-    _within(total, cap)
     return _onto(concat_flat([fa, fb]), cap)
 
 

@@ -16,12 +16,15 @@ from layoutkit import (
     NotComposableError,
     check_complement,
     check_compose,
+    concat_layouts,
     divides,
     exhaustive_complement_search,
     flatten,
+    functions_equal,
     is_admissible_for_composition,
     layout_of,
     mutual_refinement,
+    parse_layout,
     prefix_products,
     realize,
     refines,
@@ -148,6 +151,55 @@ class TestCriterion2WorkedExamples:
         p = a.logical_product(b)
         assert p.size() == a.size() * b.size()
         assert p == Layout(((2, 2), (5, 5)), ((1, 2), (20, 4)))
+
+
+#: CuTe's documented examples as (verb, operands, result).  CuTe's
+#: composition(A, B) is A ∘ B, x ↦ A(B(x)), so it is ``compose B A`` here
+CUTE = [
+    ("compose", ("(4,3):(3,1)", "(6,2):(8,2)"), "((2,2),3):((24,2),8)"),
+    ("compose", ("(5,4):(4,1)", "20:2"), "(5,4):(8,2)"),
+    ("compose", ("(5,4):(1,5)", "(10,2):(16,4)"), "(5,(2,2)):(16,(80,4))"),
+    ("complement", ("4:1", "24"), "6:4"),
+    ("complement", ("6:4", "24"), "4:1"),
+    ("complement", ("4:2", "24"), "(2,3):(1,8)"),
+    ("complement", ("(2,4):(1,6)", "24"), "3:2"),
+    ("complement", ("(2,2):(1,6)", "24"), "(3,2):(2,12)"),
+    ("complement", ("(4,6):(1,4)", "24"), "1:0"),
+    ("divide", ("(4,2,3):(2,1,8)", "4:2"), "((2,2),(2,3)):((4,1),(2,8))"),
+    ("product", ("(2,2):(4,1)", "6:1"), "((2,2),(2,3)):((4,1),(2,8))"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, operands, result", CUTE, ids=[" ".join((verb, *ops)) for verb, ops, _ in CUTE]
+)
+def test_cute_documented_examples(capsys, verb, operands, result):
+    """The worked examples of CuTe's layout-algebra documentation (NVIDIA/cutlass,
+    media/docs/cute/02_layout_algebra.md), text for text through the library and
+    the CLI.  The entries were recalled from the documentation, not copied, so the
+    oracle confirms each one too: a composite by its tables, a complement as a
+    bijection, and a divide and a product against their definitions, A ∘ (B, B*)
+    and (A, A* ∘ B)."""
+    assert run_cli(capsys, verb, *operands) == (0, result)
+    a, r = parse_layout(operands[0]), parse_layout(result)
+    if verb == "complement":
+        n = int(operands[1])
+        assert str(a.complement(n)) == result and check_complement(a, r, n)
+        return
+    b = parse_layout(operands[1])
+    if verb == "compose":
+        assert str(a.compose(b)) == result and check_compose(a, b, r)
+    elif verb == "divide":
+        assert str(a.logical_divide(b)) == result
+        tiler = b.complement(a.size())
+        assert check_complement(b, tiler, a.size())
+        assert check_compose(concat_layouts([b, tiler]), a, r)
+    else:
+        assert str(a.logical_product(b)) == result
+        n = a.size() * b.cosize()
+        rest = a.complement(n)
+        assert check_complement(a, rest, n) and check_compose(b, rest, b.compose(rest))
+        assert functions_equal(r, concat_layouts([a, b.compose(rest)]))
 
 
 class TestCriterion3OracleEquivalence:

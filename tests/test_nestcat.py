@@ -380,6 +380,25 @@ class TestComposition:
                 overflows += 1
         assert composed > 100 and overflows > 5, (composed, overflows)
 
+    def test_compose_is_the_weak_composite(self):
+        # a leaf's pieces over the coalesce of b are coalesced already, so
+        # wherever compose succeeds it equals compose_tractable, shape tree and
+        # strides alike, on seeded pairs and on pairs at the 64-bit edge
+        rng = random.Random(31)
+        composed = [0, 0]
+        for _ in range(1500):
+            for i, (a, b) in enumerate((
+                (random_layout(rng), random_layout(rng)),
+                (random_edge_layout(rng, 2), random_edge_layout(rng)),
+            )):
+                try:
+                    c = a.compose(b)
+                except LayoutError:
+                    continue
+                assert c == compose_tractable(a, b), (a, b)
+                composed[i] += 1
+        assert min(composed) > 100, composed
+
     def test_divide_product_and_complement_equal_their_definitions(self):
         # divide and product compose flat forms and nest once, and the
         # complement is read off the walk; each gives what its definition on

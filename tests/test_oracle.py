@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import struct
 import sys
 
 import pytest
@@ -418,15 +419,60 @@ class TestPackedWidths:
                 f(*args)
 
 
+#: tables on both sides of 64 KiB, where a table is built as one int and where the
+#: modes that take it past are appended as bytes: odd extents, zero strides, unit modes
+BYTE_ORDER = [
+    FlatLayout((3, 1, 5, 7), (0, 11, 1, 5)),
+    FlatLayout((4095, 1, 8), (1, 5, 4095)),  # 65,520 bytes, one int throughout
+    FlatLayout((16384, 2), (1, 0)),  # 65,536 bytes, at the bound
+    FlatLayout((16384, 3), (1, 0)),  # a zero-stride mode past it
+    FlatLayout((5, 3001, 7), (1, 5, 15005)),  # an odd mode past it, at width 4
+    FlatLayout((7, 1001, 3, 1), (2**40, 1, 0, 9)),  # width 8
+    FlatLayout((999,), (2**50,)),
+    FlatLayout((2, 2, 1, 2, 4096), (M, M, 3, 2, 1)),  # width 16, no struct format
+]
+
+
+def _pack(values, w, order):
+    """``values`` as words of ``w`` bytes in byte order ``order``, by ``struct.pack``
+    where it has a format of that width."""
+    if w in oracle._FORMATS:
+        return struct.pack(f"{'<>'[order == 'big']}{len(values)}{oracle._FORMATS[w]}", *values)
+    return b"".join(v.to_bytes(w, order) for v in values)
+
+
+class TestByteOrder:
+    @pytest.mark.parametrize("l", BYTE_ORDER, ids=str)
+    def test_packed_tables_are_words_in_native_order(self, l, monkeypatch):
+        # word j is the value at x = j, as _words reads it; a big-endian host
+        # reverses the bytes of each word built in an int, and appends in its own order
+        table, w = oracle._packed(l, oracle.DEFAULT_CAP)
+        values = _values(l)
+        assert table == _pack(values, w, sys.byteorder)
+        assert oracle._words(table, w) == values
+        for order in ("little", "big"):
+            monkeypatch.setattr(sys, "byteorder", order)
+            assert oracle._packed(l, oracle.DEFAULT_CAP) == (_pack(values, w, order), w)
+
+    def test_the_form_follows_the_length(self):
+        # a table of at most 64 KiB is compared as one int, a longer one as bytes
+        for l in BYTE_ORDER:
+            table, w = oracle._table(l, oracle.DEFAULT_CAP)
+            assert type(table) is (int if l.size() * w <= oracle._INT_BYTES else bytes)
+
+
 @pytest.mark.parametrize("cap", [None, "8", True, 2.0, 8.0])
 def test_a_cap_that_is_not_an_int_is_refused(cap):
-    # by every entry that reads it, before any table and before the past-cap check
+    # by every entry that reads it, before any table, before the past-cap check
+    # and before an answer of False on unequal sizes or a mismatched n
     a, b = FlatLayout((4,), (1,)), FlatLayout((2,), (4,))
     calls = [
         (table_of, a),
         (functions_equal, a, a),
+        (functions_equal, a, b),
         (check_compose, a, a, a),
         (check_complement, a, b),
+        (check_complement, a, b, 9),
         (exhaustive_complement_search, a, 8),
     ]
     for f, *args in calls:
@@ -437,13 +483,16 @@ def test_a_cap_that_is_not_an_int_is_refused(cap):
 
 
 def test_cap_texts():
-    # each past-cap refusal names its size and the cap, the search's its search space
+    # each past-cap refusal names its size and the cap, the search's its search space;
+    # the cap is read before sizes that differ or a mismatched n answer False
     a = FlatLayout((4,), (1,))
     calls = [
         (table_of, (a,), "table of size 4"),
         (functions_equal, (a, a), "table of size 4"),
+        (functions_equal, (a, FlatLayout((2,), (1,))), "table of size 4"),
         (check_compose, (a, a, a), "table of size 4"),
         (check_complement, (a, FlatLayout((2,), (4,))), "table of size 8"),
+        (check_complement, (a, FlatLayout((2,), (4,)), 9), "table of size 8"),
         (exhaustive_complement_search, (a, 8), "search space of size 8"),
     ]
     for f, args, what in calls:
@@ -533,6 +582,16 @@ class TestGather:
         one = FlatLayout((), ())
         assert check(one, FlatLayout((3,), (5,)), FlatLayout((1,), (7,)))
         assert calls == []
+
+    def test_second_layout_many_times_larger(self, spied):
+        # b is tabulated for a gather up to _GATHER_SPAN points per point of a;
+        # past that, the layouts are called at a's points alone
+        check, calls = spied
+        a, c, n = FlatLayout((4,), (1,)), FlatLayout((4,), (3,)), 4 * oracle._GATHER_SPAN
+        at, past = FlatLayout((n,), (3,)), FlatLayout((n + 1,), (3,))
+        assert check(a, at, c) and calls == []
+        assert check(a, past, c)
+        assert calls == [c, a, past] * 4
 
     def test_second_layout_over_the_cap(self, spied):
         check, calls = spied

@@ -103,9 +103,11 @@ class Corpus:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        # refinements and 64-bit-edge pairs draw from streams of their own, so no other call moves
+        # refinements, 64-bit-edge pairs and tables draw from streams of their own, so no
+        # other call moves
         self.refinements = random.Random(seed + 1)
         self.edges = random.Random(seed + 2)
+        self.tables = random.Random(seed + 3)
         self.calls: list = []
 
     def add(self, target: str, *args) -> None:
@@ -475,6 +477,36 @@ def edge_pair_battery(c: Corpus, gens, pairs: int) -> None:
         c.add("compose_tractable", A, B)
 
 
+def table_battery(c: Corpus, flats: int) -> None:
+    """Tables of flat layouts with extents up to 1,000, strides up to 2^50, zero strides and
+    unit modes, on both sides of the 64 KiB up to which the oracle builds a table as one int:
+    each tabulated and compared with its coalesce and with its modes permuted, and that
+    permuted form, right and with one stride off, checked as the layout after the
+    permutation of its domain's modes."""
+    rng = c.tables
+    for _ in range(flats):
+        shape, stride = [], []
+        for _ in range(rng.randint(1, 5)):
+            shape.append(rng.choice((1, 2, 3, 4, 7, 8, 16, 255, 257, 1000)))
+            stride.append(rng.choice((0, 1, 2, 3, 5, 64, 4095, 2**20, 2**33, 2**50)))
+        if math.prod(shape) > 1 << 17:
+            continue
+        order = list(range(len(shape)))
+        rng.shuffle(order)
+        F = ("FlatLayout", lit(tuple(shape)), lit(tuple(stride)))
+        P = ("FlatLayout.permute", F, lit(tuple(order)))
+        # the modes of F's domain in the permuted order: a bijection a with F∘a = P
+        pre = [math.prod(shape[:i]) for i in range(len(shape))]
+        a = ("FlatLayout", lit(tuple(shape[i] for i in order)), lit(tuple(pre[i] for i in order)))
+        off = [stride[i] for i in order]
+        off[-1] += 1
+        c.add("table_of", F)
+        c.add("functions_equal", F, ("FlatLayout.coalesce", F))
+        c.add("functions_equal", F, P)
+        c.add("check_compose", a, F, P)
+        c.add("check_compose", a, F, ("FlatLayout", a[1], lit(tuple(off))))
+
+
 def cli_battery(c: Corpus, clicases, seed: int) -> None:
     """Every verb: the bench's generated command lines of one seed, with its
     golden transcripts and refusals."""
@@ -571,6 +603,10 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         c.add("check_compose", a, a, a, lit(cap))
         c.add("check_complement", a, b, lit(None), lit(cap))
         c.add("exhaustive_complement_search", a, lit(8), lit(cap))
+    # the cap read before an answer of False on unequal sizes or a mismatched n
+    for cap in (None, "8", 3, 8):
+        c.add("functions_equal", a, b, lit(cap))
+        c.add("check_complement", a, b, lit(9), lit(cap))
     # tables built from a list, an int and float values
     for values in ([2, 0, 1], 5, (0.5, 1), (0, 1.0)):
         c.add("FunctionTable.values", ("FunctionTable", lit(values)))
@@ -621,6 +657,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         shapes_battery(c, lk, small, x, y)
     edge_battery(c, lk, gens, rng)
     edge_pair_battery(c, gens, 1000)
+    table_battery(c, 400)
     cli_fixed(c, clicases, cli)
     for s in range(cli_seeds):
         cli_battery(c, clicases, seed + s)
