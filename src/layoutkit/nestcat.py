@@ -7,8 +7,9 @@ between the flattenings of two nested tuples.  Refining a side along a
 refinement of its tree keeps the realized function (pullback refines the
 codomain, pushforward the domain); that transport is written once, as an
 index map over flat pieces.  Pullback and pushforward wrap it as tuple
-morphisms; composition, divide and product cut the first operand's map with it
-and read each piece's stride off the coalesce of the second.  Entries are
+morphisms; composition, divide and product cut the first operand's map with it,
+read each piece's stride off the coalesce of the second and return the composite
+as cut, its pieces coalesced already.  Entries are
 range-checked where they enter (the constructors, :func:`nest_morphism` and
 :func:`mutual_refinement`) and products where they are taken; what the engine
 derives skips validation.  Each class here is a :class:`_Record`.
@@ -385,9 +386,25 @@ class Layout(_LayoutFunction, _Record):
 
     def coalesce_relative(self, shape_bar: Nested) -> "Layout":
         """Coalesce each group of modes over an entry of ``shape_bar`` (which the shape
-        must refine), keeping the coarse grouping; the walk that checks it gives the groups."""
-        pieces = _pieces(self.shape, shape_bar)[1]
-        return _unchecked(Layout, *_coalesced(shape_bar, pieces, self.flat().stride))
+        must refine), keeping the coarse grouping; the walk that checks it gives the groups.
+        One mode is its own, 1:0 for a unit, so only a longer group needs
+        :func:`_coalesce_modes`.  Each leaf of ``shape_bar`` is the product of its group, so
+        where every group coalesces to one mode the shape is ``shape_bar`` itself."""
+        stride, leaves, flat_s, flat_d, k = self.flat().stride, [], [], [], 0
+        for p in _pieces(self.shape, shape_bar)[1]:
+            if len(p) == 1:
+                s, d = (p[0], stride[k]) if p[0] != 1 else (1, 0)
+                flat_s.append(s)
+                flat_d.append(d)
+            else:
+                s, d = _padded(*_coalesce_modes(p, stride[k : k + len(p)]))
+                flat_s += s
+                flat_d += d
+                s = _as_tree(s)
+            leaves.append(s)
+            k += len(p)
+        shape = shape_bar if len(flat_s) == len(leaves) else _substitute(shape_bar, iter(leaves))
+        return _unchecked(Layout, shape, _unchecked(FlatLayout, tuple(flat_s), tuple(flat_d)))
 
     # -- complement --------------------------------------------------------
 
@@ -397,54 +414,29 @@ class Layout(_LayoutFunction, _Record):
     # -- algebra (delegating to the morphism engine) -----------------------
 
     def compose(self, other: "Layout") -> "Layout":
-        """The layout of ``Φ_other ∘ Φ_self``: the weak composite coalesced
-        relative to the shape of ``self``, each leaf's pieces where they are cut."""
-        return _unchecked(Layout, *_coalesced(self.shape, *_composite(self.flat(), other.flat())))
+        """The layout of ``Φ_other ∘ Φ_self``: the weak composite, nested like ``self``, each
+        leaf as its pieces where it is cut; those are coalesced already (see :func:`_composite`)."""
+        return _unchecked(Layout, *_composite(self.shape, self.flat(), other.flat()))
 
     def logical_divide(self, tiler: "Layout") -> "Layout":
         """``self ∘ (tiler, tiler*)``, tiler* the complement in size(self): one flat
-        composition, nested at most once as (shape(tiler), the complement's tree)."""
+        composition, nested like (shape(tiler), the complement's tree)."""
         flat, t = self.flat(), tiler.flat()
         cs, cd = _padded(*_complement(t, flat.size()))
         both = _unchecked(FlatLayout, t.shape + cs, t.stride + cd)
-        return _unchecked(Layout, *_coalesced((tiler.shape, _as_tree(cs)), *_composite(both, flat)))
+        return _unchecked(Layout, *_composite((tiler.shape, _as_tree(cs)), both, flat))
 
     def logical_product(self, other: "Layout") -> "Layout":
         """``(self, self* ∘ other)``, self* the complement in size(self)·cosize(other):
-        one flat composition, nested at most once as (shape(self), shape(other))."""
+        one flat composition, nested like (shape(self), shape(other))."""
         flat, b = self.flat(), other.flat()
-        s, part = _coalesced(other.shape, *_composite(b, flat.complement(flat.size() * b.cosize())))
+        s, part = _composite(other.shape, b, flat.complement(flat.size() * b.cosize()))
         return _unchecked(Layout, (self.shape, s), concat_flat([flat, part]))
 
 
 def _padded(shape: tuple, stride: tuple) -> Tuple[tuple, tuple]:
     """``shape:stride``, or 1:0 in place of rank 0."""
     return (shape, stride) if shape else ((1,), (0,))
-
-
-def _coalesced(tree: Nested, pieces: list, stride: Sequence) -> Tuple[Nested, FlatLayout]:
-    """The shape nested like ``tree`` whose leaf ``i`` is the coalesce of the flat modes
-    ``pieces[i]`` (strides in order from ``stride``), and its flat form: one piece is its
-    own, 1:0 for a unit, so only a longer run needs :func:`_coalesce_modes`.  Each leaf of
-    ``tree`` is the product of its pieces, so where none coalesces to two or more modes the
-    shape is ``tree`` itself, not nested again."""
-    leaves, flat_s, flat_d, k = [], [], [], 0
-    for p in pieces:
-        if len(p) == 1:
-            s, d = (p[0], stride[k]) if p[0] != 1 else (1, 0)
-            flat_s.append(s)
-            flat_d.append(d)
-        else:
-            s, d = _padded(*_coalesce_modes(p, stride[k : k + len(p)]))
-            flat_s += s
-            flat_d += d
-            s = _as_tree(s)
-        leaves.append(s)
-        k += len(p)
-    if len(flat_s) == len(pieces):
-        return tree, _unchecked(FlatLayout, tuple(flat_s), tuple(flat_d))
-    shape, flat_s = _substitute(tree, iter(leaves)), tuple(flat_s)
-    return shape, _unchecked(FlatLayout, shape if shape == flat_s else flat_s, tuple(flat_d))
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
@@ -480,19 +472,19 @@ def standard_representation_nested(layout: Layout) -> NestMorphism:
 
 
 def compose_tractable(a: Layout, b: Layout) -> Layout:
-    """The weak composite: a layout with function Φ_b ∘ Φ_a whose shape
-    refines shape(a), before any coalescing, each leaf of shape(a) nested
-    as its pieces."""
-    pieces, stride = _composite(a.flat(), b.flat())
-    flat = _unchecked(FlatLayout, tuple(chain.from_iterable(pieces)), stride)
-    return _unchecked(Layout, _substitute(a.shape, map(_as_tree, pieces)), flat)
+    """The weak composite, a layout with function Φ_b ∘ Φ_a whose shape refines shape(a):
+    :meth:`Layout.compose` itself, which coalesces nothing (see :func:`_composite`)."""
+    return Layout.compose(a, b)
 
 
-def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, ...]]:
-    """Each mode of ``flat`` as its pieces, and the strides over them of the composite with
-    ``b_flat`` (each operand flat), as lists and no engine object: ``flat``'s standard map cut
-    along :func:`_refine` against the coalesce of ``b_flat``, whose pieces each read their
-    mode's stride times the pieces before it, as its standard representation would give."""
+def _composite(tree: Nested, flat: FlatLayout, b_flat: FlatLayout) -> Tuple[Nested, FlatLayout]:
+    """The shape and flat form of the composite of ``flat`` with ``b_flat`` (each operand flat),
+    nested like ``tree``, which flattens to ``flat``'s shape: ``flat``'s standard map cut along
+    :func:`_refine` against the coalesce of ``b_flat``, whose pieces each read their mode's
+    stride times the pieces before it, as its standard representation would give.  Where each
+    mode of ``flat`` is one piece the shape is ``tree`` itself; otherwise each leaf is nested
+    as its pieces.  Those are coalesced already: a mode's pieces lie in consecutive modes of
+    the coalesce, and two of them would merge only where those two modes merge."""
     if flat.cosize() > b_flat.size():
         raise NotComposableError(
             f"cosize {flat.cosize()} of the first layout exceeds size {b_flat.size()} "
@@ -509,4 +501,8 @@ def _composite(flat: FlatLayout, b_flat: FlatLayout) -> Tuple[list, Tuple[int, .
     reads = [0]  # the basepoint, then each piece's stride: its mode's times the pieces before it
     for ps, d in zip(g_pieces, g_stride):
         reads += accumulate(ps[:-1], checked_mul, initial=d)
-    return f_dom, tuple(reads[a] for a in _cut(amap, f_dom, f_cod))  # f's pieces: a prefix of b's
+    stride = tuple(reads[a] for a in _cut(amap, f_dom, f_cod))  # f's pieces: a prefix of b's
+    if len(stride) == len(f_dom):
+        return tree, _unchecked(FlatLayout, flat.shape, stride)
+    shape = tuple(chain.from_iterable(f_dom))
+    return _substitute(tree, map(_as_tree, f_dom)), _unchecked(FlatLayout, shape, stride)

@@ -282,6 +282,45 @@ def test_an_operation_builds_few_engine_objects():
         assert [cls for cls, _ in built] == ["FlatLayout"] * (most - 1) + ["Layout"], (name, built)
 
 
+def test_only_coalesce_relative_coalesces_groups_of_pieces():
+    # the composite's pieces over the coalesce of b are coalesced already, so
+    # on the README operands compose coalesces b alone, and divide and product
+    # a complement and b: nestcat calls _coalesce_modes in _composite and in
+    # coalesce_relative, and nowhere else
+    tuplecat, Layout = layoutkit.tuplecat, layoutkit.Layout
+    a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
+    m, tiler = Layout((64, 32), (32, 1)), Layout((4, 4), (1, 64))
+    p, q = Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))
+    ops = {
+        "compose": (lambda: a.compose(b), 1),
+        "compose_tractable": (lambda: layoutkit.compose_tractable(a, b), 1),
+        "logical_divide": (lambda: m.logical_divide(tiler), 2),
+        "logical_product": (lambda: p.logical_product(q), 2),
+    }
+    counts = dict.fromkeys(ops, 0)
+    for name, (op, _) in ops.items():
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is tuplecat._coalesce_modes.__code__:
+                counts[name] += 1
+
+        sys.setprofile(profiler)
+        try:
+            op()
+        finally:
+            sys.setprofile(None)
+    assert counts == {name: n for name, (_, n) in ops.items()}
+    scopes = _module_scopes("nestcat")
+    callers = {
+        name
+        for name, scope in scopes.items()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and _called_name(node) == "_coalesce_modes"
+    }
+    assert callers == {"_composite", "Layout.coalesce_relative"}
+    assert "_coalesced" not in scopes
+
+
 def test_the_bijection_is_read_off_a_bit_set():
     # _onto sets one bit a point in one int, mode by mode: it unpacks no
     # table into words and counts no set of them

@@ -21,12 +21,14 @@ A call is ``(target, args)``.  ``target`` is a public name of
 read off the object, whether its class names it in ``__slots__`` or not),
 or ``"cli"`` with the argument list as its one argument.  Each argument is
 a spec: ``("=", value)`` is the value itself, ``("deep", n, leaf)`` is
-``leaf`` inside ``n`` one-tuples, ``("[]", *specs)`` is a list, and
-``(target, *specs)`` is the result of that call.  So the corpus holds no object of either tree.
+``leaf`` inside ``n`` one-tuples, ``("[]", *specs)`` is a list, ``("Pair", x, y)``
+is a two-field ``namedtuple`` node, and ``(target, *specs)`` is the result of
+that call.  So the corpus holds no object of either tree.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -66,6 +68,8 @@ WIDTHS = tuple(((2, 2), (1, top - 1)) for top in (255, 256, 2**16 - 1, 2**16, 2*
 )
 #: the longest outcome kept whole; a longer one keeps its start and a hash
 KEEP = 240
+#: a tree node that is a tuple of another type, which an operation keeps or nests again
+Pair = collections.namedtuple("Pair", "x y")
 
 
 def lit(value):
@@ -622,6 +626,20 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         c.add("check_complement", a, ("FlatLayout", lit((2, 3)), lit((0, size))))
         c.add("exhaustive_complement_search", a, lit(size * 3))
     c.add("exhaustive_complement_search", ("FlatLayout", lit((3,)), lit((1,))), lit(3 * 4093))
+    # namedtuple nodes: each operation keeps its tree where no leaf is cut, and
+    # nests plain tuples where one is; the shape's repr names the node's type
+    x = ("Layout", ("Pair", lit(4), lit(8)), ("Pair", lit(1), lit(4)))
+    y = ("Layout", ("Pair", lit(2), lit(16)), ("Pair", lit(1), lit(2)))
+    z, w = ("Layout", lit(32), lit(1)), ("Layout", lit((2, 16)), lit((1, 4)))
+    for a, b in ((x, z), (z, x), (x, w), (w, x), (x, y), (y, x)):
+        for target in ("compose_tractable", "Layout.compose", "Layout.logical_divide",
+                       "Layout.logical_product"):
+            c.add(target, a, b)
+            c.add("Layout.shape", (target, a, b))
+    for stride in (((1, 2), 4), ((1, 8), 4)):
+        fine = ("Layout", lit(((2, 2), 8)), lit(stride))
+        c.add("Layout.coalesce_relative", fine, ("Pair", lit(4), lit(8)))
+        c.add("Layout.shape", ("Layout.coalesce_relative", fine, ("Pair", lit(4), lit(8))))
     small, wide = Gen(rng, SMALL), Gen(rng, WIDE)
     for r in range(rounds):
         for gen in (small, wide) if r % 2 else (small,):
@@ -679,6 +697,8 @@ def _build(lk, spec):
     args = [_build(lk, s) for s in spec[1:]]
     if tag == "[]":
         return args
+    if tag == "Pair":
+        return Pair(*args)
     return _call(lk, tag, args)
 
 
