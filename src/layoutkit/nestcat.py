@@ -26,6 +26,7 @@ from .shapes import (
     Nested,
     _check_entries,
     _check_ints,
+    _check_sequence,
     _flat_pair,
     _pieces,
     _same,
@@ -110,6 +111,7 @@ class MutualRefinement(_Record):
 def nest_morphism(domain: Nested, codomain: Nested, amap: Sequence[int]) -> NestMorphism:
     """The morphism ``amap`` between the flattenings of two trees, built
     unchecked: its tuple morphism has checked every entry."""
+    _check_sequence(amap, "amap")
     fmap = TupleMorphism(flatten(domain), flatten(codomain), tuple(amap))
     return _unchecked(NestMorphism, domain, codomain, fmap)
 

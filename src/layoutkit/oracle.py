@@ -5,8 +5,9 @@ structure, so it is independent of the engine: the engine's results are
 verified against these tables in the test suite. Tables are built from a
 layout's ``shape`` and ``stride`` alone, one mode at a time in colexicographic
 order, as packed words as wide as the largest value needs: one int up to 64 KiB,
-then bytes, converted once.  They are compared in the form they end in and read
-as tuples by ``struct.unpack``. A layout of n points is a bijection
+then bytes, converted once.  They are compared in the form they end in, and
+:func:`table_of` keeps the bytes: a point read makes one ``int``, and only
+``values`` unpacks them all, by ``struct.unpack``. A layout of n points is a bijection
 onto [0, n) when its image, one int with a bit set per value, fills [0, n); a
 composite is checked by a gather from the second layout's table, else point by
 point; every cap must be an ``int``. :class:`FunctionTable` shares the record base.
@@ -20,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import LayoutError, OracleCapError
 from .nestcat import Layout
-from .shapes import INT64_MAX, _check_ints
-from .tuplecat import FlatLayout, _as_tuples, _Record, concat_flat
+from .shapes import INT64_MAX, _check_ints, _str
+from .tuplecat import FlatLayout, _Record, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6
@@ -38,35 +39,58 @@ LayoutLike = Union[Layout, FlatLayout]
 
 
 class FunctionTable(_Record):
-    """The full value table of a function on [0, len(values)): a tuple, a list
-    stored as one; its values are not scanned."""
+    """The full value table of a function on [0, size): ``values``, a tuple, over one private
+    field.  ``FunctionTable(values)`` holds the caller's tuple (a list stored as one, the
+    values not scanned); :func:`table_of` holds its packed words, so an ``int`` is made only
+    where a value is read.  Equality, hash, pickle, copy and ``repr`` read ``values``."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_data",)
 
     def __init__(self, values: Tuple[int, ...]) -> None:
-        _as_tuples(self, values)
+        if not isinstance(values, (tuple, list)):
+            raise LayoutError(f"values must be a tuple or list, not {type(values).__name__}")
+        _Record.__init__(self, tuple(values))
+
+    @staticmethod
+    def _values(table: FunctionTable) -> Tuple[Tuple[int, ...]]:
+        return (table.values,)
+
+    @property
+    def values(self) -> Tuple[int, ...]:
+        """The values, a tuple: the one held, or the packed words by one ``struct.unpack``."""
+        data = self._data
+        return data if type(data) is tuple else struct.unpack(f"{len(data)}{data.format}", data)
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self._data)
 
     def __getitem__(self, x: int) -> int:
         """The value at ``x``, an ``int`` (not ``bool``) in [0, size)."""
-        if type(x) is not int or not 0 <= x < len(self.values):
-            raise LayoutError(f"a table of size {len(self.values)} has no index {x!r}")
-        return self.values[x]
+        if type(x) is not int or not 0 <= x < len(self._data):
+            raise LayoutError(f"a table of size {len(self._data)} has no index {x!r}")
+        return self._data[x]
+
+    def __repr__(self) -> str:
+        return f"FunctionTable(values={_str(self.values, repr)})"
 
     def is_bijection_onto_range(self) -> bool:
         """Whether the ``n`` values are distinct ``int``s in [0, n), in linear time: they come from
         any caller and may be negative, where :func:`_onto` reads a layout's image off its modes."""
-        v, n = self.values, len(self.values)
+        v, n = self._data, len(self._data)
         if not {int}.issuperset(map(type, v)):
             return False
         return not n or (min(v) >= 0 and max(v) < n and len(set(v)) == n)
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    return FunctionTable(_words(*_packed(layout.flat(), cap)))
+    """The table of ``layout`` as :func:`_packed` builds it, kept packed: words of 1, 2, 4 or
+    8 bytes read through a ``memoryview``, wider ones as a tuple of ints."""
+    words, w = _packed(layout.flat(), cap)
+    data = memoryview(words).cast(_FORMATS[w]) if w in _FORMATS else _words(words, w)
+    out = object.__new__(FunctionTable)  # unchecked: the words are the oracle's own
+    _Record.__init__(out, data)
+    return out
 
 
 def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:

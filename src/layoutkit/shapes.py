@@ -18,11 +18,12 @@ they are taken, a sum or product of many once, on the result.  Leaving the range
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import reduce
 from itertools import accumulate, repeat
 from math import prod
 from operator import mul
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import ArithmeticOverflowError, LayoutError, NotRefinementError
 
@@ -63,6 +64,12 @@ def _check_ints(entries: Sequence[object], noun: str, whole: object) -> None:
     for e in entries:
         if type(e) is not int:
             raise LayoutError(f"{noun} {_str(e, repr)} in {_str(whole)} is not an integer")
+
+
+def _check_sequence(value: object, name: str) -> None:
+    """Refuse a ``value`` that is no sequence, such as a scalar, where a flat sequence is read."""
+    if not isinstance(value, Sequence):
+        raise LayoutError(f"{name} must be a sequence, not {type(value).__name__}")
 
 
 def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object) -> None:
@@ -196,6 +203,7 @@ def _text(x: object, leaf, sep: str, single: str) -> str:
 
 def substitute(parts: Sequence[Nested], prof: Profile) -> Nested:
     """Replace the leaves of ``prof``, in order, by the given nested tuples."""
+    _check_sequence(parts, "parts")
     if len(parts) != length(prof):
         raise LayoutError(
             f"substitution needs {length(prof)} parts, got {len(parts)}"
@@ -268,6 +276,7 @@ def _pieces(fine: Nested, coarse: Nested) -> Tuple[list, list]:
 
 def prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
     """Exclusive prefix products (1, e1, e1*e2, ...), each entry an ``int`` in 1..2^63-1."""
+    _check_sequence(entries, "entries")
     _check_entries(entries, 1, "entry", tuple(entries))
     return _prefix_products(entries)
 
@@ -279,7 +288,8 @@ def _prefix_products(entries: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _check_coord(shape: Sequence[int], coord: Sequence[int]) -> None:
-    """Refuse a coordinate of the wrong rank, entry type or range for ``shape``."""
+    """Refuse a coordinate of the wrong form, rank, entry type or range for ``shape``."""
+    _check_sequence(coord, "coordinate")
     if len(coord) != len(shape):
         raise LayoutError(f"coordinate rank {len(coord)} != {len(shape)}")
     _check_ints(coord, "coordinate", tuple(coord))
@@ -297,6 +307,7 @@ def _dot(coord: Sequence[int], weights: Sequence[int]) -> int:
 
 def colex(shape: Sequence[int], coord: Sequence[int]) -> int:
     """Linearize ``coord``, first axis fastest, by Horner's rule: no partial exceeds the answer."""
+    _check_sequence(shape, "shape")
     _check_entries(shape, 1, "entry", tuple(shape))
     return _colex(shape, coord)
 
@@ -312,6 +323,7 @@ def _colex(shape: Sequence[int], coord: Sequence[int]) -> int:
 
 def colex_inv(shape: Sequence[int], x: int) -> Tuple[int, ...]:
     """Inverse of :func:`colex`, dividing ``x`` down: no product of the whole shape."""
+    _check_sequence(shape, "shape")
     _check_entries(shape, 1, "entry", tuple(shape))
     return _colex_inv(shape, x)
 

@@ -27,6 +27,7 @@ from .shapes import (
     _check_coord,
     _check_entries,
     _check_ints,
+    _check_sequence,
     _colex,
     _colex_inv,
     _dot,
@@ -54,9 +55,10 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:  # the field tuple, by one C call
+    def __init_subclass__(cls) -> None:  # the field tuple by one C call, unless the body has one
         get = attrgetter(*cls.__slots__)
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+        if "_values" not in vars(cls):
+            cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -362,6 +364,7 @@ def _format_arrow(domain: Nested, amap: Sequence[int], codomain: Nested) -> str:
 
 
 def identity(shape: Sequence[int]) -> TupleMorphism:
+    _check_sequence(shape, "shape")
     t = tuple(shape)
     return TupleMorphism(t, t, tuple(range(1, len(t) + 1)))
 

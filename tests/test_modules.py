@@ -21,6 +21,7 @@ import layoutkit
 from layoutkit.cli import _VERBS
 from layoutkit.nestcat import _composite
 
+import cute_reference
 from generators import random_layout
 
 # scopes that run in a frame of their own (comprehensions too, before 3.12)
@@ -646,6 +647,32 @@ def test_differential_writes_deep_values_whole():
     assert all(t.startswith("(" * differential.KEEP) and "...#" in t for t in texts)
 
 
+def test_differential_reads_the_cute_reference_and_pickled_values(monkeypatch):
+    # a "cute" call's outcome says who answers, and whether the engine answers as the
+    # symbolic CuTe reference does; a ("pickled", spec) argument is the value after pickle
+    differential = _differential()
+    lit = differential.lit
+
+    def L(shape, stride):
+        return ("Layout", lit(shape), lit(stride))
+
+    calls = [
+        ("cute", (lit("compose"), L(4, 1), L(8, 1))),
+        ("cute", (lit("compose"), L(8, 1), L(4, 1))),  # the cosize the engine refuses
+        ("cute", (lit("compose"), L(2, 3), L((4, 2), (1, 8)))),  # not divisible: neither
+        ("cute", (lit("complement"), L(4, 1), lit(8))),
+    ]
+    assert differential.run_corpus(calls) == ["agree", "reference only", "neither", "agree"]
+    monkeypatch.setattr(cute_reference, "reference", lambda op, a, b: ((4,), (2,)))
+    assert differential.run_corpus(calls[:1]) == ["disagree: engine ((4,), (1,)), reference ((4,), (2,))"]
+    table = ("table_of", L((2, 3), (1, 2)))
+    want = layoutkit.table_of(layoutkit.Layout((2, 3), (1, 2)))
+    assert differential._build(layoutkit, ("pickled", table)) == want
+    assert differential.describe(("FunctionTable.__eq__", (("pickled", table), table))) == (
+        "FunctionTable.__eq__(pickled(table_of(Layout((2, 3), (1, 2)))), table_of(Layout((2, 3), (1, 2))))"
+    )
+
+
 def _records():
     """One value of each record class, each built by its checked constructor."""
     lk = layoutkit
@@ -664,17 +691,20 @@ def _records():
 def test_every_record_is_a_slotted_value():
     # the engine's value classes share one base: fields named by __slots__,
     # set once, compared and hashed as the tuple of them within one class,
-    # and rebuilt by copy and pickle as equal values
+    # and rebuilt by copy and pickle as equal values; a table's one field is
+    # its public values, whichever form its private slot holds them in
     records = _records()
     assert [type(x).__name__ for x in records] == [
         "FlatLayout", "TupleMorphism", "NestMorphism", "Refinement", "MutualRefinement",
         "Layout", "FunctionTable",
     ]
+    public = {layoutkit.Layout: ("shape", "stride"), layoutkit.FunctionTable: ("values",)}
     for x in records:
         cls = type(x)
-        names = ("shape", "stride") if cls is layoutkit.Layout else cls.__slots__
+        names = public.get(cls, cls.__slots__)
         fields = {name: getattr(x, name) for name in names}
-        assert hash(x) == hash(tuple(getattr(x, name) for name in cls.__slots__))
+        hashed = names if cls is layoutkit.FunctionTable else cls.__slots__
+        assert hash(x) == hash(tuple(getattr(x, name) for name in hashed))
         rebuilt = [cls(*fields.values()), cls(**fields), copy.copy(x), copy.deepcopy(x)]
         for y in rebuilt + [pickle.loads(pickle.dumps(x))]:
             assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x)

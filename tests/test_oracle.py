@@ -1,8 +1,10 @@
 """The exhaustive-evaluation ground truth itself."""
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 import struct
 import sys
@@ -459,6 +461,58 @@ class TestByteOrder:
         for l in BYTE_ORDER:
             table, w = oracle._table(l, oracle.DEFAULT_CAP)
             assert type(table) is (int if l.size() * w <= oracle._INT_BYTES else bytes)
+
+
+#: (layout, word width) past AT_WIDTHS: tables built as bytes, at width 2 and at 16
+PACKED = AT_WIDTHS + [(BYTE_ORDER[3], 2), (BYTE_ORDER[-1], 16)]
+
+
+class TestPackedTable:
+    @pytest.mark.parametrize("l, w", PACKED, ids=str)
+    def test_a_packed_table_is_its_values(self, l, w):
+        # table_of keeps the words of 1, 2, 4 and 8 bytes packed, wider ones as a
+        # tuple; either way it is the table built from its values, by every reading
+        t, built = table_of(l), FunctionTable(_values(l))
+        assert type(t._data) is (memoryview if w in oracle._FORMATS else tuple)
+        assert type(t.values) is tuple and t.values == built.values
+        assert t == built and built == t and not t != built and t == table_of(l)
+        assert hash(t) == hash(built) == hash((built.values,))
+        assert repr(t) == repr(built) == f"FunctionTable(values={built.values!r})"
+        for y in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(y) is FunctionTable and y == t and y == built
+            assert hash(y) == hash(t) and repr(y) == repr(t)
+        assert t.size == built.size and [t[x] for x in range(t.size)] == list(built.values)
+        assert t.is_bijection_onto_range() == built.is_bijection_onto_range()
+        other = FunctionTable(built.values[:-1] + (built.values[-1] + 1,))
+        assert t != other and other != t and hash(t) != hash(other)
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """The names of ``_words`` and ``struct.unpack``, in the order they are called."""
+        calls = []
+
+        def spy(name, f):
+            def called(*args):
+                calls.append(name)
+                return f(*args)
+
+            return called
+
+        monkeypatch.setattr(oracle, "_words", spy("_words", oracle._words))
+        monkeypatch.setattr(struct, "unpack", spy("struct.unpack", struct.unpack))
+        return calls
+
+    @pytest.mark.parametrize("l, w", PACKED, ids=str)
+    def test_table_of_unpacks_nothing(self, spied, l, w):
+        # up to 8 bytes a word, the table and each point read from it make no
+        # tuple of ints: values alone unpacks, by one struct.unpack
+        t = table_of(l)
+        last = t[t.size - 1]
+        assert t.size == l.size() and last == _values(l)[-1]
+        assert spied == ([] if w in oracle._FORMATS else ["_words"])
+        spied.clear()
+        assert t.values == _values(l)
+        assert spied == (["struct.unpack"] if w in oracle._FORMATS else [])
 
 
 @pytest.mark.parametrize("cap", [None, "8", True, 2.0, 8.0])

@@ -539,3 +539,38 @@ class TestCheckedArithmetic:
             with pytest.raises(error) as raised:
                 call()
             assert type(raised.value) is error and str(raised.value) == text
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: prefix_products(4), "entries must be a sequence, not int"),
+        (lambda: colex(4, (1,)), "shape must be a sequence, not int"),
+        (lambda: colex((4,), 1), "coordinate must be a sequence, not int"),
+        (lambda: colex_inv(2.5, 1), "shape must be a sequence, not float"),
+        (lambda: layoutkit.identity(4), "shape must be a sequence, not int"),
+        (lambda: layoutkit.column_major(2.5), "shape must be a sequence, not float"),
+        (lambda: substitute(2.5, (1,)), "parts must be a sequence, not float"),
+        (lambda: nest_morphism((2,), (2,), 2.5), "amap must be a sequence, not float"),
+        (lambda: Layout(4, 1).eval_coord(2.5), "coordinate must be a sequence, not float"),
+        (lambda: FlatLayout((4,), (1,)).eval_coord(None), "coordinate must be a sequence, not NoneType"),
+        (lambda: prefix_products({2, 3}), "entries must be a sequence, not set"),
+        (lambda: prefix_products(iter((2, 3))), "entries must be a sequence, not tuple_iterator"),
+    ],
+)
+def test_a_scalar_where_a_sequence_is_read_is_refused(call, text):
+    # each public entry point that reads a flat sequence refuses a value that is no
+    # sequence at its edge; the engine's private forms read what it has checked
+    with pytest.raises(LayoutError) as raised:
+        call()
+    assert type(raised.value) is LayoutError and str(raised.value) == text
+
+
+def test_a_sequence_of_any_kind_is_still_read():
+    # a list or a range reads as its tuple does
+    assert prefix_products(range(2, 4)) == prefix_products([2, 3]) == (1, 2, 6)
+    assert colex([2, 3], range(1, 3)) == colex((2, 3), (1, 2)) == 5
+    assert colex_inv([2, 3], 5) == (1, 2) and Layout((2, 3), (1, 2)).eval_coord([1, 2]) == 5
+    assert layoutkit.identity([2, 3]) == layoutkit.identity((2, 3))
+    assert substitute([2, 3], (STAR, STAR)) == (2, 3)
+    assert nest_morphism((2,), (2,), range(1, 2)) == nest_morphism((2,), (2,), (1,))

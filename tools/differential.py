@@ -19,11 +19,16 @@ status is 0 when no outcome differs and 1 otherwise.
 A call is ``(target, args)``.  ``target`` is a public name of
 ``layoutkit``, a method, property or field as ``Class.name`` (a field is
 read off the object, whether its class names it in ``__slots__`` or not),
-or ``"cli"`` with the argument list as its one argument.  Each argument is
-a spec: ``("=", value)`` is the value itself, ``("deep", n, leaf)`` is
+``"cli"`` with the argument list as its one argument, or ``"cute"`` with an
+operation and its two operands, whose outcome is whether the engine agrees
+with the symbolic CuTe reference of ``tests/cute_reference.py``.  Each argument
+is a spec: ``("=", value)`` is the value itself, ``("deep", n, leaf)`` is
 ``leaf`` inside ``n`` one-tuples, ``("[]", *specs)`` is a list, ``("Pair", x, y)``
-is a two-field ``namedtuple`` node, and ``(target, *specs)`` is the result of
-that call.  So the corpus holds no object of either tree.
+is a two-field ``namedtuple`` node, ``("pickled", spec)`` is the value of
+``spec`` after a round trip through ``pickle``, and ``(target, *specs)`` is the
+result of that call.  So the corpus holds no object of either tree.  An outcome
+of the change's tree where the engine answers otherwise than the CuTe reference
+is printed too, and fails the gate as a difference does.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ class Corpus:
         self.refinements = random.Random(seed + 1)
         self.edges = random.Random(seed + 2)
         self.tables = random.Random(seed + 3)
+        self.cute = random.Random(seed + 4)
         self.calls: list = []
 
     def add(self, target: str, *args) -> None:
@@ -511,6 +517,19 @@ def table_battery(c: Corpus, flats: int) -> None:
         c.add("check_compose", a, F, ("FlatLayout", a[1], lit(tuple(off))))
 
 
+def cute_reference_battery(c: Corpus, lk, gens, cute_reference, flats: int, edges: int) -> None:
+    """Compose, complement, divide and product on pairs of tractable flat layouts and of
+    64-bit-edge layouts, each recorded as whether the engine agrees with the symbolic CuTe
+    reference by coalesce wherever it answers, and who answers where it refuses."""
+    rng = c.cute
+    flat = [lk.Layout.of_flat(gens.random_tractable_flat(rng)) for _ in range(2 * flats)]
+    pairs = list(zip(flat[::2], flat[1::2]))
+    pairs += [(gens.random_edge_layout(rng, 2), gens.random_edge_layout(rng)) for _ in range(edges)]
+    for a, b in pairs:
+        for op, second in cute_reference.operations(a, b):
+            c.add("cute", lit(op), _L(a), lit(second) if op == "complement" else _L(b))
+
+
 def cli_battery(c: Corpus, clicases, seed: int) -> None:
     """Every verb: the bench's generated command lines of one seed, with its
     golden transcripts and refusals."""
@@ -552,6 +571,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     import layoutkit as lk
     import layoutkit.cli as cli
     import clicases
+    import cute_reference
     import generators as gens
     from gen import Gen
     from workloads import SMALL, WIDE
@@ -572,6 +592,17 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         a, b = lk.Layout(shape, stride), lk.Layout(*other)
         oracle_battery(c, lk, a, b)
         c.add("FunctionTable.values", ("table_of", _L(a)))
+        # the table as table_of keeps it, against its twin built from its values
+        table = ("table_of", _L(a))
+        twin = ("FunctionTable", ("FunctionTable.values", table))
+        c.add("FunctionTable.__eq__", table, twin)
+        c.add("FunctionTable.__eq__", twin, table)
+        c.add("FunctionTable.__hash__", table)
+        c.add("FunctionTable.__hash__", twin)
+        c.add("FunctionTable.__eq__", ("pickled", table), twin)
+        c.add("FunctionTable.__repr__", ("pickled", table))
+        c.add("FunctionTable.__repr__", table)
+        c.add("FunctionTable.__repr__", twin)
         c.add("check_complement", _L(a), ("Layout", lit(2), lit(1)))
         top = sum((s - 1) * d for s, d in zip(shape, stride))
         c.add("check_compose", _L(a), ("Layout", lit(top + 1), lit(1)), _L(a))
@@ -611,6 +642,19 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     for cap in (None, "8", 3, 8):
         c.add("functions_equal", a, b, lit(cap))
         c.add("check_complement", a, b, lit(9), lit(cap))
+    # a scalar, a set and a range where a flat sequence is read
+    for v in (4, 2.5, None, {2, 3}, range(2, 4)):
+        V = lit(v)
+        c.add("prefix_products", V)
+        c.add("colex", V, lit((1,)))
+        c.add("colex", lit((4,)), V)
+        c.add("colex_inv", V, lit(1))
+        c.add("identity", V)
+        c.add("column_major", V)
+        c.add("substitute", V, lit((1,)))
+        c.add("nest_morphism", lit((2,)), lit((2,)), V)
+        c.add("Layout.eval_coord", ("Layout", lit(4), lit(1)), V)
+        c.add("FlatLayout.eval_coord", ("FlatLayout", lit((2, 4)), lit((1, 2))), V)
     # tables built from a list, an int and float values
     for values in ([2, 0, 1], 5, (0.5, 1), (0, 1.0)):
         c.add("FunctionTable.values", ("FunctionTable", lit(values)))
@@ -676,6 +720,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     edge_battery(c, lk, gens, rng)
     edge_pair_battery(c, gens, 1000)
     table_battery(c, 400)
+    cute_reference_battery(c, lk, gens, cute_reference, 1000, 500)
     cli_fixed(c, clicases, cli)
     for s in range(cli_seeds):
         cli_battery(c, clicases, seed + s)
@@ -699,6 +744,8 @@ def _build(lk, spec):
         return args
     if tag == "Pair":
         return Pair(*args)
+    if tag == "pickled":
+        return pickle.loads(pickle.dumps(args[0]))
     return _call(lk, tag, args)
 
 
@@ -744,11 +791,15 @@ def _text(value) -> str:
 
 def run_corpus(calls) -> list:
     """The outcome of each call, with the ``layoutkit`` already importable."""
+    import cute_reference
     import layoutkit as lk
     from layoutkit.cli import main
 
     outcomes = []
     for target, args in calls:
+        if target == "cute":
+            outcomes.append(cute_reference.agreement(*[_build(lk, s) for s in args]))
+            continue
         if target == "cli":
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -788,6 +839,7 @@ def _worker(src: str, corpus_path: str, out_path: str) -> None:
 
     if Path(layoutkit.__file__).parent.parent != Path(src):
         raise SystemExit(f"imported {layoutkit.__file__}, not the package in {src}")
+    sys.path.append(str(ROOT / "tests"))  # the CuTe reference, which reads this layoutkit
     with open(corpus_path, "rb") as fh:
         calls = pickle.load(fh)
     outcomes = run_corpus(calls)
@@ -833,14 +885,17 @@ def main(argv) -> int:
     before, after = results
     differ = [i for i, (p, q) in enumerate(zip(before, after)) if p != q]
     ncli = sum(1 for target, _ in calls if target == "cli")
+    wrong = [i for i, (t, _) in enumerate(calls) if t == "cute" and after[i].startswith("disagree")]
     print(
         f"differential: {len(calls):,} outcomes ({len(calls) - ncli:,} library, "
-        f"{ncli:,} CLI), {len(differ):,} differ; corpus {built:.1f} s, "
-        f"parent {elapsed[0]:.1f} s, change {elapsed[1]:.1f} s"
+        f"{ncli:,} CLI), {len(differ):,} differ, {len(wrong):,} disagree with the CuTe "
+        f"reference; corpus {built:.1f} s, parent {elapsed[0]:.1f} s, change {elapsed[1]:.1f} s"
     )
     for i in differ:
         print(f"\n#{i} {describe(calls[i])}\n  parent: {before[i]}\n  change: {after[i]}")
-    return 1 if differ else 0
+    for i in wrong:
+        print(f"\n#{i} {describe(calls[i])}\n  change: {after[i]}")
+    return 1 if differ or wrong else 0
 
 
 if __name__ == "__main__":
