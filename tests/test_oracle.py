@@ -29,7 +29,7 @@ from layoutkit import (
     table_of,
 )
 
-from generators import tractable_flats
+from generators import random_edge_layout, random_tractable_flat, tractable_flats
 
 
 class TestFunctionTable:
@@ -443,6 +443,11 @@ def _pack(values, w, order):
     return b"".join(v.to_bytes(w, order) for v in values)
 
 
+def _as_int(values, bits):
+    """``values`` as one int, word ``j`` of ``bits`` bits at bit ``bits·j``."""
+    return int("".join(format(v, f"0{bits}b") for v in reversed(values)), 2)
+
+
 class TestByteOrder:
     @pytest.mark.parametrize("l", BYTE_ORDER, ids=str)
     def test_packed_tables_are_words_in_native_order(self, l, monkeypatch):
@@ -457,10 +462,114 @@ class TestByteOrder:
             assert oracle._packed(l, oracle.DEFAULT_CAP) == (_pack(values, w, order), w)
 
     def test_the_form_follows_the_length(self):
-        # a table of at most 64 KiB is compared as one int, a longer one as bytes
+        # a table of at most 64 KiB is one int, a longer one bytes, at the width it
+        # was built in: bytes by default, the largest value's bit length where asked
+        # and one int holds the table at that width
         for l in BYTE_ORDER:
-            table, w = oracle._table(l, oracle.DEFAULT_CAP)
-            assert type(table) is (int if l.size() * w <= oracle._INT_BYTES else bytes)
+            table, bits = oracle._table(l, oracle.DEFAULT_CAP)
+            assert bits % 8 == 0
+            assert type(table) is (int if l.size() * bits <= 8 * oracle._INT_BYTES else bytes)
+            values = _values(l)
+            tight = max(1, max(values).bit_length())
+            fits = l.size() * tight <= 8 * oracle._INT_BYTES
+            assert oracle._table(l, oracle.DEFAULT_CAP, tight) == (
+                (_as_int(values, tight), tight) if fits else (table, bits)
+            )
+
+
+def _variant(rng, a):
+    """``a`` coalesced, with its modes reversed, or with one stride moved by one."""
+    how = rng.randrange(3)
+    if how == 0 or not a.shape:
+        return a.coalesce()
+    if how == 1:
+        return FlatLayout(a.shape[::-1], a.stride[::-1])
+    i = rng.randrange(len(a.shape))
+    return FlatLayout(a.shape, a.stride[:i] + (a.stride[i] + 1,) + a.stride[i + 1 :])
+
+
+class TestBitLengthWords:
+    """``functions_equal`` compares the two largest values, then builds both tables in words
+    of the largest value's bit length where one int holds them, else in bytes."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Each ``_table`` call as ``(bits asked for, (table, bits))``."""
+        calls, table = [], oracle._table
+
+        def spy(flat, cap, bits=0):
+            calls.append((bits, table(flat, cap, bits)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "_table", spy)
+        return calls
+
+    def test_an_all_zero_function_has_one_bit_words(self, tables):
+        assert functions_equal(FlatLayout((8, 4), (0, 0)), FlatLayout((32,), (0,)))
+        assert tables == [(1, (0, 1))] * 2
+        tables.clear()
+        # past one int at 1 bit a point: bytes
+        assert functions_equal(FlatLayout((1000, 1000), (0, 0)), FlatLayout((10**6,), (0,)))
+        assert tables == [(1, (bytes(10**6), 8))] * 2
+
+    def test_a_one_point_table(self, tables):
+        assert functions_equal(FlatLayout((), ()), FlatLayout((1, 1), (5, 7)))
+        assert tables == [(1, (0, 1))] * 2
+
+    def test_unequal_largest_values_build_no_table(self, tables):
+        pairs = [
+            (FlatLayout((4,), (1,)), FlatLayout((4,), (2,))),
+            (FlatLayout((2, 2), (1, 254)), FlatLayout((2, 2), (1, 255))),  # 255 | 256: 1 | 2 bytes
+            (FlatLayout((2, 4), (1, 2)), FlatLayout((2, 4), (2, 2))),  # 7 | 8: 3 | 4 bits
+            (FlatLayout((2, 2), (2**62, 2**62)), FlatLayout((2, 2), (2**62, 2**62 + 1))),
+        ]
+        for a, b in pairs:
+            assert not functions_equal(a, b) and not functions_equal(b, a)
+        assert tables == []
+        # one largest value, the modes swapped: both tables are built, in 3-bit words
+        assert not functions_equal(FlatLayout((2, 4), (1, 2)), FlatLayout((4, 2), (2, 1)))
+        assert [bits for bits, _ in tables] == [3, 3] and [t[1] for _, t in tables] == [3, 3]
+
+    @pytest.mark.parametrize(
+        "d, n, form",
+        [
+            (2, 2**15, int),  # 16-bit words, exactly 64 KiB
+            (2, 2**15 - 1, int),  # one word under it
+            (3, 2**15, bytes),  # 17-bit words past it: 4-byte words
+        ],
+        ids=str,
+    )
+    def test_tables_on_both_sides_of_the_int_limit(self, tables, d, n, form):
+        l = FlatLayout((n,), (d,))
+        split = FlatLayout((n // 2, 2), (d, d * (n // 2))) if n % 2 == 0 else FlatLayout((1, n), (5, d))
+        assert functions_equal(l, split) and functions_equal(split, l)
+        top = (n - 1) * d
+        bits = max(1, top.bit_length())
+        assert all(type(t) is form for _, (t, _) in tables)
+        assert {b for _, (_, b) in tables} == {bits if form is int else 32}
+        tables.clear()
+        if n % 2 == 0:  # one largest value, the values in another order
+            swapped = FlatLayout((2, n // 2), (d * (n // 2), d))
+            assert not functions_equal(l, swapped)
+            assert len(tables) == 2
+
+    def test_seeded_pairs_agree_with_their_values(self):
+        # tractable flats, and 64-bit-edge layouts with every extent cut to at most 4, so
+        # their words run past 64 bits; each against a variant of itself
+        rng = random.Random(35)
+        pairs = []
+        for _ in range(1000):
+            a = random_tractable_flat(rng)
+            e = random_edge_layout(rng).flat()
+            e = FlatLayout(tuple(min(s, 4) for s in e.shape), e.stride)
+            pairs += [(a, _variant(rng, a)), (e, _variant(rng, e))]
+        seen = set()
+        for a, b in pairs:
+            want = table_of(a).values == table_of(b).values
+            assert functions_equal(a, b) == want, (a, b)
+            seen.add((want, oracle._largest(a) == oracle._largest(b)))
+        # equal, unequal of one largest value, and unequal largest values
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 #: (layout, word width) past AT_WIDTHS: tables built as bytes, at width 2 and at 16
@@ -513,6 +622,48 @@ class TestPackedTable:
         spied.clear()
         assert t.values == _values(l)
         assert spied == (["struct.unpack"] if w in oracle._FORMATS else [])
+
+    @pytest.mark.parametrize("l, w", PACKED, ids=str)
+    def test_packed_tables_compare_by_their_bytes(self, spied, l, w):
+        # two table_of tables of one width compare by their bytes and unpack nothing,
+        # equal or not (the modes reversed keep the largest value, so the width)
+        r = FlatLayout(l.shape[::-1], l.stride[::-1])
+        same = _values(r) == _values(l)
+        t, again, other = table_of(l), table_of(l), table_of(r)
+        spied.clear()
+        assert t == again and again == t and not t != again
+        assert (t == other) == (other == t) == same and (t != other) != same
+        assert spied == []
+        # against a tuple-held table, either way round, and by hash, values are read
+        built = FunctionTable(_values(l))
+        assert t == built and built == t and (other == built) == (built == other) == same
+        assert hash(t) == hash(again) == hash(built) == hash((built.values,))
+
+    def test_unequal_packed_tables_at_each_width(self):
+        # the modes reversed keep the largest value, so the width: unequal at every one
+        unequal = set()
+        for l, w in PACKED:
+            r = FlatLayout(l.shape[::-1], l.stride[::-1])
+            if _values(r) != _values(l):
+                assert table_of(l) != table_of(r) and not table_of(l) == table_of(r)
+                unequal.add(w)
+        assert unequal == {1, 2, 4, 8, 16}
+
+    def test_equal_bytes_of_two_widths_are_unequal_tables(self):
+        # (0, 0, 1, 1) in bytes and (0, 257) in 2-byte words are the same four bytes
+        # in either byte order: the format is compared too
+        a, b = table_of(FlatLayout((2, 2), (0, 1))), table_of(FlatLayout((2,), (257,)))
+        assert a._data.obj == b._data.obj and a._data.format != b._data.format
+        assert a != b and b != a and a.values != b.values
+
+    def test_tables_past_64_kib_compare_by_their_bytes(self, spied):
+        l = FlatLayout((16384, 5), (1, 0))  # 163,840 bytes, built past one int
+        t, last = table_of(l), table_of(FlatLayout((16384, 5), (1, 1)))  # one width
+        assert type(t._data) is memoryview and len(t._data.obj) > oracle._INT_BYTES
+        spied.clear()
+        assert t == table_of(l) and t != last and last != t
+        assert spied == []
+        assert hash(t) == hash(FunctionTable(_values(l)))
 
 
 @pytest.mark.parametrize("cap", [None, "8", True, 2.0, 8.0])
@@ -624,6 +775,18 @@ class TestGather:
 
         monkeypatch.setattr(tuplecat._LayoutFunction, "__call__", spy)
         return checked, calls
+
+    def test_gather_of_one_point_and_of_more(self, spied):
+        # one point of a gathers one word, wrapped as a tuple; two or more, a tuple
+        check, calls = spied
+        one, b = FlatLayout((), ()), FlatLayout((3,), (5,))
+        assert check(one, b, FlatLayout((1,), (7,))) and check(FlatLayout((1, 1), (2, 9)), b, one)
+        a = FlatLayout((2,), (1,))
+        assert check(a, b, FlatLayout((2,), (5,))) and not check(a, b, FlatLayout((2,), (6,)))
+        a = FlatLayout((2, 2), (2, 1))  # b(a(x)) = 0, 10, 5, 15
+        assert check(a, FlatLayout((4,), (5,)), FlatLayout((2, 2), (10, 5)))
+        assert not check(a, FlatLayout((4,), (5,)), FlatLayout((2, 2), (5, 10)))
+        assert calls == []
 
     def test_gather(self, spied):
         check, calls = spied

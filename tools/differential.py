@@ -642,6 +642,24 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     for cap in (None, "8", 3, 8):
         c.add("functions_equal", a, b, lit(cap))
         c.add("check_complement", a, b, lit(9), lit(cap))
+    # functions_equal on one size: largest values either side of a byte width (255 | 256)
+    # and of a bit length (7 | 8), all-zero pairs, and tables just under, at and just over
+    # one int of 64 KiB, each against itself split in two and with its modes swapped
+    for x, y in (
+        (((2, 2), (1, 254)), ((2, 2), (1, 255))),
+        (((2, 4), (1, 2)), ((2, 4), (2, 2))),
+        (((2, 4), (1, 2)), ((4, 2), (2, 1))),
+        (((8, 4), (0, 0)), ((32,), (0,))),
+        (((4,), (0,)), ((4,), (1,))),
+        (((2**15 - 2,), (2,)), ((2**14 - 1, 2), (2, 2**15 - 2))),
+        (((2**14, 2), (2, 2**15)), ((2, 2**14), (2**15, 2))),
+        (((2**15,), (2,)), ((2**14, 2), (2, 2**15))),
+        (((2**15,), (3,)), ((2**14, 2), (3, 3 * 2**14))),
+        (((2**14, 2), (3, 3 * 2**14)), ((2, 2**14), (3 * 2**14, 3))),
+    ):
+        x, y = ("FlatLayout", *map(lit, x)), ("FlatLayout", *map(lit, y))
+        c.add("functions_equal", x, y)
+        c.add("functions_equal", y, x)
     # a scalar, a set and a range where a flat sequence is read
     for v in (4, 2.5, None, {2, 3}, range(2, 4)):
         V = lit(v)
