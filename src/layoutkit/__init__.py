@@ -58,7 +58,6 @@ from .nestcat import (
     column_major_layout,
     complement_nm,
     compose_nest,
-    compose_tractable,
     concat_layouts,
     concat_nm,
     divides,

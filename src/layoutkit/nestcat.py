@@ -473,12 +473,6 @@ def standard_representation_nested(layout: Layout) -> NestMorphism:
     return _unchecked(NestMorphism, layout.shape, fmap.codomain, fmap)
 
 
-def compose_tractable(a: Layout, b: Layout) -> Layout:
-    """The weak composite, a layout with function Φ_b ∘ Φ_a whose shape refines shape(a):
-    :meth:`Layout.compose` itself, which coalesces nothing (see :func:`_composite`)."""
-    return Layout.compose(a, b)
-
-
 def _composite(tree: Nested, flat: FlatLayout, b_flat: FlatLayout) -> Tuple[Nested, FlatLayout]:
     """The shape and flat form of the composite of ``flat`` with ``b_flat`` (each operand flat),
     nested like ``tree``, which flattens to ``flat``'s shape: ``flat``'s standard map cut along

@@ -3,14 +3,14 @@
 Everything here works on full function tables rather than on the algebraic structure, so
 it is independent of the engine: the engine's results are verified against these tables in
 the test suite. Tables are built from a layout's ``shape`` and ``stride`` alone, mode by
-mode in colex order, as packed words of the fewest bytes, a power of two, that hold the
-largest value: one int up to 64 KiB, then bytes.  :func:`functions_equal` compares largest
-values, then tables in words of that value's bit length where one int holds them.
-:func:`table_of` keeps the bytes, compared as bytes: a point read makes one ``int``, and
-``values`` unpacks them all by ``struct.unpack``. A layout of n points is a bijection onto
-[0, n) when its image, one int with a bit set per value, fills [0, n); a composite is
-checked by one ``itemgetter`` gather from the second layout's table, else point by point;
-every cap must be an ``int``. :class:`FunctionTable` shares the record base.
+mode in colex order, as one int of packed words of the fewest bytes, a power of two, that
+hold the largest value.  :func:`functions_equal` compares largest values, then tables in
+words of that value's bit length.  :func:`table_of` keeps the bytes, compared as bytes: a
+point read makes one ``int``, and ``values`` unpacks them all by ``struct.unpack``. A
+layout of n points is a bijection onto [0, n) when its image, one int with a bit set per
+value, fills [0, n); a composite is checked by one ``itemgetter`` gather from the second
+layout's table, else point by point; every cap must be an ``int``. :class:`FunctionTable`
+shares the record base.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .tuplecat import FlatLayout, _Record, concat_flat
 DEFAULT_CAP = 10**6
 #: the ``struct`` and ``memoryview`` format of each word width that has one
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-#: the most bytes a table is built to as one int: past it, each big-int step would
-#: make fresh temporaries of megabytes, dearer than the chunked rule's conversions
-_INT_BYTES = 1 << 16
 #: the most points of the second layout per point of the first that ``check_compose``
 #: tabulates for a gather: past it, calling the layouts point by point costs less
 _GATHER_SPAN = 512
@@ -105,28 +102,23 @@ def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
     """:func:`_table` as ``(table, w)`` with the table in bytes, words in native byte order."""
     table, bits = _table(flat, cap)
     w = bits // 8
-    return (_native(table, flat.size() * w, w) if type(table) is int else table), w
+    return _native(table, flat.size() * w, w), w
 
 
-def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[Union[int, bytes], int]:
-    """The values of ``flat`` in colex order as ``(table, bits)``, in words that hold the
-    largest value, so no word carries: of the ``bits`` given (its bit length or more) where
-    one int of ``_INT_BYTES`` holds them, else of ``w`` bytes, the fewest, a power of two.
-    Up to ``_INT_BYTES`` the table is one int, word ``j`` at bit ``bits·j``: a mode ``s:d`` ors
-    in the table so far shifted by ``h`` copies, ``h·d`` added to every word, ``h`` doubling,
-    the last step cut by a mask.  From the first mode that would pass ``_INT_BYTES`` it is
-    bytes, converted once, and a mode appends shifted copies a chunk at a time, one big-int
-    add each: the chunk doubles while under 256 bytes, then stays, the rest last."""
+def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[int, int]:
+    """The values of ``flat`` in colex order as ``(table, bits)``: one int, word ``j`` at bit
+    ``bits·j``, in words that hold the largest value, so no word carries: of the ``bits``
+    given (its bit length or more), else of the fewest bytes, a power of two.  A mode
+    ``s:d`` ors in the table so far shifted by ``h`` copies, ``h·d`` added to every word, ``h``
+    doubling, the last step cut by a mask."""
     _within(flat.size(), cap)
-    need, w = bits or _largest(flat).bit_length(), 1  # given bits hold the largest value
-    while need > 8 * w:
-        w *= 2
-    bits = bits if bits and flat.size() * bits <= 8 * _INT_BYTES else 8 * w
+    if not bits:  # bits given hold the largest value already
+        bits, need = 8, _largest(flat).bit_length()
+        while need > bits:
+            bits *= 2
     modes = list(zip(flat.shape, flat.stride))
     table, ones, k = 0, 1, 1  # ones has a 1 in each of the k words so far
     for m, (s, d) in enumerate(modes):
-        if k * s * bits > 8 * _INT_BYTES:
-            break
         h = 1
         while h < s:
             t, o = table, ones
@@ -138,28 +130,6 @@ def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[Union[int, bytes]
                 ones |= o << h * k * bits
             h = min(2 * h, s)
         k *= s
-    else:
-        return table, bits
-    table, order = _native(table, k * w, w), sys.byteorder
-    one = (1).to_bytes(w, order)
-    for s, d in modes[m:]:
-        if d == 0:
-            table *= s
-            continue
-        k, h = len(table), 1
-        while h < s:
-            if h * k < 256 or s < 2 * h:  # the first c copies again, shifted by h*d
-                c = min(h, s - h)
-                block = int.from_bytes(table[: c * k], order)
-                block += h * d * int.from_bytes(one * (c * k // w), order)
-                table, h = table + block.to_bytes(c * k, order), h + c
-            else:  # whole chunks of h copies, each one add of h*d to the last
-                step = h * d * int.from_bytes(one * (h * k // w), order)
-                block, copies = int.from_bytes(table, order), [table]
-                for _ in range(s // h - 1):
-                    block += step
-                    copies.append(block.to_bytes(h * k, order))
-                table, h = b"".join(copies), s // h * h
     return table, bits
 
 

@@ -13,14 +13,21 @@ pairs of Python ints with no range check:
   last mode of ``A`` extends without bound.
 - ``complement(A, M)`` walks the modes of ``A`` by stride and fills each gap,
   then covers up to ``M`` with one last mode.
+- ``composition_by_mode(A, B)`` distributes over the modes of a nested ``B``:
+  it is the tree of ``composition(A, leaf)`` over ``B``'s leaves, where a leaf
+  that yields one mode stays a leaf and any other becomes the tuple of its
+  coalesced modes.
 - ``logical_divide(A, B)`` is ``composition(A, (B, complement(B, size(A))))``
   and ``logical_product(A, B)`` is
-  ``(A, composition(complement(A, size(A)·cosize(B)), B))``.
+  ``(A, composition(complement(A, size(A)·cosize(B)), B))``, each by mode, on
+  ``(shape, stride)`` trees.
 
 CuTe's ``composition(A, B)`` is ``B.compose(A)`` here.  The engine and the
-reference are compared by ``coalesce()`` (:func:`agreement`): where the engine
-answers, the reference must give the same coalesced layout.  The tests in
-``test_cute_reference.py`` and a battery of ``tools/differential.py`` read it.
+reference are compared exactly (:func:`agreement`): where the engine answers a
+composition, divide or product, the reference must give the same shape and
+stride trees, nesting included; a complement, which is flat, is compared by
+``coalesce()``.  The tests in ``test_cute_reference.py`` and a battery of
+``tools/differential.py`` read it.
 """
 
 from math import prod
@@ -81,6 +88,32 @@ def composition(outer, inner):
     return coalesce(shape, stride)
 
 
+def composition_by_mode(outer, inner):
+    """``composition(outer, leaf)`` at each leaf of ``inner``, a ``(shape, stride)`` pair of
+    trees: one mode as a leaf, more as the tuple of its coalesced modes."""
+    shape, stride = inner
+    if isinstance(shape, tuple):
+        modes = [composition_by_mode(outer, mode) for mode in zip(shape, stride)]
+        return tuple(s for s, _ in modes), tuple(d for _, d in modes)
+    return _leaf(composition(outer, ((shape,), (stride,))))
+
+
+def _leaf(layout):
+    """A flat ``(shape, stride)`` pair of one mode as a pair of ints, else as it is."""
+    shape, stride = layout
+    return (shape[0], stride[0]) if len(shape) == 1 else layout
+
+
+def flatten(tree):
+    """The leaves of ``tree`` as a tuple, left to right."""
+    return sum(map(flatten, tree), ()) if isinstance(tree, tuple) else (tree,)
+
+
+def _flat(layout):
+    """A ``(shape, stride)`` pair of trees as a pair of flat tuples."""
+    return flatten(layout[0]), flatten(layout[1])
+
+
 def complement(layout, size):
     """CuTe's complement of ``layout`` in ``size``: each gap below the modes, taken by
     stride, then one mode up to ``size``, coalesced."""
@@ -101,15 +134,18 @@ def cosize(layout):
 
 
 def logical_divide(a, b):
-    """``composition(a, (b, complement(b, size(a))))``."""
-    c = complement(b, prod(a[0]))
-    return composition(a, (b[0] + c[0], b[1] + c[1]))
+    """``composition(a, (b, complement(b, size(a))))`` by mode, on ``(shape, stride)`` trees."""
+    flat_a = _flat(a)
+    shape, stride = _leaf(complement(_flat(b), prod(flat_a[0])))
+    return composition_by_mode(flat_a, ((b[0], shape), (b[1], stride)))
 
 
 def logical_product(a, b):
-    """``(a, composition(complement(a, size(a)·cosize(b)), b))``, coalesced."""
-    part = composition(complement(a, prod(a[0]) * cosize(b)), b)
-    return coalesce(a[0] + part[0], a[1] + part[1])
+    """``(a, composition(complement(a, size(a)·cosize(b)), b))`` by mode, on ``(shape, stride)``
+    trees."""
+    flat_a = _flat(a)
+    shape, stride = composition_by_mode(complement(flat_a, prod(flat_a[0]) * cosize(_flat(b))), b)
+    return (a[0], shape), (a[1], stride)
 
 
 def pair(layout):
@@ -117,29 +153,30 @@ def pair(layout):
     return flat.shape, flat.stride
 
 
+def tree(layout):
+    return layout.shape, layout.stride
+
+
 def engine(op, a, b):
-    """The engine's coalesced result as a (shape, stride) pair, or None where it refuses."""
+    """The engine's result as a ``(shape, stride)`` pair of trees, a complement's coalesced, or
+    None where it refuses."""
     try:
-        if op == "compose":  # CuTe's composition(b, a)
-            result = a.compose(b)
-        elif op == "complement":
-            result = a.complement(b)
-        else:
-            result = getattr(a, op)(b)
+        if op == "complement":  # coalesced on Python ints: a merged extent may pass 2^63-1
+            return coalesce(*pair(a.complement(b)))
+        return tree(getattr(a, op)(b))  # compose: CuTe's composition(b, a)
     except LayoutError:
         return None
-    return coalesce(*pair(result))  # on Python ints: a merged extent may pass 2^63-1
 
 
 def reference(op, a, b):
     """The reference's result, or None where it refuses."""
     try:
         if op == "compose":
-            return composition(pair(b), pair(a))
+            return composition_by_mode(pair(b), tree(a))
         if op == "complement":
             return complement(pair(a), b)
         return {"logical_divide": logical_divide, "logical_product": logical_product}[op](
-            pair(a), pair(b)
+            tree(a), tree(b)
         )
     except NotDivisible:
         return None

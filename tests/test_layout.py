@@ -5,7 +5,6 @@ import copy
 import gc
 import pickle
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from layoutkit import (
     check_compose,
     column_major_layout,
     compose_nest,
-    compose_tractable,
     concat_layouts,
     layout_of_nested,
     make_composable,
@@ -526,7 +524,7 @@ class TestEngineOutputIsValid:
                     values.append(a.complement(n))
                 except NotComplementableError:
                     pass
-            for op in (a.compose, a.logical_divide, a.logical_product, partial(compose_tractable, a)):
+            for op in (a.compose, a.logical_divide, a.logical_product):
                 try:
                     values.append(op(b))
                 except (NotComposableError, NotComplementableError):

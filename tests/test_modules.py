@@ -206,14 +206,14 @@ def _module_scopes(stem):
 
 def test_layout_operations_run_on_tuple_morphisms():
     # a layout operation runs on tuple morphisms and nests its result once:
-    # compose_tractable, every Layout method and whatever they reach build no
+    # every Layout method and whatever they reach build no
     # Nest-category object, directly or through _unchecked, and call none of
     # the Nest-category operations
     nest = {"NestMorphism", "Refinement", "MutualRefinement"}
     nest |= {"mutual_refinement", "make_composable", "pullback", "pushforward"}
     nest |= {"compose_nest", "layout_of_nested"}
     scopes = _module_scopes("nestcat")
-    roots = ["compose_tractable", "_composite"]
+    roots = ["_composite"]
     roots += [name for name in scopes if name.startswith("Layout.")]
     reached = _reached(scopes, roots)
     # compose cuts only its first operand's map and reads the second's strides
@@ -233,10 +233,10 @@ def test_the_transport_is_written_once():
     # greedy pieces; the Nest-category operations and compose reach them, and
     # only the public transport wraps the cut map in a tuple morphism
     scopes = _module_scopes("nestcat")
-    for root in ("pullback", "pushforward", "compose_tractable", "_composite"):
+    for root in ("pullback", "pushforward", "Layout.compose", "_composite"):
         assert "_cut" in _reached(scopes, [root])
         assert ("_cut_m" in _reached(scopes, [root])) == (root in ("pullback", "pushforward"))
-    for root in ("mutual_refinement", "compose_tractable", "_composite"):
+    for root in ("mutual_refinement", "Layout.compose", "_composite"):
         assert "_refine" in _reached(scopes, [root])
     builders = {
         name
@@ -294,7 +294,6 @@ def test_only_coalesce_relative_coalesces_groups_of_pieces():
     p, q = Layout((2, 2), (1, 2)), Layout((5, 5), (5, 1))
     ops = {
         "compose": (lambda: a.compose(b), 1),
-        "compose_tractable": (lambda: layoutkit.compose_tractable(a, b), 1),
         "logical_divide": (lambda: m.logical_divide(tiler), 2),
         "logical_product": (lambda: p.logical_product(q), 2),
     }
@@ -452,7 +451,6 @@ def test_a_layout_holds_its_nesting_once():
         "logical_divide": (lambda: m.logical_divide(tiler), 0),
         "logical_product": (lambda: p.logical_product(q), 0),
         "coalesce_relative": (lambda: r.coalesce_relative(((2, 2), 9, 25)), 0),
-        "compose_tractable": (lambda: layoutkit.compose_tractable(a, b), 1),
         "substitute_profile": (lambda: layoutkit.substitute_profile(a, (("*", "*"), "*")), 1),
         "column_major_layout": (lambda: layoutkit.column_major_layout(((4, 4), 4)), 0),
         "layout_of_nested": (lambda: layoutkit.layout_of_nested(f), 0),
@@ -649,7 +647,8 @@ def test_differential_writes_deep_values_whole():
 
 def test_differential_reads_the_cute_reference_and_pickled_values(monkeypatch):
     # a "cute" call's outcome says who answers, and whether the engine answers as the
-    # symbolic CuTe reference does; a ("pickled", spec) argument is the value after pickle
+    # symbolic CuTe reference does, shape and stride trees compared exactly (4:1's are
+    # the leaves 4 and 1); a ("pickled", spec) argument is the value after pickle
     differential = _differential()
     lit = differential.lit
 
@@ -664,7 +663,7 @@ def test_differential_reads_the_cute_reference_and_pickled_values(monkeypatch):
     ]
     assert differential.run_corpus(calls) == ["agree", "reference only", "neither", "agree"]
     monkeypatch.setattr(cute_reference, "reference", lambda op, a, b: ((4,), (2,)))
-    assert differential.run_corpus(calls[:1]) == ["disagree: engine ((4,), (1,)), reference ((4,), (2,))"]
+    assert differential.run_corpus(calls[:1]) == ["disagree: engine (4, 1), reference ((4,), (2,))"]
     table = ("table_of", L((2, 3), (1, 2)))
     want = layoutkit.table_of(layoutkit.Layout((2, 3), (1, 2)))
     assert differential._build(layoutkit, ("pickled", table)) == want

@@ -24,7 +24,6 @@ from layoutkit import (
     complement_m,
     complement_nm,
     compose_nest,
-    compose_tractable,
     concat_layouts,
     concat_nm,
     divides,
@@ -266,18 +265,18 @@ class TestComposition:
     def test_weak_composite_refines_first_operand(self):
         a = Layout((4,), (1,))
         b = Layout((2, 2), (2, 1))
-        weak = compose_tractable(a, b)
+        weak = a.compose(b)
         assert refines(weak.shape, a.shape)
         assert check_compose(a, b, weak)
-        # flat operands are taken as they are, the first's shape a flat tree
+        # flat operands, as the oracle composes them: the first's shape a flat tree
         a, b = Layout(((4, 4), 4), ((16, 1), 4)), Layout((8, 64), (64, 1))
-        weak = compose_tractable(a.flat(), b.flat())
+        weak = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
         assert str(weak) == "(4,4,(2,2)):(2,64,(256,1))"
-        assert weak.flat() == compose_tractable(a, b).flat()
+        assert weak.flat() == a.compose(b).flat()
 
     def test_cosize_guard(self):
         with pytest.raises(NotComposableError):
-            compose_tractable(Layout(64, 1), Layout((3, 3), (3, 1)))
+            Layout(64, 1).compose(Layout((3, 3), (3, 1)))
 
     def test_make_composable_yields_equal_middles(self):
         a = Layout(((4, 4), 4), ((16, 1), 4))
@@ -294,7 +293,7 @@ class TestComposition:
             make_composable(g, f, mr)
 
     def test_compose_equals_the_nest_category_route(self):
-        # compose_tractable runs on tuple morphisms; the public Nest-category
+        # compose runs on tuple morphisms; the public Nest-category
         # route, built as the benchmark's staged replay builds it, returns
         # the same layout or refuses with the same message.  compose, which
         # coalesces each leaf's pieces where it cuts them, equals the route's
@@ -340,7 +339,7 @@ class TestComposition:
             pairs.append((random_layout(rng), random_layout(rng)))
         classes = {"composed": 0, "cosize": 0, "no mutual refinement": 0}
         for a, b in pairs:
-            got, routed = outcome(compose_tractable, a, b), outcome(route, a, b)
+            got, routed = outcome(Layout.compose, a, b), outcome(route, a, b)
             assert got == routed, (a, b)
             if isinstance(routed, Layout):
                 routed = routed.coalesce_relative(a.shape)
@@ -376,7 +375,7 @@ class TestComposition:
             mr = mutual_refinement(f.fmap.codomain, g.domain)
             if mr is None:
                 continue
-            got = outcome(compose_tractable, a, b)
+            got = outcome(Layout.compose, a, b)
             assert got == outcome(lambda: layout_of_nested(compose_nest(*make_composable(f, g, mr))))
             if isinstance(got, Layout):
                 composed += 1

@@ -340,7 +340,7 @@ class TestPackedWidths:
             assert want == tuple(l(x) for x in range(l.size()))
 
     def test_long_modes_on_short_blocks(self):
-        # each mode doubles its copies while they are short, then adds a chunk at a time
+        # each mode doubles its copies, the last step cut to the copies left
         long_modes = (
             FlatLayout((4096,), (1,)),
             FlatLayout((4095,), (1,)),
@@ -421,11 +421,11 @@ class TestPackedWidths:
                 f(*args)
 
 
-#: tables on both sides of 64 KiB, where a table is built as one int and where the
-#: modes that take it past are appended as bytes: odd extents, zero strides, unit modes
+#: tables on both sides of 64 KiB, with odd extents, zero strides and unit modes in the
+#: modes that take them past it
 BYTE_ORDER = [
     FlatLayout((3, 1, 5, 7), (0, 11, 1, 5)),
-    FlatLayout((4095, 1, 8), (1, 5, 4095)),  # 65,520 bytes, one int throughout
+    FlatLayout((4095, 1, 8), (1, 5, 4095)),  # 65,520 bytes
     FlatLayout((16384, 2), (1, 0)),  # 65,536 bytes, at the bound
     FlatLayout((16384, 3), (1, 0)),  # a zero-stride mode past it
     FlatLayout((5, 3001, 7), (1, 5, 15005)),  # an odd mode past it, at width 4
@@ -452,7 +452,7 @@ class TestByteOrder:
     @pytest.mark.parametrize("l", BYTE_ORDER, ids=str)
     def test_packed_tables_are_words_in_native_order(self, l, monkeypatch):
         # word j is the value at x = j, as _words reads it; a big-endian host
-        # reverses the bytes of each word built in an int, and appends in its own order
+        # reverses the bytes of each word
         table, w = oracle._packed(l, oracle.DEFAULT_CAP)
         values = _values(l)
         assert table == _pack(values, w, sys.byteorder)
@@ -461,20 +461,17 @@ class TestByteOrder:
             monkeypatch.setattr(sys, "byteorder", order)
             assert oracle._packed(l, oracle.DEFAULT_CAP) == (_pack(values, w, order), w)
 
-    def test_the_form_follows_the_length(self):
-        # a table of at most 64 KiB is one int, a longer one bytes, at the width it
-        # was built in: bytes by default, the largest value's bit length where asked
-        # and one int holds the table at that width
+    def test_a_table_is_one_int_at_every_length(self):
+        # under 64 KiB and past it, a table is one int at the width it was built in:
+        # the fewest bytes, a power of two, by default, the largest value's bit length
+        # where asked
         for l in BYTE_ORDER:
-            table, bits = oracle._table(l, oracle.DEFAULT_CAP)
-            assert bits % 8 == 0
-            assert type(table) is (int if l.size() * bits <= 8 * oracle._INT_BYTES else bytes)
             values = _values(l)
             tight = max(1, max(values).bit_length())
-            fits = l.size() * tight <= 8 * oracle._INT_BYTES
-            assert oracle._table(l, oracle.DEFAULT_CAP, tight) == (
-                (_as_int(values, tight), tight) if fits else (table, bits)
-            )
+            table, bits = oracle._table(l, oracle.DEFAULT_CAP)
+            assert type(table) is int and bits % 8 == 0 and bits // 2 < max(tight, 8) <= bits
+            assert table == _as_int(values, bits)
+            assert oracle._table(l, oracle.DEFAULT_CAP, tight) == (_as_int(values, tight), tight)
 
 
 def _variant(rng, a):
@@ -489,8 +486,8 @@ def _variant(rng, a):
 
 
 class TestBitLengthWords:
-    """``functions_equal`` compares the two largest values, then builds both tables in words
-    of the largest value's bit length where one int holds them, else in bytes."""
+    """``functions_equal`` compares the two largest values, then builds both tables as one
+    int in words of the largest value's bit length."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -508,9 +505,9 @@ class TestBitLengthWords:
         assert functions_equal(FlatLayout((8, 4), (0, 0)), FlatLayout((32,), (0,)))
         assert tables == [(1, (0, 1))] * 2
         tables.clear()
-        # past one int at 1 bit a point: bytes
+        # 10^6 points, past 64 KiB at 1 bit a point: one int of 1-bit words still
         assert functions_equal(FlatLayout((1000, 1000), (0, 0)), FlatLayout((10**6,), (0,)))
-        assert tables == [(1, (bytes(10**6), 8))] * 2
+        assert tables == [(1, (0, 1))] * 2
 
     def test_a_one_point_table(self, tables):
         assert functions_equal(FlatLayout((), ()), FlatLayout((1, 1), (5, 7)))
@@ -531,22 +528,21 @@ class TestBitLengthWords:
         assert [bits for bits, _ in tables] == [3, 3] and [t[1] for _, t in tables] == [3, 3]
 
     @pytest.mark.parametrize(
-        "d, n, form",
+        "d, n",
         [
-            (2, 2**15, int),  # 16-bit words, exactly 64 KiB
-            (2, 2**15 - 1, int),  # one word under it
-            (3, 2**15, bytes),  # 17-bit words past it: 4-byte words
+            (2, 2**15),  # 16-bit words, exactly 64 KiB
+            (2, 2**15 - 1),  # one word under it
+            (3, 2**15),  # 17-bit words past it
         ],
         ids=str,
     )
-    def test_tables_on_both_sides_of_the_int_limit(self, tables, d, n, form):
+    def test_tables_on_both_sides_of_64_kib(self, tables, d, n):
         l = FlatLayout((n,), (d,))
         split = FlatLayout((n // 2, 2), (d, d * (n // 2))) if n % 2 == 0 else FlatLayout((1, n), (5, d))
         assert functions_equal(l, split) and functions_equal(split, l)
         top = (n - 1) * d
         bits = max(1, top.bit_length())
-        assert all(type(t) is form for _, (t, _) in tables)
-        assert {b for _, (_, b) in tables} == {bits if form is int else 32}
+        assert [t for _, t in tables] == [(_as_int(_values(l), bits), bits)] * 4
         tables.clear()
         if n % 2 == 0:  # one largest value, the values in another order
             swapped = FlatLayout((2, n // 2), (d * (n // 2), d))
@@ -572,7 +568,7 @@ class TestBitLengthWords:
         assert seen == {(True, True), (False, True), (False, False)}
 
 
-#: (layout, word width) past AT_WIDTHS: tables built as bytes, at width 2 and at 16
+#: (layout, word width) past AT_WIDTHS: tables past 64 KiB, at width 2 and at 16
 PACKED = AT_WIDTHS + [(BYTE_ORDER[3], 2), (BYTE_ORDER[-1], 16)]
 
 
@@ -657,9 +653,9 @@ class TestPackedTable:
         assert a != b and b != a and a.values != b.values
 
     def test_tables_past_64_kib_compare_by_their_bytes(self, spied):
-        l = FlatLayout((16384, 5), (1, 0))  # 163,840 bytes, built past one int
+        l = FlatLayout((16384, 5), (1, 0))  # 163,840 bytes
         t, last = table_of(l), table_of(FlatLayout((16384, 5), (1, 1)))  # one width
-        assert type(t._data) is memoryview and len(t._data.obj) > oracle._INT_BYTES
+        assert type(t._data) is memoryview and len(t._data.obj) == 163840 > 1 << 16
         spied.clear()
         assert t == table_of(l) and t != last and last != t
         assert spied == []

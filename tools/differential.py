@@ -160,7 +160,6 @@ def layout_battery(c: Corpus, lk, a, b) -> None:
     c.add("Layout.coalesce_relative", A, lit(b.shape))
     for op in ("compose", "logical_divide", "logical_product"):
         c.add(f"Layout.{op}", A, B)
-    c.add("compose_tractable", A, B)
     c.add("standard_representation_nested", A)
     c.add("layout_of_nested", ("standard_representation_nested", A))
     c.add("Layout.of_flat", _F(a.flat()))
@@ -478,21 +477,20 @@ def edge_battery(c: Corpus, lk, gens, rng) -> None:
 def edge_pair_battery(c: Corpus, gens, pairs: int) -> None:
     """Compose, divide and product on pairs from the 64-bit-edge generator, whose sizes,
     cosizes and strides lie past 2^63-1 often enough that overflow refusals are compared
-    text for text, each side's weak composite too."""
+    text for text."""
     rng = c.edges
     for _ in range(pairs):
         A, B = _L(gens.random_edge_layout(rng, 2)), _L(gens.random_edge_layout(rng))
         for op in ("compose", "logical_divide", "logical_product"):
             c.add(f"Layout.{op}", A, B)
-        c.add("compose_tractable", A, B)
 
 
 def table_battery(c: Corpus, flats: int) -> None:
     """Tables of flat layouts with extents up to 1,000, strides up to 2^50, zero strides and
-    unit modes, on both sides of the 64 KiB up to which the oracle builds a table as one int:
-    each tabulated and compared with its coalesce and with its modes permuted, and that
-    permuted form, right and with one stride off, checked as the layout after the
-    permutation of its domain's modes."""
+    unit modes, up to 2^17 points, so tables past 64 KiB as well as small ones: each
+    tabulated and compared with its coalesce and with its modes permuted, and that permuted
+    form, right and with one stride off, checked as the layout after the permutation of its
+    domain's modes."""
     rng = c.tables
     for _ in range(flats):
         shape, stride = [], []
@@ -517,17 +515,25 @@ def table_battery(c: Corpus, flats: int) -> None:
         c.add("check_compose", a, F, ("FlatLayout", a[1], lit(tuple(off))))
 
 
-def cute_reference_battery(c: Corpus, lk, gens, cute_reference, flats: int, edges: int) -> None:
-    """Compose, complement, divide and product on pairs of tractable flat layouts and of
-    64-bit-edge layouts, each recorded as whether the engine agrees with the symbolic CuTe
-    reference by coalesce wherever it answers, and who answers where it refuses."""
+def cute_reference_battery(
+    c: Corpus, lk, gens, cute_reference, flats: int, edges: int, nested: int
+) -> None:
+    """Compose, complement, divide and product on pairs of tractable flat layouts, of
+    64-bit-edge layouts and of tractable nested layouts, each recorded as whether the engine
+    agrees with the symbolic CuTe reference wherever it answers (exactly, nesting included,
+    but for a complement, by coalesce), and who answers where it refuses; then a pair with
+    ``namedtuple`` nodes, which the reference builds as plain tuples."""
     rng = c.cute
     flat = [lk.Layout.of_flat(gens.random_tractable_flat(rng)) for _ in range(2 * flats)]
     pairs = list(zip(flat[::2], flat[1::2]))
     pairs += [(gens.random_edge_layout(rng, 2), gens.random_edge_layout(rng)) for _ in range(edges)]
+    pairs += [(gens.random_layout(rng), gens.random_layout(rng)) for _ in range(nested)]
     for a, b in pairs:
         for op, second in cute_reference.operations(a, b):
             c.add("cute", lit(op), _L(a), lit(second) if op == "complement" else _L(b))
+    a = ("Layout", ("Pair", lit(4), lit(8)), ("Pair", lit(1), lit(4)))
+    for op in ("compose", "logical_divide", "logical_product"):
+        c.add("cute", lit(op), a, ("Layout", lit(32), lit(1)))
 
 
 def cli_battery(c: Corpus, clicases, seed: int) -> None:
@@ -644,7 +650,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         c.add("check_complement", a, b, lit(9), lit(cap))
     # functions_equal on one size: largest values either side of a byte width (255 | 256)
     # and of a bit length (7 | 8), all-zero pairs, and tables just under, at and just over
-    # one int of 64 KiB, each against itself split in two and with its modes swapped
+    # 64 KiB, each against itself split in two and with its modes swapped
     for x, y in (
         (((2, 2), (1, 254)), ((2, 2), (1, 255))),
         (((2, 4), (1, 2)), ((2, 4), (2, 2))),
@@ -694,8 +700,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     y = ("Layout", ("Pair", lit(2), lit(16)), ("Pair", lit(1), lit(2)))
     z, w = ("Layout", lit(32), lit(1)), ("Layout", lit((2, 16)), lit((1, 4)))
     for a, b in ((x, z), (z, x), (x, w), (w, x), (x, y), (y, x)):
-        for target in ("compose_tractable", "Layout.compose", "Layout.logical_divide",
-                       "Layout.logical_product"):
+        for target in ("Layout.compose", "Layout.logical_divide", "Layout.logical_product"):
             c.add(target, a, b)
             c.add("Layout.shape", (target, a, b))
     for stride in (((1, 2), 4), ((1, 8), 4)):
@@ -738,7 +743,7 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
     edge_battery(c, lk, gens, rng)
     edge_pair_battery(c, gens, 1000)
     table_battery(c, 400)
-    cute_reference_battery(c, lk, gens, cute_reference, 1000, 500)
+    cute_reference_battery(c, lk, gens, cute_reference, 1000, 500, 500)
     cli_fixed(c, clicases, cli)
     for s in range(cli_seeds):
         cli_battery(c, clicases, seed + s)
