@@ -5,18 +5,18 @@ it is independent of the engine: the engine's results are verified against these
 the test suite. Tables are built from a layout's ``shape`` and ``stride`` alone, mode by
 mode in colex order, as one int of packed words of the fewest bytes, a power of two, that
 hold the largest value.  :func:`functions_equal` compares largest values, then tables in
-words of that value's bit length.  :func:`table_of` keeps the bytes, compared as bytes: a
-point read makes one ``int``, and ``values`` unpacks them all by ``struct.unpack``. A
-layout of n points is a bijection onto [0, n) when its image, one int with a bit set per
-value, fills [0, n); a composite is checked by one ``itemgetter`` gather from the second
-layout's table, else point by point; every cap must be an ``int``. :class:`FunctionTable`
-shares the record base.
+words of that value's bit length.  :func:`table_of` keeps the words in one ``array``, a
+tuple past 8 bytes: a point read makes one ``int``, ``values`` is their ``tuple``, and
+arrays compare by ``==`` in C.  A layout of n points is a bijection onto [0, n) when its
+image, one int with a bit set per value, fills [0, n); a composite is checked by one
+``itemgetter`` gather from the second layout's table, else point by point; every cap must
+be an ``int``. :class:`FunctionTable` shares the record base.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
+from array import array
 from operator import itemgetter, mul
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -27,8 +27,8 @@ from .tuplecat import FlatLayout, _Record, concat_flat
 
 #: refuse to tabulate anything larger than this many points by default
 DEFAULT_CAP = 10**6
-#: the ``struct`` and ``memoryview`` format of each word width that has one
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: the ``array`` type code of each word width that has one, by the code's item size
+_CODES = {array(c).itemsize: c for c in "BHILQ"}
 #: the most points of the second layout per point of the first that ``check_compose``
 #: tabulates for a gather: past it, calling the layouts point by point costs less
 _GATHER_SPAN = 512
@@ -39,8 +39,8 @@ LayoutLike = Union[Layout, FlatLayout]
 class FunctionTable(_Record):
     """The full value table of a function on [0, size): ``values``, a tuple, over one private
     field.  ``FunctionTable(values)`` holds the caller's tuple (a list stored as one, the
-    values not scanned); :func:`table_of` holds its packed words, so an ``int`` is made only
-    where a value is read.  Two packed tables compare by their bytes; all else reads ``values``."""
+    values not scanned); :func:`table_of` holds :func:`_packed`'s words, so an ``int`` is
+    made only where a value is read.  Two ``array``s compare by ``==``; all else reads values."""
 
     __slots__ = ("_data",)
 
@@ -53,18 +53,17 @@ class FunctionTable(_Record):
     def _values(table: FunctionTable) -> Tuple[Tuple[int, ...]]:
         return (table.values,)
 
-    def __eq__(self, other) -> bool:  # equal values have one largest value, so one format
+    def __eq__(self, other) -> bool:  # equal values have one largest value, so one type code
         a, b = self._data, getattr(other, "_data", None)
-        packed = type(a) is type(b) is memoryview and other.__class__ is self.__class__
-        return (a.format, a.obj) == (b.format, b.obj) if packed else _Record.__eq__(self, other)
+        packed = type(a) is type(b) is array and other.__class__ is self.__class__
+        return a == b if packed else _Record.__eq__(self, other)
 
     __hash__ = _Record.__hash__
 
     @property
     def values(self) -> Tuple[int, ...]:
-        """The values, a tuple: the one held, or the packed words by one ``struct.unpack``."""
-        data = self._data
-        return data if type(data) is tuple else struct.unpack(f"{len(data)}{data.format}", data)
+        """The values, a tuple: the one held, or the packed words made ``int``s."""
+        return tuple(self._data)
 
     @property
     def size(self) -> int:
@@ -89,20 +88,24 @@ class FunctionTable(_Record):
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    """The table of ``layout`` as :func:`_packed` builds it, kept packed: words of 1, 2, 4 or
-    8 bytes read through a ``memoryview``, wider ones as a tuple of ints."""
-    words, w = _packed(layout.flat(), cap)
-    data = memoryview(words).cast(_FORMATS[w]) if w in _FORMATS else _words(words, w)
+    """The table of ``layout`` holding the words :func:`_packed` builds, as they are."""
     out = object.__new__(FunctionTable)  # unchecked: the words are the oracle's own
-    _Record.__init__(out, data)
+    _Record.__init__(out, _packed(layout.flat(), cap))
     return out
 
 
-def _packed(flat: FlatLayout, cap: int) -> Tuple[bytes, int]:
-    """:func:`_table` as ``(table, w)`` with the table in bytes, words in native byte order."""
+def _packed(flat: FlatLayout, cap: int) -> Union[array, Tuple[int, ...]]:
+    """The words of :func:`_table`: an ``array`` of the type code whose item size is the word
+    width, in native byte order (swapped on a big-endian host), or a tuple of ints past 8 bytes."""
     table, bits = _table(flat, cap)
     w = bits // 8
-    return _native(table, flat.size() * w, w), w
+    raw = table.to_bytes(flat.size() * w, "little")
+    if w not in _CODES:
+        return tuple(int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
+    words = array(_CODES[w], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[int, int]:
@@ -131,25 +134,6 @@ def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[int, int]:
             h = min(2 * h, s)
         k *= s
     return table, bits
-
-
-def _native(table: int, n: int, w: int) -> bytes:
-    """The ``n`` bytes of a table built as one int, its ``w``-byte words in native
-    byte order: a big-endian host reverses the bytes of each word."""
-    out = table.to_bytes(n, "little")
-    if sys.byteorder == "little":
-        return out
-    swapped = bytearray(n)
-    for i in range(w):
-        swapped[i::w] = out[w - 1 - i :: w]
-    return bytes(swapped)
-
-
-def _words(table: bytes, w: int) -> Tuple[int, ...]:
-    """The words of a packed table as ints, by ``struct.unpack`` where it has width ``w``."""
-    if w in _FORMATS:
-        return struct.unpack(f"{len(table) // w}{_FORMATS[w]}", table)
-    return tuple(int.from_bytes(table[i : i + w], sys.byteorder) for i in range(0, len(table), w))
 
 
 def _onto(flat: FlatLayout, cap: int) -> bool:
@@ -203,15 +187,14 @@ def check_compose(
     if composite is None:
         composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
     fa, fb, fc = a.flat(), b.flat(), composite.flat()
-    xs = _words(*_packed(fa, cap))
+    xs = _packed(fa, cap)
     if fc.size() != len(xs):
         return False
     span = min(cap, _GATHER_SPAN * len(xs))
     if _largest(fa) < fb.size() <= span and max(_largest(fb), _largest(fc)) <= INT64_MAX:
         # b's words, at most 8 bytes, read at a's values: no Python int per point of b
-        table, w = _packed(fb, cap)
-        ys = itemgetter(*xs)(memoryview(table).cast(_FORMATS[w]))
-        return (ys if len(xs) > 1 else (ys,)) == _words(*_packed(fc, cap))
+        ys = itemgetter(*xs)(_packed(fb, cap))
+        return (ys if len(xs) > 1 else (ys,)) == tuple(_packed(fc, cap))
     return all(fc(x) == fb(fa(x)) for x in range(len(xs)))
 
 

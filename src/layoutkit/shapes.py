@@ -86,20 +86,7 @@ def _check_entries(entries: Sequence[int], floor: int, noun: str, whole: object)
 
 def flatten(x: Nested) -> Tuple[int, ...]:
     """Flat tuple of entries, a flat tuple itself; a depth-0 integer flattens to a 1-tuple."""
-    if not isinstance(x, tuple):
-        return (x,)
-    out, stack, it, deep = [], [], iter(x), False
-    while True:
-        for c in it:
-            if isinstance(c, tuple):
-                stack.append(it)
-                it, deep = iter(c), True
-                break
-            out.append(c)
-        else:
-            if not stack:
-                return x if not deep and type(x) is tuple else tuple(out)
-            it = stack.pop()
+    return _flat_pair(x, x)[0]
 
 
 def profile(x: Nested) -> Profile:

@@ -329,7 +329,7 @@ def test_the_bijection_is_read_off_a_bit_set():
         for node in ast.walk(_module_scopes("oracle")["_onto"])
         if isinstance(node, ast.Call)
     }
-    assert called.isdisjoint({"_words", "_packed", "set"})
+    assert called.isdisjoint({"_packed", "set"})
 
 
 def test_compose_is_checked_by_a_gather_or_point_by_point():
@@ -338,9 +338,7 @@ def test_compose_is_checked_by_a_gather_or_point_by_point():
     scopes = _module_scopes("oracle")
     assert "_evaluate" not in scopes
     reached = _reached(scopes, ["check_compose"])
-    assert reached == {
-        "check_compose", "_packed", "_table", "_native", "_words", "_largest", "_within"
-    }
+    assert reached == {"check_compose", "_packed", "_table", "_largest", "_within"}
 
 
 def test_divide_and_product_build_no_intermediate_layouts():
@@ -497,7 +495,7 @@ def test_a_refinement_is_read_once():
 
 
 def test_shapes_has_one_stack_walker_per_job():
-    # flatten, the paired flattening (which tree equality reads too), the
+    # the paired flattening (which flatten and tree equality read too), the
     # refinement's paired walk, the build walk (which depth reads off too) and
     # the text walk: nothing else loops on a stack of its own
     walkers = {
@@ -505,7 +503,7 @@ def test_shapes_has_one_stack_walker_per_job():
         for name, scope in _module_scopes("shapes").items()
         if any(isinstance(node, ast.While) for node in ast.walk(scope))
     }
-    assert walkers == {"flatten", "_flat_pair", "_pieces", "_substitute", "_text"}
+    assert walkers == {"_flat_pair", "_pieces", "_substitute", "_text"}
 
 
 def test_no_function_is_a_generator():

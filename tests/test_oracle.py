@@ -8,6 +8,7 @@ import pickle
 import random
 import struct
 import sys
+from array import array
 
 import pytest
 from hypothesis import given
@@ -328,11 +329,22 @@ AT_WIDTHS = [
     (FlatLayout((3, 1), (0, 2**62)), 1),
 ]
 
+#: one table of each word width, 1, 2, 4, 8 and 16 bytes: the largest value at the top of
+#: each width to 8 bytes, and 2^64
+EACH_WIDTH = {w: l for l, w in (AT_WIDTHS[i] for i in (0, 2, 4, 6, 7))}
+#: the ``struct`` format of each word width that has one, the widths ``_packed`` keeps in
+#: an ``array``
+FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
 
 class TestPackedWidths:
     @pytest.mark.parametrize("l, w", AT_WIDTHS)
     def test_tables_at_each_width_are_pointwise(self, l, w):
-        assert oracle._packed(l, oracle.DEFAULT_CAP)[1] == w
+        words = oracle._packed(l, oracle.DEFAULT_CAP)
+        if w in FORMATS:
+            assert type(words) is array and words.itemsize == w
+        else:
+            assert type(words) is tuple and oracle._table(l, oracle.DEFAULT_CAP)[1] == 8 * w
         want = _values(l)
         assert table_of(l).values == want
         assert table_of(l).is_bijection_onto_range() == (sorted(want) == list(range(len(want))))
@@ -436,11 +448,8 @@ BYTE_ORDER = [
 
 
 def _pack(values, w, order):
-    """``values`` as words of ``w`` bytes in byte order ``order``, by ``struct.pack``
-    where it has a format of that width."""
-    if w in oracle._FORMATS:
-        return struct.pack(f"{'<>'[order == 'big']}{len(values)}{oracle._FORMATS[w]}", *values)
-    return b"".join(v.to_bytes(w, order) for v in values)
+    """``values`` as words of ``w`` bytes in byte order ``order``, by ``struct.pack``."""
+    return struct.pack(f"{'<>'[order == 'big']}{len(values)}{FORMATS[w]}", *values)
 
 
 def _as_int(values, bits):
@@ -451,15 +460,18 @@ def _as_int(values, bits):
 class TestByteOrder:
     @pytest.mark.parametrize("l", BYTE_ORDER, ids=str)
     def test_packed_tables_are_words_in_native_order(self, l, monkeypatch):
-        # word j is the value at x = j, as _words reads it; a big-endian host
-        # reverses the bytes of each word
-        table, w = oracle._packed(l, oracle.DEFAULT_CAP)
-        values = _values(l)
-        assert table == _pack(values, w, sys.byteorder)
-        assert oracle._words(table, w) == values
+        # word j is the value at x = j; a big-endian host swaps the bytes of each
+        # word, and words past 8 bytes are a tuple of ints in either byte order
+        words, values = oracle._packed(l, oracle.DEFAULT_CAP), _values(l)
+        w = oracle._table(l, oracle.DEFAULT_CAP)[1] // 8
+        assert tuple(words) == values
         for order in ("little", "big"):
             monkeypatch.setattr(sys, "byteorder", order)
-            assert oracle._packed(l, oracle.DEFAULT_CAP) == (_pack(values, w, order), w)
+            words = oracle._packed(l, oracle.DEFAULT_CAP)
+            if w in FORMATS:
+                assert words.itemsize == w and words.tobytes() == _pack(values, w, order)
+            else:
+                assert type(words) is tuple and words == values
 
     def test_a_table_is_one_int_at_every_length(self):
         # under 64 KiB and past it, a table is one int at the width it was built in:
@@ -575,10 +587,10 @@ PACKED = AT_WIDTHS + [(BYTE_ORDER[3], 2), (BYTE_ORDER[-1], 16)]
 class TestPackedTable:
     @pytest.mark.parametrize("l, w", PACKED, ids=str)
     def test_a_packed_table_is_its_values(self, l, w):
-        # table_of keeps the words of 1, 2, 4 and 8 bytes packed, wider ones as a
+        # table_of keeps the words of 1, 2, 4 and 8 bytes in an array, wider ones as a
         # tuple; either way it is the table built from its values, by every reading
         t, built = table_of(l), FunctionTable(_values(l))
-        assert type(t._data) is (memoryview if w in oracle._FORMATS else tuple)
+        assert type(t._data) is (array if w in FORMATS else tuple)
         assert type(t.values) is tuple and t.values == built.values
         assert t == built and built == t and not t != built and t == table_of(l)
         assert hash(t) == hash(built) == hash((built.values,))
@@ -593,31 +605,28 @@ class TestPackedTable:
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        """The names of ``_words`` and ``struct.unpack``, in the order they are called."""
-        calls = []
+        """Each read of ``FunctionTable.values`` that makes a tuple of ints, not the one held."""
+        calls, values = [], FunctionTable.values
 
-        def spy(name, f):
-            def called(*args):
-                calls.append(name)
-                return f(*args)
+        def spy(table):
+            out = values.fget(table)
+            if out is not table._data:
+                calls.append("values")
+            return out
 
-            return called
-
-        monkeypatch.setattr(oracle, "_words", spy("_words", oracle._words))
-        monkeypatch.setattr(struct, "unpack", spy("struct.unpack", struct.unpack))
+        monkeypatch.setattr(FunctionTable, "values", property(spy))
         return calls
 
     @pytest.mark.parametrize("l, w", PACKED, ids=str)
     def test_table_of_unpacks_nothing(self, spied, l, w):
-        # up to 8 bytes a word, the table and each point read from it make no
-        # tuple of ints: values alone unpacks, by one struct.unpack
+        # the table and each point read from it make no tuple of ints: values alone
+        # does, by one tuple() of an array, and a tuple past 8 bytes is itself
         t = table_of(l)
         last = t[t.size - 1]
         assert t.size == l.size() and last == _values(l)[-1]
-        assert spied == ([] if w in oracle._FORMATS else ["_words"])
-        spied.clear()
-        assert t.values == _values(l)
-        assert spied == (["struct.unpack"] if w in oracle._FORMATS else [])
+        assert spied == []
+        assert t.values == _values(l) and (t.values is t._data) == (w not in FORMATS)
+        assert spied == (["values"] * 2 if w in FORMATS else [])
 
     @pytest.mark.parametrize("l, w", PACKED, ids=str)
     def test_packed_tables_compare_by_their_bytes(self, spied, l, w):
@@ -635,6 +644,19 @@ class TestPackedTable:
         assert t == built and built == t and (other == built) == (built == other) == same
         assert hash(t) == hash(again) == hash(built) == hash((built.values,))
 
+    @pytest.mark.parametrize("w", EACH_WIDTH)
+    def test_a_table_of_each_width_is_the_one_built_from_its_values(self, w):
+        # equal to, hashed as and pickled to the caller's table of the same values, and
+        # unequal both ways round to one that differs at the last point
+        t, values = table_of(EACH_WIDTH[w]), _values(EACH_WIDTH[w])
+        built = FunctionTable(values)
+        assert t == built and built == t and hash(t) == hash(built)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == built and back._data == values and hash(back) == hash(t)
+        other = FunctionTable(values[:-1] + (values[-1] - 1,))
+        assert t != other and other != t
+        assert (t[0], t[t.size - 1]) == (values[0], values[-1])
+
     def test_unequal_packed_tables_at_each_width(self):
         # the modes reversed keep the largest value, so the width: unequal at every one
         unequal = set()
@@ -647,15 +669,19 @@ class TestPackedTable:
 
     def test_equal_bytes_of_two_widths_are_unequal_tables(self):
         # (0, 0, 1, 1) in bytes and (0, 257) in 2-byte words are the same four bytes
-        # in either byte order: the format is compared too
+        # in either byte order: arrays compare by their words, not their bytes
         a, b = table_of(FlatLayout((2, 2), (0, 1))), table_of(FlatLayout((2,), (257,)))
-        assert a._data.obj == b._data.obj and a._data.format != b._data.format
+        assert a._data.tobytes() == b._data.tobytes() and a._data.typecode != b._data.typecode
         assert a != b and b != a and a.values != b.values
 
     def test_tables_past_64_kib_compare_by_their_bytes(self, spied):
+        # no Python int per point: two arrays of one type code, which == compares
+        # item by item in C, and values is not read
         l = FlatLayout((16384, 5), (1, 0))  # 163,840 bytes
         t, last = table_of(l), table_of(FlatLayout((16384, 5), (1, 1)))  # one width
-        assert type(t._data) is memoryview and len(t._data.obj) == 163840 > 1 << 16
+        assert type(t._data) is type(last._data) is array
+        assert t._data.typecode == last._data.typecode
+        assert len(t._data.tobytes()) == 163840 > 1 << 16
         spied.clear()
         assert t == table_of(l) and t != last and last != t
         assert spied == []
@@ -730,7 +756,7 @@ class TestBitSetImage:
         layouts += [FlatLayout((2, 2), (1, 3)), FlatLayout((3, 2), (0, 3)), FlatLayout((4095,), (1,))]
         answers = set()
         for l in layouts:
-            words = oracle._words(*oracle._packed(l, oracle.DEFAULT_CAP))
+            words = oracle._packed(l, oracle.DEFAULT_CAP)
             want = max(words) < len(words) and len(set(words)) == len(words)
             assert oracle._onto(l, oracle.DEFAULT_CAP) == want, l
             answers.add((want, max(words) < len(words)))
@@ -742,12 +768,13 @@ class TestBitSetImage:
             oracle._onto(FlatLayout((64,), (2**62,)), 32)
         assert str(refused.value) == "table of size 64 exceeds cap 32"
 
-    @pytest.mark.parametrize("w", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("w", EACH_WIDTH)
     def test_words_are_a_tuple(self, w):
-        values = (0, 1, 2 ** (8 * w) - 1)
-        table = b"".join(v.to_bytes(w, sys.byteorder) for v in values)
-        assert type(oracle._words(table, w)) is tuple
-        assert oracle._words(table, w) == values
+        # the words read as values are a tuple at each width
+        l = EACH_WIDTH[w]
+        values = table_of(l).values
+        assert type(values) is tuple and values == _values(l)
+        assert max(values) == (2 ** (8 * w) - 1 if w in FORMATS else 2**64)
 
 
 class TestGather:

@@ -613,6 +613,20 @@ def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
         top = sum((s - 1) * d for s, d in zip(shape, stride))
         c.add("check_compose", _L(a), ("Layout", lit(top + 1), lit(1)), _L(a))
         c.add("check_compose", _L(a), ("Layout", lit(top + 1), lit(2**61)), _L(a))
+    # one table of each word width, 1, 2, 4, 8 and 16 bytes, against the table a caller
+    # builds from its values: ==, hash, the pickle round trip and its first and last points
+    for shape, stride in (WIDTHS[i] for i in (0, 2, 4, 6, 7)):
+        values = (0,)
+        for s, d in zip(shape, stride):  # colex order: the first mode varies fastest
+            values = tuple(v + i * d for i in range(s) for v in values)
+        table = ("table_of", ("FlatLayout", lit(shape), lit(stride)))
+        built = ("FunctionTable", lit(values))
+        c.add("FunctionTable.__eq__", table, built)
+        c.add("FunctionTable.__eq__", built, table)
+        c.add("FunctionTable.__hash__", table)
+        c.add("FunctionTable.__eq__", ("pickled", table), built)
+        c.add("FunctionTable.__getitem__", table, lit(0))
+        c.add("FunctionTable.__getitem__", table, lit(len(values) - 1))
     # tables that are not the table of a layout: empty, a duplicate, a value
     # below or past the range, a permutation
     for values in ((), (1, 1), (-1, 1), (0, 2), (3, 0, 2, 1)):
