@@ -12,7 +12,7 @@ import json
 import sys
 from typing import List, NamedTuple, Optional, Sequence
 
-from .errors import LayoutError, NotationError
+from .errors import LayoutError, NotComposableError, NotationError
 from .nestcat import (
     Layout,
     NestMorphism,
@@ -203,8 +203,7 @@ def _run(args: argparse.Namespace) -> int:
     elif verb == "mutual-refine":
         mr = mutual_refinement(parse_nested(operands[0]), parse_nested(operands[1]))
         if mr is None:
-            print("not-composable: no mutual refinement", file=sys.stderr)
-            return 1
+            raise NotComposableError("no mutual refinement")
         first, second = mr.t_ref.fine, mr.u_ref.fine
         text = format_nested(first) + "\n" + format_nested(second)
         _emit(as_json, text, first=first, second=second)

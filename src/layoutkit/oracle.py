@@ -3,14 +3,15 @@
 Everything here works on full function tables rather than on the algebraic structure, so
 it is independent of the engine: the engine's results are verified against these tables in
 the test suite. Tables are built from a layout's ``shape`` and ``stride`` alone, mode by
-mode in colex order, as one int of packed words of the fewest bytes, a power of two, that
-hold the largest value.  :func:`functions_equal` compares largest values, then tables in
-words of that value's bit length.  :func:`table_of` keeps the words in one ``array``, a
-tuple past 8 bytes: a point read makes one ``int``, ``values`` is their ``tuple``, and
-arrays compare by ``==`` in C.  A layout of n points is a bijection onto [0, n) when its
-image, one int with a bit set per value, fills [0, n); a composite is checked by one
-``itemgetter`` gather from the second layout's table, else point by point; every cap must
-be an ``int``. :class:`FunctionTable` shares the record base.
+mode in colex order, as one int of packed words; each entry reads its cap, an ``int``, and
+each layout's size and largest value once.  :func:`functions_equal` compares largest
+values, then tables in words of that value's bit length.  A :class:`FunctionTable`, which
+shares the record base, is always a layout's table: :func:`_packed`'s words of the fewest
+bytes, a power of two, in one ``array``, a tuple past 8 bytes, so a point read makes one
+``int``, ``values`` is their ``tuple``, and tables compare by ``==`` in C.  A layout of n
+points is a bijection onto [0, n) when its image, one int with a bit set per value, fills
+[0, n); a composite is checked by one ``itemgetter`` gather from the second layout's
+table, else point by point.
 """
 
 from __future__ import annotations
@@ -37,32 +38,24 @@ LayoutLike = Union[Layout, FlatLayout]
 
 
 class FunctionTable(_Record):
-    """The full value table of a function on [0, size): ``values``, a tuple, over one private
-    field.  ``FunctionTable(values)`` holds the caller's tuple (a list stored as one, the
-    values not scanned); :func:`table_of` holds :func:`_packed`'s words, so an ``int`` is
-    made only where a value is read.  Two ``array``s compare by ``==``; all else reads values."""
+    """The value table of ``layout`` on [0, size), refused past ``cap`` points: :func:`_packed`'s
+    words, so an ``int`` is made only where a value is read.  Equal values have one largest
+    value, so one word width: the record base compares the words; ``hash`` reads the values."""
 
     __slots__ = ("_data",)
 
-    def __init__(self, values: Tuple[int, ...]) -> None:
-        if not isinstance(values, (tuple, list)):
-            raise LayoutError(f"values must be a tuple or list, not {type(values).__name__}")
-        _Record.__init__(self, tuple(values))
+    def __init__(self, layout: LayoutLike, cap: int = DEFAULT_CAP) -> None:
+        flat = layout.flat()
+        n = flat.size()
+        _within(n, cap)
+        _Record.__init__(self, _packed(flat, n, _largest(flat)))
 
-    @staticmethod
-    def _values(table: FunctionTable) -> Tuple[Tuple[int, ...]]:
-        return (table.values,)
-
-    def __eq__(self, other) -> bool:  # equal values have one largest value, so one type code
-        a, b = self._data, getattr(other, "_data", None)
-        packed = type(a) is type(b) is array and other.__class__ is self.__class__
-        return a == b if packed else _Record.__eq__(self, other)
-
-    __hash__ = _Record.__hash__
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @property
     def values(self) -> Tuple[int, ...]:
-        """The values, a tuple: the one held, or the packed words made ``int``s."""
+        """The values, a tuple: the packed words made ``int``s."""
         return tuple(self._data)
 
     @property
@@ -79,27 +72,25 @@ class FunctionTable(_Record):
         return f"FunctionTable(values={_str(self.values, repr)})"
 
     def is_bijection_onto_range(self) -> bool:
-        """Whether the ``n`` values are distinct ``int``s in [0, n), in linear time: they come from
-        any caller and may be negative, where :func:`_onto` reads a layout's image off its modes."""
+        """Whether the ``n`` values, each a non-negative ``int`` and ``n ≥ 1``, are distinct and
+        below ``n``, in linear time; :func:`_onto` reads a layout's image off its modes."""
         v, n = self._data, len(self._data)
-        if not {int}.issuperset(map(type, v)):
-            return False
-        return not n or (min(v) >= 0 and max(v) < n and len(set(v)) == n)
+        return max(v) < n and len(set(v)) == n
 
 
 def table_of(layout: LayoutLike, cap: int = DEFAULT_CAP) -> FunctionTable:
-    """The table of ``layout`` holding the words :func:`_packed` builds, as they are."""
-    out = object.__new__(FunctionTable)  # unchecked: the words are the oracle's own
-    _Record.__init__(out, _packed(layout.flat(), cap))
-    return out
+    """The table of ``layout``: ``FunctionTable(layout, cap)``."""
+    return FunctionTable(layout, cap)
 
 
-def _packed(flat: FlatLayout, cap: int) -> Union[array, Tuple[int, ...]]:
-    """The words of :func:`_table`: an ``array`` of the type code whose item size is the word
-    width, in native byte order (swapped on a big-endian host), or a tuple of ints past 8 bytes."""
-    table, bits = _table(flat, cap)
-    w = bits // 8
-    raw = table.to_bytes(flat.size() * w, "little")
+def _packed(flat: FlatLayout, n: int, top: int) -> Union[array, Tuple[int, ...]]:
+    """The ``n`` values of ``flat`` in :func:`_table`'s words of the fewest bytes, a power of two,
+    that hold its largest value ``top``: an ``array`` of the type code of that item size, in
+    native byte order (swapped on a big-endian host), or a tuple of ints past 8 bytes."""
+    w = 1
+    while top.bit_length() > 8 * w:
+        w *= 2
+    raw = _table(flat, 8 * w).to_bytes(n * w, "little")
     if w not in _CODES:
         return tuple(int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
     words = array(_CODES[w], raw)
@@ -108,17 +99,11 @@ def _packed(flat: FlatLayout, cap: int) -> Union[array, Tuple[int, ...]]:
     return words
 
 
-def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[int, int]:
-    """The values of ``flat`` in colex order as ``(table, bits)``: one int, word ``j`` at bit
-    ``bits·j``, in words that hold the largest value, so no word carries: of the ``bits``
-    given (its bit length or more), else of the fewest bytes, a power of two.  A mode
-    ``s:d`` ors in the table so far shifted by ``h`` copies, ``h·d`` added to every word, ``h``
-    doubling, the last step cut by a mask."""
-    _within(flat.size(), cap)
-    if not bits:  # bits given hold the largest value already
-        bits, need = 8, _largest(flat).bit_length()
-        while need > bits:
-            bits *= 2
+def _table(flat: FlatLayout, bits: int) -> int:
+    """The values of ``flat`` in colex order as one int, word ``j`` at bit ``bits·j``, where
+    ``bits`` holds the largest value, so no word carries.  A mode ``s:d`` ors in the table so
+    far shifted by ``h`` copies, ``h·d`` added to every word, ``h`` doubling, the last step cut
+    by a mask."""
     modes = list(zip(flat.shape, flat.stride))
     table, ones, k = 0, 1, 1  # ones has a 1 in each of the k words so far
     for m, (s, d) in enumerate(modes):
@@ -133,16 +118,14 @@ def _table(flat: FlatLayout, cap: int, bits: int = 0) -> Tuple[int, int]:
                 ones |= o << h * k * bits
             h = min(2 * h, s)
         k *= s
-    return table, bits
+    return table
 
 
-def _onto(flat: FlatLayout, cap: int) -> bool:
-    """Whether ``flat`` is a bijection onto [0, n), refused early when its largest value is not
-    below n: its image, one int with a bit set per value, fills [0, n).  A mode ``s:d`` ors in
-    the image shifted by ``c*d``, ``c`` doubling up to ``s``, so a repeated value (a zero
-    stride's too) leaves a bit unset, and no table of words is built."""
-    n = flat.size()
-    _within(n, cap)
+def _onto(flat: FlatLayout, n: int) -> bool:
+    """Whether ``flat``, of ``n`` points, is a bijection onto [0, n), refused early when its
+    largest value is not below n: its image, one int with a bit set per value, fills [0, n).
+    A mode ``s:d`` ors in the image shifted by ``c*d``, ``c`` doubling up to ``s``, so a
+    repeated value (a zero stride's too) leaves a bit unset, and no table of words is built."""
     if _largest(flat) >= n:
         return False
     image = 1
@@ -163,7 +146,7 @@ def functions_equal(a: LayoutLike, b: LayoutLike, cap: int = DEFAULT_CAP) -> boo
     if n != fb.size() or top != _largest(fb):
         return False
     bits = max(1, top.bit_length())  # one largest value, so words of one width
-    return _table(fa, cap, bits) == _table(fb, cap, bits)
+    return _table(fa, bits) == _table(fb, bits)
 
 
 def check_compose(
@@ -187,15 +170,17 @@ def check_compose(
     if composite is None:
         composite = Layout.of_flat(a.flat()).compose(Layout.of_flat(b.flat()))
     fa, fb, fc = a.flat(), b.flat(), composite.flat()
-    xs = _packed(fa, cap)
-    if fc.size() != len(xs):
+    n = fa.size()
+    _within(n, cap)
+    if fc.size() != n:
         return False
-    span = min(cap, _GATHER_SPAN * len(xs))
-    if _largest(fa) < fb.size() <= span and max(_largest(fb), _largest(fc)) <= INT64_MAX:
-        # b's words, at most 8 bytes, read at a's values: no Python int per point of b
-        ys = itemgetter(*xs)(_packed(fb, cap))
-        return (ys if len(xs) > 1 else (ys,)) == tuple(_packed(fc, cap))
-    return all(fc(x) == fb(fa(x)) for x in range(len(xs)))
+    top, m = _largest(fa), fb.size()
+    if top < m <= min(cap, _GATHER_SPAN * n):
+        top_b, top_c = _largest(fb), _largest(fc)
+        if max(top_b, top_c) <= INT64_MAX:  # a's table only here, b's words read at a's values
+            ys = itemgetter(*_packed(fa, n, top))(_packed(fb, m, top_b))
+            return (ys if n > 1 else (ys,)) == tuple(_packed(fc, n, top_c))
+    return all(fc(x) == fb(fa(x)) for x in range(n))
 
 
 def _within(n: int, cap: int, what: str = "table") -> None:
@@ -222,12 +207,14 @@ def check_complement(
     fa = a.flat()
     if b is None:
         b = fa.complement(n)
+    elif n is not None:  # as the engine's complement checks it
+        _check_ints((n,), "complement size", fa)
     fb = b.flat()
     total = fa.size() * fb.size()
     _within(total, cap)
     if n is not None and total != n:
         return False
-    return _onto(concat_flat([fa, fb]), cap)
+    return _onto(concat_flat([fa, fb]), total)
 
 
 def exhaustive_complement_search(
@@ -261,7 +248,7 @@ def exhaustive_complement_search(
             ):
                 continue  # mergeable, so not in canonical (coalesced) form
             b = FlatLayout(shape, stride)
-            if _onto(concat_flat([fa, b]), cap):
+            if _onto(concat_flat([fa, b]), n):
                 out.append(b)
     return out
 

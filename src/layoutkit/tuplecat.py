@@ -50,15 +50,14 @@ def _unchecked(cls, *values):
 
 
 class _Record:
-    """A value whose fields are its ``__slots__``, set once: equal to and hashed as their tuple
-    within one class, pickled through :func:`_unchecked`, each tree written on a stack."""
+    """A value of its ``__slots__``, set once: equal to and hashed as their tuple in one class (a
+    table hashes its values), pickled through :func:`_unchecked`, each tree written on a stack."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:  # the field tuple by one C call, unless the body has one
+    def __init_subclass__(cls) -> None:  # the field tuple by one C call
         get = attrgetter(*cls.__slots__)
-        if "_values" not in vars(cls):
-            cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values):

@@ -670,6 +670,10 @@ def test_differential_reads_the_cute_reference_and_pickled_values(monkeypatch):
     )
 
 
+#: the layout of the table in ``_records``, whose values are (0, 2, 1, 3)
+TABLE_LAYOUT = layoutkit.Layout((2, 2), (2, 1))
+
+
 def _records():
     """One value of each record class, each built by its checked constructor."""
     lk = layoutkit
@@ -681,28 +685,30 @@ def _records():
         lk.Refinement(((2, 2), 4), (4, 4)),
         lk.MutualRefinement(lk.Refinement((2, 2), 4), lk.Refinement(((2, 2), 3), (4, 3))),
         lk.Layout(((2, 2), 4), ((1, 2), 4)),
-        lk.FunctionTable((0, 2, 1, 3)),
+        lk.FunctionTable(TABLE_LAYOUT),
     ]
 
 
 def test_every_record_is_a_slotted_value():
     # the engine's value classes share one base: fields named by __slots__,
     # set once, compared and hashed as the tuple of them within one class,
-    # and rebuilt by copy and pickle as equal values; a table's one field is
-    # its public values, whichever form its private slot holds them in
+    # and rebuilt by copy and pickle as equal values; a table is built from its
+    # layout, hashed as its public values, and its private slot holds its words
     records = _records()
     assert [type(x).__name__ for x in records] == [
         "FlatLayout", "TupleMorphism", "NestMorphism", "Refinement", "MutualRefinement",
         "Layout", "FunctionTable",
     ]
     public = {layoutkit.Layout: ("shape", "stride"), layoutkit.FunctionTable: ("values",)}
+    made = {layoutkit.FunctionTable: ((TABLE_LAYOUT,), {"layout": TABLE_LAYOUT, "cap": 4})}
     for x in records:
         cls = type(x)
         names = public.get(cls, cls.__slots__)
         fields = {name: getattr(x, name) for name in names}
         hashed = names if cls is layoutkit.FunctionTable else cls.__slots__
         assert hash(x) == hash(tuple(getattr(x, name) for name in hashed))
-        rebuilt = [cls(*fields.values()), cls(**fields), copy.copy(x), copy.deepcopy(x)]
+        args, kwargs = made.get(cls, (tuple(fields.values()), fields))
+        rebuilt = [cls(*args), cls(**kwargs), copy.copy(x), copy.deepcopy(x)]
         for y in rebuilt + [pickle.loads(pickle.dumps(x))]:
             assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x)
         assert not hasattr(x, "__dict__")
@@ -715,6 +721,7 @@ def test_every_record_is_a_slotted_value():
     flat = records[0]
     assert layoutkit.Layout.of_flat(flat) != flat and flat != layoutkit.Layout.of_flat(flat)
     assert flat != (flat.shape, flat.stride) and records[-1] != records[-1].values
+    assert records[-1].values == (0, 2, 1, 3)
 
 
 def test_a_cli_spawn_imports_no_dataclasses():

@@ -43,35 +43,31 @@ class TestFunctionTable:
         assert table_of(l).values == tuple(l(x) for x in range(12))
 
     def test_bijection_predicate(self):
-        assert FunctionTable((2, 0, 1)).is_bijection_onto_range()
-        assert not FunctionTable((0, 0, 2)).is_bijection_onto_range()
-        assert FunctionTable(()).is_bijection_onto_range()
-        assert FunctionTable((0,)).is_bijection_onto_range()
-        assert FunctionTable((3, 5, 0, 4, 1, 2)).is_bijection_onto_range()
-        # a duplicate, a negative value, a value past the range
-        assert not FunctionTable((1, 1)).is_bijection_onto_range()
-        assert not FunctionTable((-1, 1)).is_bijection_onto_range()
-        assert not FunctionTable((0, 2)).is_bijection_onto_range()
+        assert table_of(FlatLayout((3,), (1,))).is_bijection_onto_range()
+        assert table_of(FlatLayout((), ())).is_bijection_onto_range()
+        assert table_of(FlatLayout((1,), (0,))).is_bijection_onto_range()
+        assert table_of(FlatLayout((2, 3), (3, 1))).is_bijection_onto_range()  # 0, 3, 1, 4, 2, 5
+        # a repeated value, a value past the range
+        assert not table_of(FlatLayout((2, 2), (1, 1))).is_bijection_onto_range()
+        assert not table_of(FlatLayout((2,), (2,))).is_bijection_onto_range()
 
-    def test_values_are_a_tuple(self):
-        # a list is stored as a tuple, so the tables are equal and hashable
-        t = FunctionTable([2, 0, 1])
-        assert t.values == (2, 0, 1) and t == FunctionTable((2, 0, 1))
-        assert hash(t) == hash(FunctionTable((2, 0, 1)))
-        for values in (5, None, "012", range(3)):
+    @given(tractable_flats())
+    def test_bijection_predicate_is_a_sorted_range(self, l):
+        values = [l(x) for x in range(l.size())]
+        assert table_of(l).is_bijection_onto_range() == (sorted(values) == list(range(len(values))))
+
+    def test_the_constructor_is_table_of(self):
+        for l in (Layout(((2, 2), 3), ((1, 2), 4)), FlatLayout((3, 4, 2), (2, 7, 0))):
+            t = FunctionTable(l)
+            assert type(t) is FunctionTable and t == table_of(l) and table_of(l) == t
+            assert t.values == table_of(l).values and hash(t) == hash(table_of(l))
+            assert FunctionTable(l, 24) == table_of(l, 24)
+        with pytest.raises(OracleCapError, match="table of size 24 exceeds cap 23"):
+            FunctionTable(l, 23)
+        for cap in (None, "8", True, 24.0):
             with pytest.raises(LayoutError) as refused:
-                FunctionTable(values)
-            assert str(refused.value) == f"values must be a tuple or list, not {type(values).__name__}"
-
-    def test_a_value_not_an_int_is_no_bijection(self):
-        # refused by the predicate, before any comparison of the values
-        for values in ((0.5, 1), (0, 1.0), (False, True), (1, True), ("a", "b"), (None,)):
-            assert not FunctionTable(values).is_bijection_onto_range()
-
-    @given(st.lists(st.integers(-3, 8), max_size=8))
-    def test_bijection_predicate_is_a_sorted_range(self, values):
-        want = sorted(values) == list(range(len(values)))
-        assert FunctionTable(tuple(values)).is_bijection_onto_range() == want
+                FunctionTable(l, cap)
+            assert str(refused.value) == f"cap {cap!r} is not an integer"
 
     def test_index_outside_the_domain_is_refused(self):
         t = table_of(Layout(4, 1))
@@ -80,8 +76,8 @@ class TestFunctionTable:
             with pytest.raises(LayoutError) as refused:
                 t[x]
             assert str(refused.value) == f"a table of size 4 has no index {x!r}"
-        with pytest.raises(LayoutError, match="size 0 has no index 0"):
-            FunctionTable(())[0]
+        with pytest.raises(LayoutError, match="size 1 has no index 1"):
+            table_of(FlatLayout((), ()))[1]
 
     def test_cap(self):
         with pytest.raises(OracleCapError):
@@ -128,6 +124,26 @@ class TestChecks:
         assert not check_complement(a, FlatLayout((2, 2), (1, 4)), n=64)
         with pytest.raises(OracleCapError):
             check_complement(a, n=64, cap=32)
+
+    def test_a_size_not_an_int_is_refused_with_b_given(self):
+        # where n enters, before the cap, in the text of the engine's complement and the search
+        for a, b in ((Layout(2, 1), Layout(2, 2)), (Layout(1, 0), Layout(1, 0))):
+            for n in (4.0, True, "4"):
+                with pytest.raises(LayoutError) as refused:
+                    check_complement(a, b, n, cap=1)
+                assert type(refused.value) is LayoutError
+                want = f"complement size {n!r} in {a.flat()} is not an integer"
+                assert str(refused.value) == want
+                with pytest.raises(LayoutError) as engine:
+                    check_complement(a, n=n)
+                assert str(engine.value) == str(refused.value)
+
+    def test_a_composite_of_the_wrong_size_answers_before_b_is_read(self):
+        # b's size, 2^64, is past the signed 64-bit range: the composite's size decides first
+        b = FlatLayout((2**62, 4), (1, 2**61))
+        with pytest.raises(ArithmeticOverflowError):
+            b.size()
+        assert not check_compose(FlatLayout((4,), (1,)), b, FlatLayout((2,), (1,)))
 
 
 def _flat(shape, stride):
@@ -340,12 +356,12 @@ FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class TestPackedWidths:
     @pytest.mark.parametrize("l, w", AT_WIDTHS)
     def test_tables_at_each_width_are_pointwise(self, l, w):
-        words = oracle._packed(l, oracle.DEFAULT_CAP)
+        words, want = _packed(l), _values(l)
         if w in FORMATS:
             assert type(words) is array and words.itemsize == w
         else:
-            assert type(words) is tuple and oracle._table(l, oracle.DEFAULT_CAP)[1] == 8 * w
-        want = _values(l)
+            assert type(words) is tuple and _width(want) == w
+            assert oracle._table(l, 8 * w) == _as_int(want, 8 * w)
         assert table_of(l).values == want
         assert table_of(l).is_bijection_onto_range() == (sorted(want) == list(range(len(want))))
         if max(want) <= M:
@@ -432,6 +448,33 @@ class TestPackedWidths:
             with pytest.raises(OracleCapError):
                 f(*args)
 
+    def test_no_entry_reads_a_largest_value_twice(self, monkeypatch):
+        # each layout's largest value is computed once per call and passed down
+        seen, largest = [], oracle._largest
+
+        def spy(flat):
+            seen.append(flat)  # held, so no id is reused within a call
+            return largest(flat)
+
+        monkeypatch.setattr(oracle, "_largest", spy)
+        a, b = FlatLayout((4, 2), (2, 1)), FlatLayout((8, 8), (1, 8))
+        right = Layout.of_flat(a).compose(Layout.of_flat(b)).flat()
+        calls = [
+            (1, FunctionTable, a),
+            (1, table_of, Layout((4, 2), (2, 1))),
+            (2, functions_equal, a, FlatLayout((2, 4), (1, 2))),
+            (3, check_compose, a, b, right),  # the gather
+            (3, check_compose, a, b, None),
+            (1, check_compose, a, FlatLayout((8, 8 * oracle._GATHER_SPAN), (1, 8)), right),
+            (1, check_complement, a, FlatLayout((2,), (8,))),
+            (1, check_complement, FlatLayout((4,), (1,)), None, 8),
+            (1, exhaustive_complement_search, FlatLayout((2,), (1,)), 8),
+        ]
+        for count, f, *args in calls:
+            seen.clear()
+            f(*args)
+            assert len(seen) == len({id(x) for x in seen}) == count, f
+
 
 #: tables on both sides of 64 KiB, with odd extents, zero strides and unit modes in the
 #: modes that take them past it
@@ -452,6 +495,19 @@ def _pack(values, w, order):
     return struct.pack(f"{'<>'[order == 'big']}{len(values)}{FORMATS[w]}", *values)
 
 
+def _width(values):
+    """The fewest bytes, a power of two, that hold the largest of ``values``."""
+    w = 1
+    while max(values) >> 8 * w:
+        w *= 2
+    return w
+
+
+def _packed(l):
+    """``l``'s words as :func:`oracle._packed` builds them, from its size and largest value."""
+    return oracle._packed(l, l.size(), oracle._largest(l))
+
+
 def _as_int(values, bits):
     """``values`` as one int, word ``j`` of ``bits`` bits at bit ``bits·j``."""
     return int("".join(format(v, f"0{bits}b") for v in reversed(values)), 2)
@@ -462,28 +518,27 @@ class TestByteOrder:
     def test_packed_tables_are_words_in_native_order(self, l, monkeypatch):
         # word j is the value at x = j; a big-endian host swaps the bytes of each
         # word, and words past 8 bytes are a tuple of ints in either byte order
-        words, values = oracle._packed(l, oracle.DEFAULT_CAP), _values(l)
-        w = oracle._table(l, oracle.DEFAULT_CAP)[1] // 8
+        words, values = _packed(l), _values(l)
+        w = _width(values)
         assert tuple(words) == values
         for order in ("little", "big"):
             monkeypatch.setattr(sys, "byteorder", order)
-            words = oracle._packed(l, oracle.DEFAULT_CAP)
+            words = _packed(l)
             if w in FORMATS:
                 assert words.itemsize == w and words.tobytes() == _pack(values, w, order)
             else:
                 assert type(words) is tuple and words == values
 
     def test_a_table_is_one_int_at_every_length(self):
-        # under 64 KiB and past it, a table is one int at the width it was built in:
-        # the fewest bytes, a power of two, by default, the largest value's bit length
-        # where asked
+        # under 64 KiB and past it, a table is one int at the width it is built in: the
+        # fewest bytes, a power of two, for _packed, the largest value's bit length too
         for l in BYTE_ORDER:
             values = _values(l)
-            tight = max(1, max(values).bit_length())
-            table, bits = oracle._table(l, oracle.DEFAULT_CAP)
-            assert type(table) is int and bits % 8 == 0 and bits // 2 < max(tight, 8) <= bits
-            assert table == _as_int(values, bits)
-            assert oracle._table(l, oracle.DEFAULT_CAP, tight) == (_as_int(values, tight), tight)
+            tight, bits = max(1, max(values).bit_length()), 8 * _width(values)
+            assert bits // 2 < max(tight, 8) <= bits
+            table = oracle._table(l, bits)
+            assert type(table) is int and table == _as_int(values, bits)
+            assert oracle._table(l, tight) == _as_int(values, tight)
 
 
 def _variant(rng, a):
@@ -503,11 +558,11 @@ class TestBitLengthWords:
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        """Each ``_table`` call as ``(bits asked for, (table, bits))``."""
+        """Each ``_table`` call as ``(bits, table)``."""
         calls, table = [], oracle._table
 
-        def spy(flat, cap, bits=0):
-            calls.append((bits, table(flat, cap, bits)))
+        def spy(flat, bits):
+            calls.append((bits, table(flat, bits)))
             return calls[-1][1]
 
         monkeypatch.setattr(oracle, "_table", spy)
@@ -515,15 +570,15 @@ class TestBitLengthWords:
 
     def test_an_all_zero_function_has_one_bit_words(self, tables):
         assert functions_equal(FlatLayout((8, 4), (0, 0)), FlatLayout((32,), (0,)))
-        assert tables == [(1, (0, 1))] * 2
+        assert tables == [(1, 0)] * 2
         tables.clear()
         # 10^6 points, past 64 KiB at 1 bit a point: one int of 1-bit words still
         assert functions_equal(FlatLayout((1000, 1000), (0, 0)), FlatLayout((10**6,), (0,)))
-        assert tables == [(1, (0, 1))] * 2
+        assert tables == [(1, 0)] * 2
 
     def test_a_one_point_table(self, tables):
         assert functions_equal(FlatLayout((), ()), FlatLayout((1, 1), (5, 7)))
-        assert tables == [(1, (0, 1))] * 2
+        assert tables == [(1, 0)] * 2
 
     def test_unequal_largest_values_build_no_table(self, tables):
         pairs = [
@@ -537,7 +592,7 @@ class TestBitLengthWords:
         assert tables == []
         # one largest value, the modes swapped: both tables are built, in 3-bit words
         assert not functions_equal(FlatLayout((2, 4), (1, 2)), FlatLayout((4, 2), (2, 1)))
-        assert [bits for bits, _ in tables] == [3, 3] and [t[1] for _, t in tables] == [3, 3]
+        assert [bits for bits, _ in tables] == [3, 3]
 
     @pytest.mark.parametrize(
         "d, n",
@@ -554,7 +609,7 @@ class TestBitLengthWords:
         assert functions_equal(l, split) and functions_equal(split, l)
         top = (n - 1) * d
         bits = max(1, top.bit_length())
-        assert [t for _, t in tables] == [(_as_int(_values(l), bits), bits)] * 4
+        assert tables == [(bits, _as_int(_values(l), bits))] * 4
         tables.clear()
         if n % 2 == 0:  # one largest value, the values in another order
             swapped = FlatLayout((2, n // 2), (d * (n // 2), d))
@@ -588,19 +643,22 @@ class TestPackedTable:
     @pytest.mark.parametrize("l, w", PACKED, ids=str)
     def test_a_packed_table_is_its_values(self, l, w):
         # table_of keeps the words of 1, 2, 4 and 8 bytes in an array, wider ones as a
-        # tuple; either way it is the table built from its values, by every reading
-        t, built = table_of(l), FunctionTable(_values(l))
+        # tuple; either way it reads as the layout's values, by every reading
+        t, values = table_of(l), _values(l)
         assert type(t._data) is (array if w in FORMATS else tuple)
-        assert type(t.values) is tuple and t.values == built.values
-        assert t == built and built == t and not t != built and t == table_of(l)
-        assert hash(t) == hash(built) == hash((built.values,))
-        assert repr(t) == repr(built) == f"FunctionTable(values={built.values!r})"
+        assert type(t.values) is tuple and t.values == values
+        assert t == table_of(l) and table_of(l) == t and not t != table_of(l)
+        assert hash(t) == hash((values,))
+        assert repr(t) == f"FunctionTable(values={values!r})"
         for y in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-            assert type(y) is FunctionTable and y == t and y == built
+            assert type(y) is FunctionTable and y == t and t == y and y.values == values
+            assert type(y._data) is type(t._data)  # the words come back, not a tuple
             assert hash(y) == hash(t) and repr(y) == repr(t)
-        assert t.size == built.size and [t[x] for x in range(t.size)] == list(built.values)
-        assert t.is_bijection_onto_range() == built.is_bijection_onto_range()
-        other = FunctionTable(built.values[:-1] + (built.values[-1] + 1,))
+        assert t.size == len(values) and [t[x] for x in range(t.size)] == list(values)
+        assert t.is_bijection_onto_range() == (sorted(values) == list(range(len(values))))
+        # one more mode: the same values at t's points, then more
+        other = table_of(FlatLayout(l.shape + (2,), l.stride + (1,)))
+        assert other.values[: t.size] == values
         assert t != other and other != t and hash(t) != hash(other)
 
     @pytest.fixture
@@ -639,21 +697,23 @@ class TestPackedTable:
         assert t == again and again == t and not t != again
         assert (t == other) == (other == t) == same and (t != other) != same
         assert spied == []
-        # against a tuple-held table, either way round, and by hash, values are read
-        built = FunctionTable(_values(l))
-        assert t == built and built == t and (other == built) == (built == other) == same
-        assert hash(t) == hash(again) == hash(built) == hash((built.values,))
+        # by hash, values are read
+        assert hash(t) == hash(again) == hash((_values(l),))
+        assert (hash(other) == hash(t)) == same
 
     @pytest.mark.parametrize("w", EACH_WIDTH)
-    def test_a_table_of_each_width_is_the_one_built_from_its_values(self, w):
-        # equal to, hashed as and pickled to the caller's table of the same values, and
-        # unequal both ways round to one that differs at the last point
-        t, values = table_of(EACH_WIDTH[w]), _values(EACH_WIDTH[w])
-        built = FunctionTable(values)
-        assert t == built and built == t and hash(t) == hash(built)
+    def test_a_table_of_each_width_is_the_one_built_from_its_layout(self, w):
+        # the constructor's table and table_of's are one, and pickle to it, words and all;
+        # unequal both ways round to one of the same width whose middle points are swapped
+        l = EACH_WIDTH[w]
+        t, values = table_of(l), _values(l)
+        built = FunctionTable(l)
+        assert t == built and built == t and hash(t) == hash(built) == hash((values,))
         back = pickle.loads(pickle.dumps(t))
-        assert back == built and back._data == values and hash(back) == hash(t)
-        other = FunctionTable(values[:-1] + (values[-1] - 1,))
+        assert back == built and back._data == t._data and back.values == values
+        assert hash(back) == hash(t)
+        other = table_of(FlatLayout(l.shape[::-1], l.stride[::-1]))
+        assert other.values != values and sorted(other.values) == sorted(values)
         assert t != other and other != t
         assert (t[0], t[t.size - 1]) == (values[0], values[-1])
 
@@ -685,7 +745,7 @@ class TestPackedTable:
         spied.clear()
         assert t == table_of(l) and t != last and last != t
         assert spied == []
-        assert hash(t) == hash(FunctionTable(_values(l)))
+        assert hash(t) == hash((_values(l),))
 
 
 @pytest.mark.parametrize("cap", [None, "8", True, 2.0, 8.0])
@@ -756,17 +816,24 @@ class TestBitSetImage:
         layouts += [FlatLayout((2, 2), (1, 3)), FlatLayout((3, 2), (0, 3)), FlatLayout((4095,), (1,))]
         answers = set()
         for l in layouts:
-            words = oracle._packed(l, oracle.DEFAULT_CAP)
+            words = _packed(l)
             want = max(words) < len(words) and len(set(words)) == len(words)
-            assert oracle._onto(l, oracle.DEFAULT_CAP) == want, l
+            assert oracle._onto(l, l.size()) == want, l
             answers.add((want, max(words) < len(words)))
         # bijections, repeated values below n, and a largest value at or past n
         assert answers == {(True, True), (False, True), (False, False)}
 
-    def test_onto_refuses_over_the_cap_first(self):
+    def test_the_cap_is_read_before_onto(self, monkeypatch):
+        def refuse(flat, n):
+            raise AssertionError("_onto was called before the cap was read")
+
+        monkeypatch.setattr(oracle, "_onto", refuse)
         with pytest.raises(OracleCapError) as refused:
-            oracle._onto(FlatLayout((64,), (2**62,)), 32)
+            check_complement(FlatLayout((64,), (2**62,)), FlatLayout((), ()), cap=32)
         assert str(refused.value) == "table of size 64 exceeds cap 32"
+        with pytest.raises(OracleCapError) as refused:
+            exhaustive_complement_search(FlatLayout((1,), (1,)), 64, cap=32)
+        assert str(refused.value) == "search space of size 64 exceeds cap 32"
 
     @pytest.mark.parametrize("w", EACH_WIDTH)
     def test_words_are_a_tuple(self, w):
@@ -823,15 +890,23 @@ class TestGather:
         assert check(one, FlatLayout((3,), (5,)), FlatLayout((1,), (7,)))
         assert calls == []
 
-    def test_second_layout_many_times_larger(self, spied):
+    def test_second_layout_many_times_larger(self, spied, monkeypatch):
         # b is tabulated for a gather up to _GATHER_SPAN points per point of a;
-        # past that, the layouts are called at a's points alone
+        # past that, the layouts are called at a's points alone, and no table is built
         check, calls = spied
+        tables, packed = [], oracle._packed
+
+        def spy(flat, *rest):
+            tables.append(flat)
+            return packed(flat, *rest)
+
+        monkeypatch.setattr(oracle, "_packed", spy)
         a, c, n = FlatLayout((4,), (1,)), FlatLayout((4,), (3,)), 4 * oracle._GATHER_SPAN
         at, past = FlatLayout((n,), (3,)), FlatLayout((n + 1,), (3,))
-        assert check(a, at, c) and calls == []
+        assert check(a, at, c) and calls == [] and tables == [a, at, c]
+        tables.clear()
         assert check(a, past, c)
-        assert calls == [c, a, past] * 4
+        assert calls == [c, a, past] * 4 and tables == []
 
     def test_second_layout_over_the_cap(self, spied):
         check, calls = spied
