@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (a one-line ``code: reason`` message
-on stderr), 2 malformed text, nested beyond ``notation.MAX_DEPTH`` too.
+on stderr), 2 malformed text, nested beyond ``notation.MAX_DEPTH`` too.  A
+verb reads the text of all its operands, left to right, before it builds any,
+so malformed text in any operand is exit 2 ahead of a domain error in another.
 ``--json`` writes structured JSON, each tree as its canonical text is.
 """
 
@@ -26,15 +28,14 @@ from .nestcat import (
     nest_morphism,
     standard_representation_nested,
 )
-from .notation import _parse, _Scanner, format_nested, parse_layout, parse_morphism, parse_nested
+from .notation import _parse, _Scanner, format_nested
 from .oracle import check_complement, check_compose, functions_equal, table_of
 
 
 class _Verb(NamedTuple):
     help: Optional[str]  # None for a check target, which is no subparser
     operands: Optional[str]  # what it takes; None for check: see its target
-    low: int = 1  # the fewest and the most operands without --map
-    high: int = 1
+    kinds: str = "L"  # each operand's kind, read by _READ; lower case if optional
     map: bool = False  # also takes a morphism as two tuples plus --map
 
 
@@ -44,43 +45,48 @@ _VERBS = {
         "coalesce a layout or a morphism", "a layout or a morphism", map=True
     ),
     "coalesce-rel": _Verb(
-        "coalesce a layout relative to a shape", "a layout and a shape", 2, 2
+        "coalesce a layout relative to a shape", "a layout and a shape", "LT"
     ),
     "complement": _Verb(
         "complement of a layout (optionally sized) or morphism",
-        "a layout and an optional size, or a morphism", 1, 2, map=True,
+        "a layout and an optional size, or a morphism", "Li", map=True,
     ),
     "compose": _Verb(
         "compose: second argument applied after the first",
-        "two layouts or two morphisms", 2, 2,
+        "two layouts or two morphisms", "LL",
     ),
     "divide": _Verb(
         "logical division of the first argument by the second",
-        "two layouts or two morphisms", 2, 2,
+        "two layouts or two morphisms", "LL",
     ),
     "product": _Verb(
-        "logical product of the two arguments", "two layouts or two morphisms", 2, 2
+        "logical product of the two arguments", "two layouts or two morphisms", "LL"
     ),
     "tractable": _Verb("whether a layout is tractable", "one layout"),
     "morphism": _Verb("standard representation of a tractable layout", "one layout"),
-    "layout-of": _Verb("the layout encoded by a morphism", "a morphism", map=True),
-    "mutual-refine": _Verb("mutual refinement of two nested tuples", "two tuples", 2, 2),
+    "layout-of": _Verb("the layout encoded by a morphism", "a morphism", "M", map=True),
+    "mutual-refine": _Verb("mutual refinement of two nested tuples", "two tuples", "TT"),
     "render": _Verb("grid of layout function values", "one layout"),
-    "eval": _Verb("evaluate a layout at a linear index", "a layout and an index", 2, 2),
+    "eval": _Verb("evaluate a layout at a linear index", "a layout and an index", "LI"),
     "check": _Verb("re-verify an engine result against the oracle", None),
-    "check compose": _Verb(None, "two layouts", 2, 2),
-    "check complement": _Verb(None, "a layout and an optional size", 1, 2),
+    "check compose": _Verb(None, "two layouts", "LL"),
+    "check complement": _Verb(None, "a layout and an optional size", "Li"),
     "check coalesce": _Verb(None, "one layout"),
 }
 
-#: the layout operation and the morphism operation of each algebra verb;
-#: arrow text or ``--map`` selects the morphism side
-_ALGEBRA = {
+#: the reader of each kind of operand: a layout, a tuple, an integer, a morphism
+_READ = {"L": _Scanner.layout, "T": _Scanner.nested, "I": _Scanner.operand, "M": _Scanner.morphism}
+
+#: each verb's layout operation and morphism operation; arrow text or ``--map`` picks the second
+_RUN = {
     "coalesce": (Layout.coalesce, coalesce_nm),
+    "coalesce-rel": (Layout.coalesce_relative, None),
     "complement": (Layout.complement, complement_nm),
     "compose": (Layout.compose, compose_nest),
     "divide": (Layout.logical_divide, logical_divide_m),
     "product": (Layout.logical_product, logical_product_m),
+    "morphism": (standard_representation_nested, None),
+    "layout-of": (None, layout_of_nested),
 }
 
 _JSON = str.maketrans({"(": "[", ")": "]", ",": ", "})  #: canonical text to a JSON array
@@ -106,20 +112,25 @@ def _emit(as_json: bool, result: object, **fields: object) -> None:
     print("{" + ", ".join(f'"{k}": {v}' for k, v in zip(fields, values)) + "}")
 
 
-def _morphisms(
-    verb: str, operands: Sequence[str], amap: Optional[str]
-) -> List[NestMorphism]:
-    """The morphism operands: each in arrow text, or one as two tuples plus
-    ``--map``."""
+def _operands(name: str, operands: Sequence[str], amap: Optional[str]) -> List[object]:
+    """The operands of ``name``, all read before any is built.  Arrow text makes an
+    algebra verb's layouts morphisms; ``--map`` makes one morphism of two tuples."""
     if amap is not None:
         if len(operands) != 2:
             raise NotationError("--map needs exactly two tuple arguments")
         entries = _parse(amap, _Scanner.map) if amap else ()
-        domain, codomain = parse_nested(operands[0]), parse_nested(operands[1])
+        domain, codomain = [_parse(text, _Scanner.nested) for text in operands]
         return [nest_morphism(domain, codomain, entries)]
-    if verb == "complement" and len(operands) > 1:  # a morphism takes no size
-        raise NotationError("expected exactly one morphism argument")
-    return [parse_morphism(text) for text in operands]
+    kinds, needed = _VERBS[name].kinds, sum(map(str.isupper, _VERBS[name].kinds))
+    if not needed <= len(operands) <= len(kinds):
+        raise NotationError(f"{name} takes {_VERBS[name].operands}, got {len(operands)}")
+    if "--(" in operands[0] and _RUN.get(name, (None, None))[1]:
+        kinds = "M" * needed
+        if len(operands) > needed:  # a morphism takes no size
+            raise NotationError("expected exactly one morphism argument")
+    read = [_parse(text, _READ[k.upper()]) for text, k in zip(operands, kinds)]
+    return [Layout(*r) if k == "L" else nest_morphism(*r) if k == "M" else r
+            for r, k in zip(read, kinds)]
 
 
 def _render_grid(l: Layout, flatten_to: Optional[int]) -> List[List[int]]:
@@ -177,45 +188,28 @@ def _run(args: argparse.Namespace) -> int:
         name, operands = f"check {operands[0]}", operands[1:]
         if name not in _VERBS:
             raise NotationError(f"unknown check target {args.args[0]!r}")
-    row = _VERBS[name]
-    if amap is None and not row.low <= len(operands) <= row.high:
-        raise NotationError(f"{name} takes {row.operands}, got {len(operands)}")
-
-    if verb in _ALGEBRA:
-        on_layouts, on_morphisms = _ALGEBRA[verb]
-        if amap is not None or "--(" in operands[0]:
-            _emit(as_json, on_morphisms(*_morphisms(verb, operands, amap)))
-        elif verb == "complement":  # the second operand is an optional size
-            n = _parse(operands[1], _Scanner.operand) if len(operands) > 1 else None
-            _emit(as_json, on_layouts(parse_layout(operands[0]), n))
-        else:
-            _emit(as_json, on_layouts(*[parse_layout(text) for text in operands]))
-    elif verb == "coalesce-rel":
-        a = parse_layout(operands[0])
-        _emit(as_json, a.coalesce_relative(parse_nested(operands[1])))
+    values = _operands(name, operands, amap)
+    if verb in _RUN:  # its morphism operation if the operands are morphisms
+        _emit(as_json, _RUN[verb][isinstance(values[0], NestMorphism)](*values))
     elif verb == "tractable":
-        result = parse_layout(operands[0]).is_tractable()
+        result = values[0].is_tractable()
         _emit(as_json, str(result).lower(), tractable=result)
-    elif verb == "morphism":
-        _emit(as_json, standard_representation_nested(parse_layout(operands[0])))
-    elif verb == "layout-of":
-        _emit(as_json, layout_of_nested(*_morphisms(verb, operands, amap)))
     elif verb == "mutual-refine":
-        mr = mutual_refinement(parse_nested(operands[0]), parse_nested(operands[1]))
+        mr = mutual_refinement(*values)
         if mr is None:
             raise NotComposableError("no mutual refinement")
         first, second = mr.t_ref.fine, mr.u_ref.fine
         text = format_nested(first) + "\n" + format_nested(second)
         _emit(as_json, text, first=first, second=second)
     elif verb == "render":
-        cells = _render_grid(parse_layout(operands[0]), args.flatten_to)
+        cells = _render_grid(values[0], args.flatten_to)
         text = None if as_json else _format_grid(cells, args.tikz)
         _emit(as_json, text, rows=len(cells), cols=len(cells[0]), cells=cells)
     elif verb == "eval":
-        value = parse_layout(operands[0])(_parse(operands[1], _Scanner.operand))
+        value = values[0](values[1])
         _emit(as_json, value, value=value)
     elif verb == "check":
-        ok = _check(name, operands)
+        ok = _check(name, *values)
         if ok or as_json:
             _emit(as_json, "ok", ok=ok)
         if not ok:
@@ -224,13 +218,11 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check(name: str, operands: Sequence[str]) -> bool:
+def _check(name: str, a: Layout, b: object = None) -> bool:
     if name == "check compose":
-        return check_compose(parse_layout(operands[0]), parse_layout(operands[1]))
+        return check_compose(a, b)
     if name == "check complement":
-        n = _parse(operands[1], _Scanner.operand) if len(operands) > 1 else None
-        return check_complement(parse_layout(operands[0]), n=n)
-    a = parse_layout(operands[0])
+        return check_complement(a, n=b)
     return functions_equal(a.coalesce(), a)
 
 

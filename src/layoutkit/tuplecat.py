@@ -157,9 +157,7 @@ class FlatLayout(_LayoutFunction, _Record):
     __slots__ = ("shape", "stride")
 
     def __init__(self, shape: Tuple[int, ...], stride: Tuple[int, ...]) -> None:
-        _Record.__init__(self, shape, stride)
-        if not type(shape) is type(stride) is tuple:
-            _as_tuples(self, shape, stride)
+        _as_tuples(self, shape, stride)
         if len(shape) != len(stride):
             raise LayoutError(f"shape rank {len(shape)} != stride rank {len(stride)}")
         _check_entries(self.shape, 1, "shape entry", self.shape)

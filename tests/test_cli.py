@@ -499,7 +499,8 @@ class TestCheckAndExitCodes:
             ("complement", "8:1", "1e3"),
             ("layout-of", "(2)", "(2)", "--map", "1,x"),
             ("coalesce", "1" * 5000 + ":1"),
-            # the size is read before the layout, whose zero entry is exit 1
+            # every operand's text is read before any is built, so the
+            # malformed size is exit 2 ahead of the layout's zero entry
             ("complement", "(0):(1)", "x"),
             # whitespace separates tokens; it never joins digits
             ("coalesce", "(1 6):(1)"),
@@ -531,6 +532,37 @@ class TestCheckAndExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("parse-error:")
+
+    # each verb reads all its operands' text, left to right, before it builds
+    # any: a domain-invalid operand, a zero shape entry or a map value past the
+    # codomain, ahead of a malformed one is exit 2, and of two malformed
+    # operands the first is named
+    @pytest.mark.parametrize(
+        "argv, wanted",
+        [
+            (("eval", "(0):(1)", "x"), "expected an integer at position 0 in 'x'"),
+            (("coalesce-rel", "(0):(1)", "(2,"), "expected an integer at position 3 in '(2,'"),
+            (("compose", "(0):(1)", "("), "expected an integer at position 1 in '('"),
+            (
+                ("compose", "(2)--(2)-->(2)", "(2)--(1)-->"),
+                "expected an integer at position 11 in '(2)--(1)-->'",
+            ),
+            (("divide", "(0):(1)", "4:"), "expected an integer at position 2 in '4:'"),
+            (("product", "(0):(1)", "4:1:"), "trailing text ':' in '4:1:'"),
+            (("check", "compose", "(0):(1)", "x"), "expected an integer at position 0 in 'x'"),
+            (("complement", "(2,:(1)", "x"), "expected an integer at position 3 in '(2,:(1)'"),
+            (
+                ("check", "complement", "(2,:(1)", "x"),
+                "expected an integer at position 3 in '(2,:(1)'",
+            ),
+        ],
+        ids=[
+            "eval", "coalesce-rel", "compose", "compose-morphisms", "divide", "product",
+            "check-compose", "complement-both-malformed", "check-complement-both-malformed",
+        ],
+    )
+    def test_every_operand_is_read_before_any_is_built(self, capsys, argv, wanted):
+        assert run(capsys, *argv) == (2, "", "parse-error: " + wanted)
 
     @pytest.mark.parametrize(
         "argv, wanted",

@@ -788,6 +788,27 @@ def test_cap_texts():
         assert str(refused.value) == f"{what} exceeds cap 3"
 
 
+def test_an_argument_not_a_layout_is_the_callers_error():
+    # an argument of the wrong engine class is not checked: each entry point
+    # fails as Python does on it and answers nothing, so no entry scans a type
+    t, l = (2, 0, 1), Layout((2, 2), (1, 2))
+    calls = [
+        (table_of, t),
+        (FunctionTable, t),
+        (functions_equal, t, l),
+        (functions_equal, l, t),
+        (check_compose, t, l),
+        (check_compose, l, t),
+        (check_compose, l, l, t),
+        (check_complement, t),
+        (check_complement, l, t),
+        (exhaustive_complement_search, t, 8),
+    ]
+    for f, *args in calls:
+        with pytest.raises((AttributeError, TypeError)):
+            f(*args)
+
+
 def _random_flat(rng):
     """A small flat layout: a compact one with its modes permuted (a bijection),
     one stride of it changed, or random, with zero strides, unit modes and long

@@ -545,7 +545,8 @@ def cli_battery(c: Corpus, clicases, seed: int) -> None:
 
 def cli_fixed(c: Corpus, clicases, cli) -> None:
     """Each verb's help, nesting beyond the reader's bound, a render past
-    the oracle's cap, and operands at the edges or of the wrong form."""
+    the oracle's cap, operands at the edges or of the wrong form, and command
+    lines with two faulty operands."""
     c.cli(("--help",))
     c.cli(())
     for verb, row in cli._VERBS.items():
@@ -565,6 +566,18 @@ def cli_fixed(c: Corpus, clicases, cli) -> None:
         c.cli(("eval", "4:1", text))
         c.cli(("complement", "4:1", text))
         c.cli(("coalesce", f"({text},2):(1,4)"))
+    for argv in (  # a domain-invalid operand ahead of a malformed one, or two malformed
+        ("eval", "(0):(1)", "x"),
+        ("coalesce-rel", "(0):(1)", "(2,"),
+        ("compose", "(0):(1)", "("),
+        ("compose", "(2)--(2)-->(2)", "(2)--(1)-->"),
+        ("divide", "(0):(1)", "4:"),
+        ("product", "(0):(1)", "4:1:"),
+        ("check", "compose", "(0):(1)", "x"),
+        ("complement", "(2,:(1)", "x"),
+        ("check", "complement", "(2,:(1)", "x"),
+    ):
+        c.cli(argv)
 
 
 def build_corpus(seed: int = 7, rounds: int = 100, cli_seeds: int = 8) -> list:
